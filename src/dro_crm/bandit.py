@@ -265,7 +265,8 @@ def _record_rng(seed: int, stream: int, replay: int, example: int) -> np.random.
 def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
                         delta: int, seed: int, stream: int = 0) -> BanditLog:
     """Replay the logger `delta` times over the dataset, sampling one action
-    per example per pass and logging (action, propensity, scaled cost)."""
+    per example per pass and logging (action, propensity, scaled cost).  The
+    log keeps `train.X` once; records point into it by example id."""
     if delta < 1:
         raise ContractViolation("replay count must be at least 1")
     n_ex, q = train.n_examples, train.n_labels
@@ -285,14 +286,12 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
             example_ids[r] = i
             r += 1
 
-    X = np.tile(train.X, (delta, 1))
-    Y_star = np.tile(train.Y, (delta, 1))
     log_p = (Y * U[example_ids] - log1p_exp(U[example_ids])).sum(axis=1)
-    raw_cost = np.abs(Y - Y_star).sum(axis=1)
+    raw_cost = np.abs(Y - train.Y[example_ids]).sum(axis=1)
     scaling = CostScaling(scale=1.0 / q, offset=-1.0)
     costs = raw_cost * scaling.scale + scaling.offset
     clip_m = compute_clip_constant(np.exp(log_p))
-    return BanditLog(X, Y, log_p, costs, clip_m, scaling,
+    return BanditLog(train.X, Y, log_p, costs, clip_m, scaling,
                      replay_ids=replay_ids, example_ids=example_ids,
                      seed=seed, delta=delta)
 
@@ -328,7 +327,7 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path) -> None:
     (clip constant, cost scaling, seed, replay count)."""
     n = log.n
     replay = log.replay_ids if log.replay_ids is not None else np.zeros(n, dtype=np.int64)
-    example = log.example_ids if log.example_ids is not None else np.arange(n)
+    example = log.example_ids
     raw = log.cost_scaling.to_raw(log.costs)
     p = np.exp(log.log_propensities)
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -347,34 +346,56 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path) -> None:
 
 
 def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLog:
-    """Rebuild a log from its CSV and sidecar; features come from `dataset`
-    through the stored example ids."""
+    """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X` and
+    the stored example ids.  Every record is checked against the dataset:
+    example ids in range, q-bit 0/1 actions, propensities in (0, 1] and
+    finite costs."""
     meta = {}
     with open(meta_path, "r", encoding="utf-8") as fh:
         for line in fh:
             if "=" in line:
                 k, v = line.split("=", 1)
                 meta[k.strip()] = v.strip()
-    rows = []
+    n_ex, q = dataset.n_examples, dataset.n_labels
+    replay, example, Y, p, costs = [], [], [], [], []
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != _LOG_HEADER:
             raise DataFormatError(f"{csv_path}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
+            where = f"{csv_path}:{lineno}"
             parts = line.strip().split(",")
             if len(parts) != 7:
-                raise DataFormatError(f"{csv_path}:{lineno}: expected 7 fields")
-            rows.append(parts)
-    if not rows:
+                raise DataFormatError(f"{where}: expected 7 fields")
+            try:
+                r, e, prop, cost = int(parts[1]), int(parts[2]), float(parts[4]), float(parts[6])
+            except ValueError as exc:
+                raise DataFormatError(f"{where}: bad number ({exc})") from exc
+            bits = parts[3]
+            if not 0 <= e < n_ex:
+                raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
+            if len(bits) != q or set(bits) - {"0", "1"}:
+                raise DataFormatError(f"{where}: action {bits!r} is not {q} bits of 0/1")
+            if not 0.0 < prop <= 1.0:
+                raise DataFormatError(f"{where}: propensity {prop!r} outside (0, 1]")
+            if not math.isfinite(cost):
+                raise DataFormatError(f"{where}: non-finite cost {cost!r}")
+            replay.append(r)
+            example.append(e)
+            Y.append([float(c) for c in bits])
+            p.append(prop)
+            costs.append(cost)
+    if not Y:
         raise DataFormatError(f"{csv_path}: no records")
-    replay = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    example = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    Y = np.array([[float(c) for c in r[3]] for r in rows])
-    p = np.array([float(r[4]) for r in rows])
-    costs = np.array([float(r[6]) for r in rows])
-    scaling = CostScaling(scale=float(meta["cost_scale"]), offset=float(meta["cost_offset"]))
-    seed = int(meta["seed"]) if meta.get("seed") else None
-    delta = int(meta["delta"]) if meta.get("delta") else None
-    return BanditLog(dataset.X[example], Y, np.log(p), costs,
-                     float(meta["clip_m"]), scaling,
-                     replay_ids=replay, example_ids=example, seed=seed, delta=delta)
+    try:
+        clip_m = float(meta["clip_m"])
+        scaling = CostScaling(scale=float(meta["cost_scale"]),
+                              offset=float(meta["cost_offset"]))
+        seed = int(meta["seed"]) if meta.get("seed") else None
+        delta = int(meta["delta"]) if meta.get("delta") else None
+    except (KeyError, ValueError) as exc:
+        raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
+    return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs),
+                     clip_m, scaling, replay_ids=np.array(replay, dtype=np.int64),
+                     example_ids=np.array(example, dtype=np.int64),
+                     seed=seed, delta=delta)

@@ -84,7 +84,11 @@ class ExperimentConfig:
     def worker_count(self) -> int:
         requested = self.threads if self.threads is not None else (os.cpu_count() or 1)
         env = os.environ.get("DRO_CRM_THREADS")
-        cap = int(env) if env else requested
+        try:
+            cap = int(env) if env else requested
+        except ValueError:
+            raise ContractViolation(
+                f"DRO_CRM_THREADS must be an integer, got {env!r}") from None
         return max(1, min(requested, cap))
 
 

@@ -56,6 +56,19 @@ def read_config_file(path) -> dict:
     return values
 
 
+def _parsed(values: dict, key: str, parse, default=None):
+    """values[key] through `parse` (int, float or a list parser), `default`
+    when the key is absent.  A value that does not parse is a
+    DataFormatError naming the key."""
+    if key not in values:
+        return default
+    try:
+        return parse(values[key])
+    except ValueError:
+        raise DataFormatError(
+            f"config key {key!r}: cannot parse {values[key]!r}") from None
+
+
 def build_experiment_config(values: dict) -> ExperimentConfig:
     if "dataset" not in values:
         raise ContractViolation("config needs a 'dataset' entry")
@@ -63,29 +76,27 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     for alg in ("poem", "klcrm", "aklcrm"):
         key = f"grid_{alg}"
         if key in values:
-            grids[alg] = np.array(_parse_float_list(values[key]))
+            grids[alg] = np.array(_parsed(values, key, _parse_float_list))
     logger = LoggerSpec(
-        l2=float(values.get("logger_l2", 1e-4)),
-        alpha=float(values.get("logger_alpha", 0.5)),
-        max_iters=int(values.get("logger_max_iters", 200)))
+        l2=_parsed(values, "logger_l2", float, 1e-4),
+        alpha=_parsed(values, "logger_alpha", float, 0.5),
+        max_iters=_parsed(values, "logger_max_iters", int, 200))
     optim = OptimConfig(
-        memory=int(values.get("optim_memory", 10)),
-        max_iters=int(values.get("optim_max_iters", 500)),
-        grad_tol=float(values.get("optim_grad_tol", 1e-6)),
-        f_tol=float(values.get("optim_f_tol", 1e-9)))
-    threads = values.get("threads")
-    valid_delta = values.get("valid_delta")
+        memory=_parsed(values, "optim_memory", int, 10),
+        max_iters=_parsed(values, "optim_max_iters", int, 500),
+        grad_tol=_parsed(values, "optim_grad_tol", float, 1e-6),
+        f_tol=_parsed(values, "optim_f_tol", float, 1e-9))
     return ExperimentConfig(
         dataset=values["dataset"],
         test_dataset=values.get("test_dataset") or None,
-        test_frac=float(values.get("test_frac", 0.25)),
+        test_frac=_parsed(values, "test_frac", float, 0.25),
         algorithms=tuple(a.strip() for a in values.get(
             "algorithms", "cips,poem,klcrm,aklcrm").split(",") if a.strip()),
-        seeds=_parse_int_list(values.get("seeds", "0..19")),
-        delta=int(values.get("delta", 4)),
-        valid_delta=int(valid_delta) if valid_delta else None,
-        train_frac=float(values.get("train_frac", 0.75)),
-        logger_frac=float(values.get("logger_frac", 0.05)),
+        seeds=_parsed(values, "seeds", _parse_int_list, tuple(range(20))),
+        delta=_parsed(values, "delta", int, 4),
+        valid_delta=_parsed(values, "valid_delta", int) if values.get("valid_delta") else None,
+        train_frac=_parsed(values, "train_frac", float, 0.75),
+        logger_frac=_parsed(values, "logger_frac", float, 0.05),
         logger=logger, grids=grids, optim=optim,
         add_bias=values.get("add_bias", "true").lower() not in ("false", "0", "no"),
         gamma_rule=values.get("gamma_rule", "sum_sq"),
@@ -94,7 +105,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         warm_start=values.get("warm_start", "false").lower()
         in ("true", "1", "yes"),
         out_dir=values.get("out_dir", "bench_out"),
-        threads=int(threads) if threads else None,
+        threads=_parsed(values, "threads", int) if values.get("threads") else None,
         save_params=values.get("save_params", "true").lower()
         not in ("false", "0", "no"))
 

@@ -5,11 +5,12 @@ per-sample counterfactual loss under a candidate policy is
 
     z_i = c_i * min(M, pi_theta(y_i | x_i) / p_i),
 
-with the importance ratio computed in log space and clipped at M.  On top of
-z the module provides the plain clipped estimator (uniform weights), its
-variance-penalized version, a fixed-temperature tilted version that puts more
-weight on high-loss samples, and an adaptive-temperature version that
-recomputes the temperature from the loss spread at every evaluation.
+with the importance ratio computed in log space and clipped at M.  Every
+objective is one weighting of z, evaluated by one shared kernel: the plain
+clipped estimator (uniform weights), its variance-penalized version, a
+fixed-temperature tilted version that puts more weight on high-loss samples,
+and an adaptive-temperature version that recomputes the temperature from the
+loss spread at every evaluation.
 
 Gradients follow the score-function identity d z_i / d theta =
 c_i * ratio_i * d log pi / d theta on unclipped samples and zero on clipped
@@ -27,7 +28,10 @@ import numpy as np
 
 from .divergence import LossSample, boltzmann_weights
 from .errors import ContractViolation
-from .policy import FeatureVector, PolicyParams, log_prob_matrix, logits_matrix, sigmoid
+# log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
+# the policy calls of this module by wrapping these names in place.
+from .policy import (FeatureVector, PolicyParams, clamp_logits,
+                     log_prob_matrix, logits_matrix, sigmoid, softplus_sigmoid)
 
 _VAR_FLOOR = 1e-12
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
@@ -63,11 +67,14 @@ class CostScaling:
 
 @dataclass
 class BanditLog:
-    """Dense logged-feedback dataset.
+    """Dense logged-feedback dataset, features stored once per example.
 
-    X: (n, D) features; Y: (n, q) 0/1 actions; log_propensities: (n,) natural
-    logs of the logger's action probabilities; costs: (n,) logged (already
-    scaled) costs; clip_m: ratio clipping constant M > 0.
+    X: (n_examples, D) features; Y: (n, q) 0/1 actions of the n records;
+    example_ids: (n,) row of X each record was logged on, so replaying an
+    example delta times stores its features once (defaults to arange(n) when
+    X has one row per record); log_propensities: (n,) natural logs of the
+    logger's action probabilities; costs: (n,) logged (already scaled) costs;
+    clip_m: ratio clipping constant M > 0.
     """
 
     X: np.ndarray
@@ -82,20 +89,37 @@ class BanditLog:
     delta: Optional[int] = None
 
     def __post_init__(self):
-        n = self.X.shape[0]
+        if self.X.ndim != 2 or self.Y.ndim != 2:
+            raise ContractViolation("features and actions must be matrices")
+        n = self.Y.shape[0]
         if n < 1:
             raise ContractViolation("bandit log must be non-empty")
-        if self.Y.shape[0] != n or self.log_propensities.shape != (n,) \
-                or self.costs.shape != (n,):
+        if self.log_propensities.shape != (n,) or self.costs.shape != (n,):
             raise ContractViolation("bandit log arrays must agree on length")
+        if self.example_ids is None:
+            if self.X.shape[0] != n:
+                raise ContractViolation("without example ids X needs one row per record")
+            self.example_ids = np.arange(n)
+        ids = np.asarray(self.example_ids)
+        if ids.shape != (n,) or not np.issubdtype(ids.dtype, np.integer):
+            raise ContractViolation("example ids must be one integer per record")
+        if ids.min() < 0 or ids.max() >= self.X.shape[0]:
+            raise ContractViolation(
+                f"example ids must lie in [0, {self.X.shape[0]})")
+        self.example_ids = ids
+        if not np.all((self.Y == 0.0) | (self.Y == 1.0)):
+            raise ContractViolation("actions must be 0/1 bit vectors")
         if self.clip_m <= 0.0:
             raise ContractViolation("clip constant must be positive")
-        if np.any(self.log_propensities > 0.0):
+        if not np.all(np.isfinite(self.log_propensities)) \
+                or np.any(self.log_propensities > 0.0):
             raise ContractViolation("propensities must lie in (0, 1]")
+        if not np.all(np.isfinite(self.costs)):
+            raise ContractViolation("costs must be finite")
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.Y.shape[0]
 
     @property
     def propensities(self) -> np.ndarray:
@@ -131,50 +155,74 @@ class RiskReport:
     degenerate: bool = False
 
 
-def sample_losses(params: PolicyParams, log: BanditLog) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample clipped losses z_i and the mask of clipped samples
-    (importance ratio >= M), where the ratio's gradient contribution is zero."""
-    z, clipped, _ = _ratio_grad_weights(params, log)
-    return z, clipped
+class _LossPass:
+    """The kernel every objective shares, at one parameter value.
 
+    Logits, softplus and sigmoid are computed once per example (row of
+    log.X) and gathered per record through log.example_ids, giving
+    log pi(y_i | x_i), the importance ratios, the clipped losses z and
+    dz_i = c_i * ratio_i (zero where the clip binds), so that
+    d z_i / d theta = dz_i * d log pi(y_i | x_i) / d theta.
+    """
 
-def _grad_weighted(params: PolicyParams, log: BanditLog,
-                   sample_weight: np.ndarray) -> np.ndarray:
-    """Gradient sum_i w_i * c_i * ratio_i * d log pi_i / d theta for the given
-    per-sample weights (zeros where the contribution is masked out)."""
-    U = logits_matrix(params, log.X)
-    G = log.Y - sigmoid(U)
-    return (sample_weight[:, None] * G).T @ log.X
+    def __init__(self, params: PolicyParams, log: BanditLog):
+        U = clamp_logits(logits_matrix(params, log.X))
+        softplus, self._sigmoid = softplus_sigmoid(U)
+        ids = log.example_ids
+        log_pi = (np.einsum("ij,ij->i", log.Y, np.take(U, ids, axis=0))
+                  - np.take(softplus.sum(axis=1), ids))
+        self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
+        self.clipped = self.ratio >= log.clip_m
+        self.z = log.costs * np.minimum(self.ratio, log.clip_m)
+        self.dz = np.where(self.clipped, 0.0, log.costs * self.ratio)
+        self._log = log
 
-
-def _ratio_grad_weights(params: PolicyParams, log: BanditLog) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, clipped mask, per-sample factor c_i * ratio_i masked at clips)."""
-    log_ratio = log_prob_matrix(params, log.X, log.Y) - log.log_propensities
-    ratio = np.exp(np.minimum(log_ratio, _RATIO_LOG_CAP))
-    clipped = ratio >= log.clip_m
-    z = log.costs * np.minimum(ratio, log.clip_m)
-    dz = np.where(clipped, 0.0, log.costs * ratio)
-    return z, clipped, dz
+    def report(self, risk: float, weights: np.ndarray, dz_weights: np.ndarray,
+               gamma_used: Optional[float] = None,
+               degenerate: bool = False) -> RiskReport:
+        """Report of a weighting rule that gives the risk, the weights it puts
+        on z, and d risk / d z_i (`dz_weights`).  With c_i the product of
+        d risk / d z_i and dz_i, the gradient sum_i c_i (y_i - sigmoid(u_i)) x_i
+        is summed into one row per example, sum_i c_i y_i minus
+        (sum_i c_i) sigmoid(u), before a single product with the features."""
+        log = self._log
+        ids = log.example_ids
+        n_ex, q = self._sigmoid.shape
+        c = dz_weights * self.dz
+        R = np.empty((n_ex, q))
+        for label in range(q):
+            R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
+        R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
+        return RiskReport(risk, self.z, weights, _variance(self.z), R.T @ log.X,
+                          gamma_used, degenerate)
 
 
 def _variance(z: np.ndarray) -> float:
     return float(np.mean((z - z.mean()) ** 2))
 
 
+def _uniform(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
+def sample_losses(params: PolicyParams, log: BanditLog) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-sample clipped losses z_i and the mask of clipped samples
+    (importance ratio >= M), where the ratio's gradient contribution is zero."""
+    losses = _LossPass(params, log)
+    return losses.z, losses.clipped
+
+
 def ips_risk(params: PolicyParams, log: BanditLog) -> float:
     """Unclipped importance-weighted mean cost (the unbiased estimator used
     for validation-time model selection, never as a training objective)."""
-    log_ratio = log_prob_matrix(params, log.X, log.Y) - log.log_propensities
-    ratio = np.exp(np.minimum(log_ratio, _RATIO_LOG_CAP))
-    return float(np.mean(log.costs * ratio))
+    return float(np.mean(log.costs * _LossPass(params, log).ratio))
 
 
 def cips_risk(params: PolicyParams, log: BanditLog) -> RiskReport:
     """Clipped importance-weighted risk: mean of z with uniform weights."""
-    z, _, dz = _ratio_grad_weights(params, log)
-    n = log.n
-    grad = _grad_weighted(params, log, dz / n)
-    return RiskReport(float(z.mean()), z, np.full(n, 1.0 / n), _variance(z), grad)
+    losses = _LossPass(params, log)
+    w = _uniform(log.n)
+    return losses.report(float(losses.z.mean()), w, w)
 
 
 def poem_objective(params: PolicyParams, log: BanditLog, lam: float) -> RiskReport:
@@ -185,19 +233,29 @@ def poem_objective(params: PolicyParams, log: BanditLog, lam: float) -> RiskRepo
     """
     if lam < 0.0:
         raise ContractViolation("lambda must be nonnegative")
-    z, _, dz = _ratio_grad_weights(params, log)
     n = log.n
     if lam > 0.0 and n < 2:
         raise ContractViolation("variance penalty needs at least two records")
+    losses = _LossPass(params, log)
+    z = losses.z
     var = _variance(z)
-    risk = float(z.mean()) + lam * np.sqrt(var / n)
-    coeff = dz / n
+    w = _uniform(n)
+    dz_weights = w
     if lam > 0.0 and var >= _VAR_FLOOR:
-        # d/dtheta sqrt(var/n) = (1 / (2 sqrt(var/n))) * (2/n) sum (z_i - mean) dz_i / n
+        # d/dz_i sqrt(var/n) = (1 / (2 sqrt(var/n))) * (2/n) (z_i - mean) / n
         pref = lam / (2.0 * np.sqrt(var / n))
-        coeff = coeff + pref * (2.0 / n) * (z - z.mean()) / n * dz
-    grad = _grad_weighted(params, log, coeff)
-    return RiskReport(risk, z, np.full(n, 1.0 / n), var, grad)
+        dz_weights = w + pref * (2.0 / n) * (z - z.mean()) / n
+    return losses.report(float(z.mean()) + lam * np.sqrt(var / n), w, dz_weights)
+
+
+def _tilted(losses: _LossPass, gamma: float, freeze_weights: bool) -> RiskReport:
+    """sum_i s_i z_i with s_i prop. to exp(z_i / gamma); with frozen weights
+    d risk / d z_i = s_i, otherwise the softmax is differentiated too."""
+    z = losses.z
+    s = boltzmann_weights(LossSample(z), gamma)
+    risk = float(s @ z)
+    dz_weights = s if freeze_weights else s * (1.0 + (z - risk) / gamma)
+    return losses.report(risk, s, dz_weights, gamma_used=gamma)
 
 
 def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float,
@@ -210,15 +268,7 @@ def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float,
     """
     if gamma <= 0.0:
         raise ContractViolation("gamma must be positive")
-    z, _, dz = _ratio_grad_weights(params, log)
-    s = boltzmann_weights(LossSample(z), gamma)
-    risk = float(s @ z)
-    if freeze_weights:
-        coeff = s * dz
-    else:
-        coeff = s * (1.0 + (z - risk) / gamma) * dz
-    grad = _grad_weighted(params, log, coeff)
-    return RiskReport(risk, z, s, _variance(z), grad, gamma_used=gamma)
+    return _tilted(_LossPass(params, log), gamma, freeze_weights)
 
 
 def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
@@ -235,23 +285,15 @@ def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
         raise ContractViolation("epsilon must be positive")
     if gamma_rule not in ("sum_sq", "variance"):
         raise ContractViolation(f"unknown gamma rule {gamma_rule!r}")
-    z, _, dz = _ratio_grad_weights(params, log)
-    n = log.n
+    losses = _LossPass(params, log)
+    z, n = losses.z, log.n
     sum_sq = float(((z - z.mean()) ** 2).sum())
     scatter = sum_sq if gamma_rule == "sum_sq" else sum_sq / n
-    gamma = np.sqrt(scatter / (2.0 * epsilon))
+    gamma = float(np.sqrt(scatter / (2.0 * epsilon)))
     if gamma <= 0.0:
-        grad = _grad_weighted(params, log, dz / n)
-        return RiskReport(float(z.mean()), z, np.full(n, 1.0 / n), 0.0, grad,
-                          gamma_used=0.0, degenerate=True)
-    s = boltzmann_weights(LossSample(z), float(gamma))
-    risk = float(s @ z)
-    if freeze_weights:
-        coeff = s * dz
-    else:
-        coeff = s * (1.0 + (z - risk) / gamma) * dz
-    grad = _grad_weighted(params, log, coeff)
-    return RiskReport(risk, z, s, _variance(z), grad, gamma_used=float(gamma))
+        w = _uniform(n)
+        return losses.report(float(z.mean()), w, w, gamma_used=0.0, degenerate=True)
+    return _tilted(losses, gamma, freeze_weights)
 
 
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float],

@@ -86,14 +86,28 @@ def clamp_logits(u: np.ndarray) -> np.ndarray:
     return np.clip(u, -_LOGIT_CLAMP, _LOGIT_CLAMP)
 
 
+def _sigmoid_from(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-u) for u >= 0 and e^u / (1 + e^u) below, with e = e^-|u|
+    # <= 1: the numerator max(e, [u >= 0]) picks 1 or e without a branch.
+    return np.maximum(e, u >= 0.0) / (1.0 + e)
+
+
 def sigmoid(u: np.ndarray) -> np.ndarray:
     u = clamp_logits(u)
-    return np.where(u >= 0.0, 1.0 / (1.0 + np.exp(-u)), np.exp(u) / (1.0 + np.exp(u)))
+    return _sigmoid_from(u, np.exp(-np.abs(u)))
 
 
 def log1p_exp(u: np.ndarray) -> np.ndarray:
     """log(1 + e^u), branchless stable form."""
     return np.logaddexp(0.0, clamp_logits(u))
+
+
+def softplus_sigmoid(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(log(1 + e^u), sigmoid(u)) of the clamped logits from a single exp.
+    The softplus agrees with `log1p_exp` to a few ulp, not bit for bit."""
+    u = clamp_logits(u)
+    e = np.exp(-np.abs(u))
+    return np.maximum(u, 0.0) + np.log1p(e), _sigmoid_from(u, e)
 
 
 def _check_dims(params: PolicyParams, x: FeatureVector):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (ContractViolation, DataFormatError, LoggerSpec,
+from dro_crm import (BanditLog, ContractViolation, DataFormatError, LoggerSpec,
                      PolicyParams, SplitSpec, compute_clip_constant,
                      evaluate_policy, generate_bandit_log, hamming_cost,
                      ips_risk, ips_validation_score, load_bandit_log,
@@ -159,7 +159,7 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(30, 3, 2, seed=8)
         logger = train_logger(ds, LoggerSpec())
         log = generate_bandit_log(logger, ds, delta=2, seed=3)
-        again = log_prob_matrix(logger, log.X, log.Y)
+        again = log_prob_matrix(logger, log.X[log.example_ids], log.Y)
         assert np.abs(again - log.log_propensities).max() < 1e-12
 
     def test_mean_cost_matches_expected_loss(self):
@@ -279,3 +279,79 @@ class TestLogSerialization:
         ds = synthetic_multilabel(5, 3, 2, seed=19)
         with pytest.raises(DataFormatError):
             load_bandit_log(tmp_path / "bad.csv", tmp_path / "bad.meta", ds)
+
+
+class TestLogValidation:
+    @staticmethod
+    def _saved(tmp_path):
+        ds = synthetic_multilabel(6, 3, 2, seed=20)
+        log = generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=2, seed=9)
+        csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
+        save_bandit_log(log, csv_path, meta_path)
+        return ds, log, csv_path, meta_path
+
+    @staticmethod
+    def _corrupt(csv_path, field, value):
+        lines = csv_path.read_text().splitlines()
+        parts = lines[2].split(",")  # second record, line 3 of the file
+        parts[field] = value
+        lines[2] = ",".join(parts)
+        csv_path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        (2, "-1", "example id -1"),
+        (2, "6", "example id 6"),
+        (2, "x", "bad number"),
+        (3, "12", "action '12'"),
+        (3, "1", "action '1'"),
+        (3, "101", "action '101'"),
+        (4, "0.0", "propensity"),
+        (4, "1.5", "propensity"),
+        (4, "nan", "propensity"),
+        (6, "inf", "non-finite cost"),
+        (6, "nan", "non-finite cost"),
+    ])
+    def test_loader_rejects_bad_record(self, tmp_path, field, value, message):
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        self._corrupt(csv_path, field, value)
+        with pytest.raises(DataFormatError, match=f"log.csv:3: {message}"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    def test_loader_rejects_missing_meta_entry(self, tmp_path):
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        meta_path.write_text("clip_m = 2.0\n")
+        with pytest.raises(DataFormatError, match="cost_scale"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    def test_loader_keeps_features_once(self, tmp_path):
+        ds, log, csv_path, meta_path = self._saved(tmp_path)
+        back = load_bandit_log(csv_path, meta_path, ds)
+        assert back.X is ds.X
+        assert np.array_equal(back.example_ids, log.example_ids)
+        assert np.array_equal(back.replay_ids, log.replay_ids)
+
+    def test_constructor_checks(self):
+        X = np.zeros((3, 2))
+        Y = np.array([[1.0, 0.0], [0.0, 1.0]])
+        logp = np.log(np.array([0.5, 0.25]))
+        costs = np.array([-1.0, 0.0])
+        BanditLog(X, Y, logp, costs, 2.0, example_ids=np.array([0, 2]))
+        bad = [
+            dict(example_ids=np.array([0, -1])),
+            dict(example_ids=np.array([0, 3])),
+            dict(example_ids=np.array([0.0, 1.0])),
+            dict(example_ids=np.array([0, 1, 2])),
+            dict(example_ids=None),  # X has 3 rows for 2 records
+            dict(Y=np.array([[1.0, 0.0], [2.0, 1.0]])),
+            dict(log_propensities=np.array([0.1, np.log(0.5)])),
+            dict(log_propensities=np.array([-np.inf, np.log(0.5)])),
+            dict(log_propensities=np.array([np.nan, np.log(0.5)])),
+            dict(costs=np.array([np.inf, 0.0])),
+            dict(costs=np.array([np.nan, 0.0])),
+        ]
+        for override in bad:
+            args = dict(X=X, Y=Y, log_propensities=logp, costs=costs, clip_m=2.0,
+                        example_ids=np.array([0, 2]))
+            args.update(override)
+            with pytest.raises(ContractViolation):
+                BanditLog(**args)

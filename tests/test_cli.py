@@ -80,3 +80,32 @@ class TestCommands:
         assert main(["run", "--dataset", "/no/such/file.svm",
                      "--out-dir", str(tmp_path / "x"), "--seeds", "0",
                      "--algorithms", "cips"]) != 0
+
+
+class TestBadNumericInput:
+    def _run(self, tmp_path, synth_path, capsys, extra):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(
+            f"dataset = {synth_path}\n"
+            "algorithms = cips\n"
+            "seeds = 0\n"
+            "optim_max_iters = 5\n"
+            f"out_dir = {tmp_path / 'out'}\n" + extra)
+        code = main(["run", "--config", str(cfg_file)])
+        return code, capsys.readouterr().err
+
+    def test_non_integer_delta(self, tmp_path, synth_path, capsys):
+        code, err = self._run(tmp_path, synth_path, capsys, "delta = four\n")
+        assert code == 2
+        assert err.startswith("error:") and "'delta'" in err and "four" in err
+
+    def test_non_integer_threads(self, tmp_path, synth_path, capsys):
+        code, err = self._run(tmp_path, synth_path, capsys, "threads = two\n")
+        assert code == 2
+        assert err.startswith("error:") and "'threads'" in err and "two" in err
+
+    def test_non_integer_thread_env(self, tmp_path, synth_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRO_CRM_THREADS", "two")
+        code, err = self._run(tmp_path, synth_path, capsys, "threads = 1\n")
+        assert code == 2
+        assert err.startswith("error:") and "DRO_CRM_THREADS" in err and "two" in err

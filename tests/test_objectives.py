@@ -1,12 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from dro_crm import (BanditLog, BanditRecord, ContractViolation, FeatureVector,
-                     LossSample, PolicyParams, akl_crm_objective, cips_risk,
-                     ips_risk, kl_crm_objective, make_objective, poem_objective,
-                     robust_risk_chi2, sample_action, sample_losses)
+                     LoggerSpec, LossSample, PolicyParams, akl_crm_objective,
+                     cips_risk, generate_bandit_log, ips_risk, kl_crm_objective,
+                     make_objective, poem_objective, robust_risk_chi2,
+                     sample_action, sample_losses, synthetic_multilabel,
+                     train_logger)
+from dro_crm.bandit import SupervisedDataset
 from dro_crm.policy import enumerate_actions
 
 
@@ -321,3 +325,92 @@ class TestObjectiveProperties:
             BanditRecord(x, np.array([1], dtype=np.int8), 1.5, 1.0)
         with pytest.raises(ContractViolation):
             BanditLog.from_records([], 1.0)
+
+
+class TestReplayLayoutEquivalence:
+    """The per-example log (features once, records pointing in by example id)
+    against a reference written here over a log whose features are tiled once
+    per record, with the per-record formulas: log pi from logaddexp, three-exp
+    sigmoid, gradient as one (records x features) product."""
+
+    DELTA = 3
+
+    @staticmethod
+    def _log():
+        ds = synthetic_multilabel(40, 5, 3, seed=21)
+        logger = train_logger(ds, LoggerSpec())
+        return generate_bandit_log(logger, ds, delta=TestReplayLayoutEquivalence.DELTA,
+                                   seed=4), ds
+
+    @staticmethod
+    def _reference(params, log, X_tiled, rule):
+        W = params.weights
+        U = np.clip(X_tiled @ W.T, -500.0, 500.0)
+        log_pi = (log.Y * U).sum(axis=1) - np.logaddexp(0.0, U).sum(axis=1)
+        ratio = np.exp(np.minimum(log_pi - log.log_propensities, 700.0))
+        clipped = ratio >= log.clip_m
+        z = log.costs * np.minimum(ratio, log.clip_m)
+        dz = np.where(clipped, 0.0, log.costs * ratio)
+        sig = np.where(U >= 0.0, 1.0 / (1.0 + np.exp(-U)), np.exp(U) / (1.0 + np.exp(U)))
+        n = z.size
+        if rule == "ips":
+            return float(np.mean(log.costs * ratio)), None
+        if rule == "cips":
+            risk, coeff = z.mean(), dz / n
+        elif rule == "poem":
+            lam = 0.4
+            var = np.mean((z - z.mean()) ** 2)
+            risk = z.mean() + lam * np.sqrt(var / n)
+            pref = lam / (2.0 * np.sqrt(var / n))
+            coeff = dz / n + pref * (2.0 / n) * (z - z.mean()) / n * dz
+        else:
+            if rule == "aklcrm":
+                gamma = np.sqrt(((z - z.mean()) ** 2).sum() / (2.0 * 0.05))
+                frozen = True
+            else:
+                gamma, frozen = 0.3, rule == "klcrm_frozen"
+            s = np.exp((z - z.max()) / gamma)
+            s /= s.sum()
+            risk = s @ z
+            coeff = s * dz if frozen else s * (1.0 + (z - risk) / gamma) * dz
+        grad = (coeff[:, None] * (log.Y - sig)).T @ X_tiled
+        return float(risk), grad
+
+    def test_matches_tiled_reference(self):
+        log, ds = self._log()
+        assert log.X.shape[0] == ds.n_examples
+        assert log.n == self.DELTA * ds.n_examples
+        X_tiled = np.tile(ds.X, (self.DELTA, 1))
+        assert np.array_equal(log.X[log.example_ids], X_tiled)
+        evaluators = {
+            "cips": lambda p: cips_risk(p, log),
+            "poem": lambda p: poem_objective(p, log, 0.4),
+            "klcrm_frozen": lambda p: kl_crm_objective(p, log, 0.3),
+            "klcrm_full": lambda p: kl_crm_objective(p, log, 0.3, freeze_weights=False),
+            "aklcrm": lambda p: akl_crm_objective(p, log, 0.05),
+        }
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            params = PolicyParams(0.8 * rng.normal(size=(3, 5)))
+            for rule, evaluate in evaluators.items():
+                report = evaluate(params)
+                risk, grad = self._reference(params, log, X_tiled, rule)
+                assert report.risk == pytest.approx(risk, rel=1e-12, abs=0.0), rule
+                assert rel_err(report.gradient, grad) < 1e-12, rule
+            ips, _ = self._reference(params, log, X_tiled, "ips")
+            assert ips_risk(params, log) == pytest.approx(ips, rel=1e-12, abs=0.0)
+
+    def test_generated_records_unchanged(self):
+        # Dyadic features and weights make the logits exact, so the digest
+        # does not depend on the BLAS summation order.  It was computed with
+        # the tiled-feature implementation of generate_bandit_log.
+        rng = np.random.default_rng(2024)
+        X = rng.integers(-8, 9, size=(12, 4)) / 8.0
+        Y = rng.integers(0, 2, size=(12, 3)).astype(np.float64)
+        W = rng.integers(-4, 5, size=(3, 4)) / 4.0
+        log = generate_bandit_log(PolicyParams(W), SupervisedDataset(X, Y), delta=3, seed=11)
+        digest = hashlib.sha256(log.Y.tobytes() + log.log_propensities.tobytes()
+                                + log.costs.tobytes()).hexdigest()
+        assert digest == "6ce41ba7a40f4931edaca966982fb45769708f6578803a9c66e857f1c3c9c0e3"
+        assert log.X is X
+        assert np.array_equal(log.example_ids, np.tile(np.arange(12), 3))
