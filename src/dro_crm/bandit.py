@@ -9,6 +9,11 @@ cost.  Costs are rescaled to [-1, 0] (cost = hamming / q - 1) before logging;
 the affine map is stored in the log so raw values remain recoverable.  The
 ratio clipping constant is set from the logged propensities as the ratio of
 their 90th to 10th percentile.
+
+Each record (replay d, example i) samples its action from one SeedSequence
+stream of its own, keyed by (seed, stream, d, i).  `record_uniforms`
+reproduces those streams for a whole block of records in one vectorized
+pass, bit for bit; a test checks it against numpy's `default_rng`.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._streams import record_uniforms
 from .errors import ContractViolation, DataFormatError
 from .objectives import BanditLog, CostScaling, ips_risk
 from .optim import OptimConfig, minimize
@@ -75,6 +81,8 @@ class SplitSpec:
                 raise ContractViolation(f"{name} must lie in (0, 1)")
         if abs(self.train_frac + self.valid_frac - 1.0) > 1e-9:
             raise ContractViolation("train and valid fractions must sum to 1")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -256,17 +264,21 @@ def compute_clip_constant(propensities: np.ndarray) -> float:
     return max(1.0, hi / lo)
 
 
-def _record_rng(seed: int, stream: int, replay: int, example: int) -> np.random.Generator:
-    # Per-record streams: record (replay, example) is identical no matter how
-    # generation is ordered or partitioned across workers.
-    return np.random.default_rng(np.random.SeedSequence((seed, stream, replay, example)))
+# Records drawn per block: bounds the stream helper's temporaries (a few
+# uint64 columns of this length) so generation does not raise peak memory.
+_BLOCK_RECORDS = 4096
 
 
 def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
                         delta: int, seed: int, stream: int = 0) -> BanditLog:
     """Replay the logger `delta` times over the dataset, sampling one action
     per example per pass and logging (action, propensity, scaled cost).  The
-    log keeps `train.X` once; records point into it by example id."""
+    log keeps `train.X` once; records point into it by example id.
+
+    Record (replay d, example i) draws its q uniforms from its own stream,
+    ``default_rng(SeedSequence((seed, stream, d, i))).random(q)``, so a record
+    does not depend on how generation is ordered or partitioned across
+    workers."""
     if delta < 1:
         raise ContractViolation("replay count must be at least 1")
     n_ex, q = train.n_examples, train.n_labels
@@ -274,19 +286,15 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     U = clamp_logits(logits_matrix(logger, train.X))
     probs = sigmoid(U)
 
+    replay_ids = np.repeat(np.arange(delta, dtype=np.int64), n_ex)
+    example_ids = np.tile(np.arange(n_ex, dtype=np.int64), delta)
     Y = np.empty((n, q))
-    replay_ids = np.empty(n, dtype=np.int64)
-    example_ids = np.empty(n, dtype=np.int64)
-    r = 0
-    for d in range(delta):
-        for i in range(n_ex):
-            rng = _record_rng(seed, stream, d, i)
-            Y[r] = (rng.random(q) < probs[i]).astype(np.float64)
-            replay_ids[r] = d
-            example_ids[r] = i
-            r += 1
+    for start in range(0, n, _BLOCK_RECORDS):
+        block = slice(start, start + _BLOCK_RECORDS)
+        ids = example_ids[block]
+        Y[block] = record_uniforms(seed, stream, replay_ids[block], ids, q) < probs[ids]
 
-    log_p = (Y * U[example_ids] - log1p_exp(U[example_ids])).sum(axis=1)
+    log_p = (Y * U[example_ids] - log1p_exp(U)[example_ids]).sum(axis=1)
     raw_cost = np.abs(Y - train.Y[example_ids]).sum(axis=1)
     scaling = CostScaling(scale=1.0 / q, offset=-1.0)
     costs = raw_cost * scaling.scale + scaling.offset

@@ -75,6 +75,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractViolation("seeds must be distinct")
+        if any(s < 0 for s in self.seeds):
+            raise ContractViolation(f"seeds must be non-negative, got {min(self.seeds)}")
+        for name in ("delta", "valid_delta"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ContractViolation(f"{name} must be at least 1, got {value}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ContractViolation(f"unknown algorithm {alg!r}")

@@ -10,6 +10,7 @@ from dro_crm import (BanditLog, ContractViolation, DataFormatError, LoggerSpec,
                      load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, split_dataset,
                      synthetic_multilabel, train_logger)
+from dro_crm._streams import record_uniforms
 from dro_crm.bandit import SupervisedDataset
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
 
@@ -99,6 +100,10 @@ class TestSplit:
         with pytest.raises(ContractViolation):
             SplitSpec(train_frac=0.7, valid_frac=0.25)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractViolation):
+            SplitSpec(seed=-1)
+
 
 class TestLoggerTraining:
     def test_always_on_label(self):
@@ -182,6 +187,60 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(5, 3, 2, seed=11)
         with pytest.raises(ContractViolation):
             generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=0, seed=0)
+
+
+class TestRecordStreams:
+    """Each record's draws equal numpy's per-record SeedSequence stream."""
+
+    @staticmethod
+    def _numpy_draws(seed, stream, replay_ids, example_ids, q):
+        return np.array([
+            np.random.default_rng(np.random.SeedSequence(
+                (seed, stream, int(r), int(e)))).random(q)
+            for r, e in zip(replay_ids, example_ids)])
+
+    # seeds of 1, 2 and 4 words: the longer keys overflow the 4-word pool
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7, 2**100 + 3])
+    @pytest.mark.parametrize("stream", [0, 1, 2**33])
+    @pytest.mark.parametrize("q", [1, 14])
+    def test_matches_numpy_seed_sequence(self, seed, stream, q):
+        rng = np.random.default_rng(seed % 1000 + 31 * q)
+        replay_ids = rng.integers(0, 100, size=24)
+        example_ids = rng.integers(0, 5000, size=24)
+        replay_ids[0], example_ids[1] = 2**32 - 1, 2**32 - 1
+        got = record_uniforms(seed, stream, replay_ids, example_ids, q)
+        want = self._numpy_draws(seed, stream, replay_ids, example_ids, q)
+        assert got.tobytes() == want.tobytes()
+
+    def test_log_records_use_their_own_stream(self):
+        ds = synthetic_multilabel(7, 3, 4, seed=21)
+        logger = PolicyParams(np.full((4, 3), 0.3))
+        log = generate_bandit_log(logger, ds, delta=3, seed=2**40 + 7, stream=2)
+        probs = sigmoid(logits_matrix(logger, ds.X))
+        u = self._numpy_draws(2**40 + 7, 2, log.replay_ids, log.example_ids, 4)
+        assert np.array_equal(log.Y, (u < probs[log.example_ids]).astype(np.float64))
+
+    def test_more_replays_extend_the_log(self):
+        ds = synthetic_multilabel(25, 3, 2, seed=22)
+        logger = train_logger(ds, LoggerSpec())
+        one = generate_bandit_log(logger, ds, delta=1, seed=13)
+        three = generate_bandit_log(logger, ds, delta=3, seed=13)
+        n_ex = ds.n_examples
+        assert three.Y[:n_ex].tobytes() == one.Y.tobytes()
+        assert three.log_propensities[:n_ex].tobytes() == one.log_propensities.tobytes()
+        assert three.costs[:n_ex].tobytes() == one.costs.tobytes()
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
+    def test_negative_key_rejected(self, seed, stream):
+        ds = synthetic_multilabel(5, 3, 2, seed=23)
+        with pytest.raises(ContractViolation):
+            generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=1, seed=seed,
+                                stream=stream)
+
+    @pytest.mark.parametrize("replay, example", [(2**32, 0), (0, 2**32), (-1, 0)])
+    def test_ids_outside_32_bits_rejected(self, replay, example):
+        with pytest.raises(ContractViolation):
+            record_uniforms(0, 0, np.array([replay]), np.array([example]), 2)
 
 
 class TestHammingAndClip:

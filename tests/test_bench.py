@@ -42,6 +42,12 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             small_config(synth_path, algorithms=("sgd",))
 
+    @pytest.mark.parametrize("bad", [dict(seeds=(0, -1)), dict(delta=0),
+                                     dict(valid_delta=0)])
+    def test_negative_seed_and_zero_replays_rejected(self, synth_path, bad):
+        with pytest.raises(ContractViolation):
+            small_config(synth_path, **bad)
+
     def test_thread_env_caps_pool(self, synth_path, monkeypatch):
         cfg = small_config(synth_path, threads=8)
         monkeypatch.setenv("DRO_CRM_THREADS", "2")

@@ -109,3 +109,25 @@ class TestBadNumericInput:
         code, err = self._run(tmp_path, synth_path, capsys, "threads = 1\n")
         assert code == 2
         assert err.startswith("error:") and "DRO_CRM_THREADS" in err and "two" in err
+
+    def test_negative_seed(self, tmp_path, synth_path, capsys):
+        code = main(["run", "--dataset", synth_path, "--algorithms", "cips",
+                     "--seeds=-1", "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "seeds" in err and "-1" in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("key", ["delta", "valid_delta"])
+    def test_replay_count_below_one(self, tmp_path, synth_path, capsys, key):
+        code, err = self._run(tmp_path, synth_path, capsys, f"{key} = 0\n")
+        assert code == 2
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_convert_negative_seed(self, tmp_path, synth_path, capsys):
+        code = main(["convert", "--input", synth_path, "--out", str(tmp_path / "conv"),
+                     "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
