@@ -28,8 +28,8 @@ from ._streams import record_uniforms
 from .errors import ContractViolation, DataFormatError
 from .objectives import BanditLog, CostScaling, ips_risk
 from .optim import OptimConfig, minimize
-from .policy import (FeatureVector, PolicyParams, clamp_logits, log1p_exp,
-                     logits_matrix, sigmoid)
+from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
+                     sigmoid)
 
 
 @dataclass
@@ -59,9 +59,6 @@ class SupervisedDataset:
     @property
     def n_labels(self) -> int:
         return self.Y.shape[1]
-
-    def example(self, i: int) -> Tuple[FeatureVector, np.ndarray]:
-        return FeatureVector.from_dense(self.X[i]), self.Y[i].astype(np.int8)
 
     def subset(self, idx: np.ndarray) -> "SupervisedDataset":
         return SupervisedDataset(self.X[idx], self.Y[idx], self.has_bias, self.label_base)
@@ -240,15 +237,6 @@ def train_logger(subset: SupervisedDataset, spec: LoggerSpec) -> PolicyParams:
     cfg = OptimConfig(max_iters=spec.max_iters, grad_tol=1e-8, box_bound=None)
     theta, _ = minimize(fun, np.zeros(q * d), cfg)
     return PolicyParams(spec.alpha * theta.reshape(q, d))
-
-
-def hamming_cost(y: np.ndarray, y_star: np.ndarray) -> int:
-    """Number of label bits on which the action and the ground truth differ."""
-    y = np.asarray(y)
-    y_star = np.asarray(y_star)
-    if y.shape != y_star.shape:
-        raise ContractViolation("bit vectors must have equal length")
-    return int(np.sum(y != y_star))
 
 
 def compute_clip_constant(propensities: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from .bandit import (LoggerSpec, SplitSpec, SupervisedDataset, append_bias,
                      evaluate_policy, generate_bandit_log, ips_validation_score,
                      load_multilabel_svmlight, split_dataset, train_logger)
 from .errors import ContractViolation
-from .objectives import make_objective
+from .objectives import GAMMA_RULES, make_objective
 from .optim import OptimConfig, minimize
 from .policy import PolicyParams
 from .special import student_t_sf
@@ -81,6 +81,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractViolation(f"{name} must be at least 1, got {value}")
+        fractions = ("train_frac", "logger_frac") + (
+            ("test_frac",) if self.test_dataset is None else ())
+        for name in fractions:
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ContractViolation(f"{name} must lie in (0, 1), got {value}")
+        if self.gamma_rule not in GAMMA_RULES:
+            raise ContractViolation(f"unknown gamma rule {self.gamma_rule!r}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ContractViolation(f"unknown algorithm {alg!r}")
@@ -408,16 +416,21 @@ def _cell(args):
     return run_single(cfg, algorithm, seed)
 
 
+def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
+               workers: int) -> List[ResultRow]:
+    """One row per (config, algorithm, seed) cell, in cell order: in this
+    process for one worker or one cell, else on a process pool."""
+    if workers <= 1 or len(cells) <= 1:
+        return [_cell(c) for c in cells]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_cell, cells))
+
+
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     cells = [(cfg, alg, seed) for alg in cfg.algorithms for seed in cfg.seeds]
     if not cells:  # baselines (logger and skyline) still get evaluated
         cells = [(cfg, "baseline", seed) for seed in cfg.seeds]
-    workers = cfg.worker_count()
-    if workers <= 1 or len(cells) <= 1:
-        rows = [_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell, cells))
+    rows = _run_cells(cells, cfg.worker_count())
     return sorted(rows, key=lambda r: (r.algorithm, r.seed))
 
 
@@ -433,12 +446,7 @@ def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int],
     seeds = tuple(seeds) if seeds is not None else tuple(range(10))
     cells = [(replace(cfg, delta=int(d), seeds=(seed,)), alg, seed)
              for d in deltas for alg in cfg.algorithms for seed in seeds]
-    workers = cfg.worker_count()
-    if workers <= 1 or len(cells) <= 1:
-        rows = [_cell(c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_cell, cells))
+    rows = _run_cells(cells, cfg.worker_count())
     out = [(r.dataset, r.algorithm, r.delta, r.seed, r.expected_loss, r.greedy_loss)
            for r in rows]
     return sorted(out, key=lambda t: (t[1], t[2], t[3]))

@@ -1,9 +1,10 @@
 """Command-line front end: `bench run | sweep | convert | eval`.
 
 Configuration comes from a flat `key = value` text file; every field of the
-experiment configuration is addressable and CLI flags override file values.
-Lists are comma separated; integer ranges accept "a..b" (inclusive).  Grid
-keys are grid_poem, grid_klcrm, grid_aklcrm.
+experiment configuration is addressable, unknown keys are rejected, and CLI
+flags override file values.  Lists are comma separated; integer ranges accept
+"a..b" (inclusive); booleans are true/false, 1/0 or yes/no.  Grid keys are
+grid_poem, grid_klcrm, grid_aklcrm.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -56,58 +58,68 @@ def read_config_file(path) -> dict:
     return values
 
 
-def _parsed(values: dict, key: str, parse, default=None):
-    """values[key] through `parse` (int, float or a list parser), `default`
-    when the key is absent.  A value that does not parse is a
-    DataFormatError naming the key."""
-    if key not in values:
-        return default
-    try:
-        return parse(values[key])
-    except ValueError:
-        raise DataFormatError(
-            f"config key {key!r}: cannot parse {values[key]!r}") from None
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1", "yes")
+
+
+def _optional_int(text: str):
+    return int(text) if text else None
 
 
 def build_experiment_config(values: dict) -> ExperimentConfig:
+    """The configuration of flat `key = value` entries.  Each key is read
+    once; a key that is never read, or a value that does not parse, is a
+    DataFormatError naming the key."""
     if "dataset" not in values:
         raise ContractViolation("config needs a 'dataset' entry")
+    unread = dict(values)
+
+    def take(key: str, parse=str, default=None):
+        if key not in unread:
+            return default
+        text = unread.pop(key)
+        try:
+            return parse(text)
+        except ValueError:
+            raise DataFormatError(f"config key {key!r}: cannot parse {text!r}") from None
+
     grids = default_grids()
     for alg in ("poem", "klcrm", "aklcrm"):
-        key = f"grid_{alg}"
-        if key in values:
-            grids[alg] = np.array(_parsed(values, key, _parse_float_list))
-    logger = LoggerSpec(
-        l2=_parsed(values, "logger_l2", float, 1e-4),
-        alpha=_parsed(values, "logger_alpha", float, 0.5),
-        max_iters=_parsed(values, "logger_max_iters", int, 200))
-    optim = OptimConfig(
-        memory=_parsed(values, "optim_memory", int, 10),
-        max_iters=_parsed(values, "optim_max_iters", int, 500),
-        grad_tol=_parsed(values, "optim_grad_tol", float, 1e-6),
-        f_tol=_parsed(values, "optim_f_tol", float, 1e-9))
-    return ExperimentConfig(
-        dataset=values["dataset"],
-        test_dataset=values.get("test_dataset") or None,
-        test_frac=_parsed(values, "test_frac", float, 0.25),
-        algorithms=tuple(a.strip() for a in values.get(
-            "algorithms", "cips,poem,klcrm,aklcrm").split(",") if a.strip()),
-        seeds=_parsed(values, "seeds", _parse_int_list, tuple(range(20))),
-        delta=_parsed(values, "delta", int, 4),
-        valid_delta=_parsed(values, "valid_delta", int) if values.get("valid_delta") else None,
-        train_frac=_parsed(values, "train_frac", float, 0.75),
-        logger_frac=_parsed(values, "logger_frac", float, 0.05),
-        logger=logger, grids=grids, optim=optim,
-        add_bias=values.get("add_bias", "true").lower() not in ("false", "0", "no"),
-        gamma_rule=values.get("gamma_rule", "sum_sq"),
-        freeze_weights=values.get("freeze_weights", "true").lower()
-        not in ("false", "0", "no"),
-        warm_start=values.get("warm_start", "false").lower()
-        in ("true", "1", "yes"),
-        out_dir=values.get("out_dir", "bench_out"),
-        threads=_parsed(values, "threads", int) if values.get("threads") else None,
-        save_params=values.get("save_params", "true").lower()
-        not in ("false", "0", "no"))
+        grid = take(f"grid_{alg}", _parse_float_list)
+        if grid is not None:
+            grids[alg] = np.array(grid)
+    fields = dict(
+        dataset=take("dataset"),
+        test_dataset=take("test_dataset") or None,
+        test_frac=take("test_frac", float, 0.25),
+        algorithms=tuple(a.strip() for a in take(
+            "algorithms", default="cips,poem,klcrm,aklcrm").split(",") if a.strip()),
+        seeds=take("seeds", _parse_int_list, tuple(range(20))),
+        delta=take("delta", int, 4),
+        valid_delta=take("valid_delta", _optional_int),
+        train_frac=take("train_frac", float, 0.75),
+        logger_frac=take("logger_frac", float, 0.05),
+        logger=LoggerSpec(l2=take("logger_l2", float, 1e-4),
+                          alpha=take("logger_alpha", float, 0.5),
+                          max_iters=take("logger_max_iters", int, 200)),
+        grids=grids,
+        optim=OptimConfig(memory=take("optim_memory", int, 10),
+                          max_iters=take("optim_max_iters", int, 500),
+                          grad_tol=take("optim_grad_tol", float, 1e-6),
+                          f_tol=take("optim_f_tol", float, 1e-9)),
+        add_bias=take("add_bias", _parse_bool, True),
+        gamma_rule=take("gamma_rule", default="sum_sq"),
+        freeze_weights=take("freeze_weights", _parse_bool, True),
+        warm_start=take("warm_start", _parse_bool, False),
+        out_dir=take("out_dir", default="bench_out"),
+        threads=take("threads", _optional_int),
+        save_params=take("save_params", _parse_bool, True))
+    if unread:
+        raise DataFormatError(
+            f"unknown config key(s): {', '.join(repr(k) for k in sorted(unread))}")
+    return ExperimentConfig(**fields)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -167,9 +179,22 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _load_params(path) -> PolicyParams:
+    """Policy parameters from the 'weights' array of an .npz archive."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):  # also a plain .npy array
+        raise DataFormatError(f"{path}: not an .npz archive")
+    with data:
+        if "weights" not in data.files:
+            raise DataFormatError(f"{path}: no 'weights' array")
+        return PolicyParams(data["weights"])
+
+
 def cmd_eval(args) -> int:
-    with np.load(args.params) as data:
-        params = PolicyParams(data["weights"])
+    params = _load_params(args.params)
     test = load_multilabel_svmlight(args.test, add_bias=not args.no_bias)
     if test.n_features != params.n_features:
         raise ContractViolation(
@@ -228,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractViolation, DataFormatError, FileNotFoundError) as exc:
+    except (ContractViolation, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ evaluation by default (the surrogate each optimizer step actually minimizes);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,28 +30,12 @@ from .divergence import LossSample, boltzmann_weights
 from .errors import ContractViolation
 # log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
 # the policy calls of this module by wrapping these names in place.
-from .policy import (FeatureVector, PolicyParams, clamp_logits,
-                     log_prob_matrix, logits_matrix, sigmoid, softplus_sigmoid)
+from .policy import (PolicyParams, clamp_logits, log_prob_matrix,
+                     logits_matrix, sigmoid, softplus_sigmoid)
 
 _VAR_FLOOR = 1e-12
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
-
-
-@dataclass(frozen=True)
-class BanditRecord:
-    """One logged interaction: context features, taken action, the logger's
-    probability of that action, and the observed cost."""
-
-    x: FeatureVector
-    y: np.ndarray
-    propensity: float
-    cost: float
-
-    def __post_init__(self):
-        if not 0.0 < self.propensity <= 1.0:
-            raise ContractViolation("propensity must lie in (0, 1]")
-        if not np.isfinite(self.cost):
-            raise ContractViolation("cost must be finite")
+GAMMA_RULES = ("sum_sq", "variance")  # temperature rules of akl_crm_objective
 
 
 @dataclass(frozen=True)
@@ -124,20 +108,6 @@ class BanditLog:
     @property
     def propensities(self) -> np.ndarray:
         return np.exp(self.log_propensities)
-
-    @staticmethod
-    def from_records(records: List[BanditRecord], clip_m: float,
-                     cost_scaling: CostScaling = CostScaling()) -> "BanditLog":
-        if not records:
-            raise ContractViolation("bandit log must be non-empty")
-        dim = records[0].x.dim
-        X = np.stack([r.x.to_dense() for r in records])
-        Y = np.stack([np.asarray(r.y, dtype=np.float64) for r in records])
-        logp = np.log(np.array([r.propensity for r in records]))
-        costs = np.array([r.cost for r in records], dtype=np.float64)
-        if any(r.x.dim != dim for r in records):
-            raise ContractViolation("records disagree on feature dimension")
-        return BanditLog(X, Y, logp, costs, clip_m, cost_scaling)
 
 
 @dataclass
@@ -283,7 +253,7 @@ def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
     """
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    if gamma_rule not in ("sum_sq", "variance"):
+    if gamma_rule not in GAMMA_RULES:
         raise ContractViolation(f"unknown gamma rule {gamma_rule!r}")
     losses = _LossPass(params, log)
     z, n = losses.z, log.n

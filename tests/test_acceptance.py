@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from dro_crm import (DivergenceKind, ExperimentConfig, LossSample,
-                     PolicyParams, akl_crm_objective, cips_risk, dro_oracle,
+                     PolicyParams, akl_crm_objective, cips_risk,
                      gamma_star_approx, kl_crm_objective, kl_gamma_fixed_point,
                      paired_t_test_one_tailed, poem_objective,
                      robust_risk_chi2, robust_risk_kl_dual, run_experiment,
                      sample_losses, save_multilabel_svmlight,
                      synthetic_multilabel)
 from dro_crm.bench import default_grids
-from dro_crm.objectives import BanditLog, BanditRecord
-from dro_crm.policy import FeatureVector, sample_action
+from oracle import dro_oracle
+from toy_logs import sample_log
 
 CHI = DivergenceKind.CHI_SQUARE
 KL = DivergenceKind.KULLBACK_LEIBLER
@@ -68,16 +68,6 @@ def find_dataset(name):
             if os.path.isfile(path):
                 return path
     return None
-
-
-def random_log(rng, n=8, q=2, d=3, clip_m=50.0):
-    logger = PolicyParams(0.5 * rng.normal(size=(q, d)))
-    records = []
-    for _ in range(n):
-        x = FeatureVector.from_dense(rng.normal(size=d))
-        y, p = sample_action(logger, x, rng)
-        records.append(BanditRecord(x, y, p, float(rng.uniform(-1.0, 0.0))))
-    return BanditLog.from_records(records, clip_m)
 
 
 def fd_gradient(fun, theta, h=1e-5):
@@ -176,7 +166,7 @@ def test_criterion_5_gradient_suite():
     }
     worst = {name: 0.0 for name in objectives}
     for _ in range(100):
-        log = random_log(rng)
+        log, _ = sample_log(rng)
         theta = 0.3 * rng.normal(size=6)
         params = PolicyParams(theta.reshape(2, 3))
         assert not sample_losses(params, log)[1].any()  # away from clip kinks
@@ -208,7 +198,7 @@ def test_criterion_6_objective_equivalences():
     rng = np.random.default_rng(6)
     worst_poem, worst_kl, pessimism_ok = 0.0, 0.0, True
     for _ in range(100):
-        log = random_log(rng, n=10)
+        log, _ = sample_log(rng, n=10)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
         z, _ = sample_losses(params, log)
         s = LossSample(z)

@@ -5,8 +5,8 @@ import pytest
 
 from dro_crm import (BanditLog, ContractViolation, DataFormatError, LoggerSpec,
                      PolicyParams, SplitSpec, compute_clip_constant,
-                     evaluate_policy, generate_bandit_log, hamming_cost,
-                     ips_risk, ips_validation_score, load_bandit_log,
+                     evaluate_policy, generate_bandit_log, ips_risk,
+                     ips_validation_score, load_bandit_log,
                      load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, split_dataset,
                      synthetic_multilabel, train_logger)
@@ -150,6 +150,15 @@ class TestBanditGeneration:
         assert perfect.any()
         assert np.allclose(log.costs[perfect], -1.0)
 
+    def test_raw_cost_is_hamming_distance(self):
+        ds = synthetic_multilabel(20, 3, 4, seed=6)
+        log = generate_bandit_log(PolicyParams.zeros(4, 3), ds, delta=2, seed=2)
+        raw = log.cost_scaling.to_raw(log.costs)
+        for i, example in enumerate(log.example_ids):
+            differing = sum(int(a != b) for a, b in zip(log.Y[i], ds.Y[example]))
+            assert raw[i] == pytest.approx(differing, abs=1e-12)
+        assert len(set(raw.round())) > 2  # the check sees several distances
+
     def test_reproducible_bit_identical(self):
         ds = synthetic_multilabel(20, 3, 2, seed=7)
         logger = train_logger(ds, LoggerSpec())
@@ -244,13 +253,6 @@ class TestRecordStreams:
 
 
 class TestHammingAndClip:
-    def test_hamming_examples(self):
-        assert hamming_cost([1, 0, 1], [1, 1, 0]) == 2
-        assert hamming_cost([1, 0], [1, 0]) == 0
-        assert hamming_cost([1, 0, 1, 0], [0, 1, 0, 1]) == 4
-        with pytest.raises(ContractViolation):
-            hamming_cost([1], [1, 0])
-
     def test_clip_equal_propensities(self):
         assert compute_clip_constant(np.full(7, 0.3)) == 1.0
 
@@ -280,17 +282,17 @@ class TestEvaluation:
         assert evaluate_policy(params, ds, "expected") < 0.05
 
     def test_expected_matches_monte_carlo(self):
-        from dro_crm import FeatureVector, sample_action
         ds = synthetic_multilabel(3, 3, 2, seed=14)
         rng = np.random.default_rng(0)
         params = PolicyParams(0.7 * rng.normal(size=(2, 3)))
         exact = evaluate_policy(params, ds, "expected")
+        probs = sigmoid(logits_matrix(params, ds.X))
         rng = np.random.default_rng(1)
         draws = 100_000
         total = 0.0
         for _ in range(draws):
             i = int(rng.integers(ds.n_examples))
-            y, _ = sample_action(params, FeatureVector.from_dense(ds.X[i]), rng)
+            y = rng.random(ds.n_labels) < probs[i]
             total += np.abs(y - ds.Y[i]).sum()
         sigma = 2.0 / math.sqrt(draws)
         assert abs(total / draws - exact) < 3 * sigma

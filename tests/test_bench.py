@@ -48,6 +48,10 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             small_config(synth_path, **bad)
 
+    def test_test_frac_unused_with_test_file(self, synth_path):
+        cfg = small_config(synth_path, test_dataset=synth_path, test_frac=1.0)
+        assert cfg.test_frac == 1.0
+
     def test_thread_env_caps_pool(self, synth_path, monkeypatch):
         cfg = small_config(synth_path, threads=8)
         monkeypatch.setenv("DRO_CRM_THREADS", "2")

@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from dro_crm import save_multilabel_svmlight, synthetic_multilabel
+from dro_crm import (DataFormatError, save_multilabel_svmlight,
+                     synthetic_multilabel)
 from dro_crm.cli import build_experiment_config, main, read_config_file
 
 
@@ -35,6 +36,36 @@ class TestConfigFile:
     def test_missing_dataset_rejected(self):
         with pytest.raises(Exception):
             build_experiment_config({})
+
+    def test_every_key_is_read(self):
+        values = {
+            "dataset": "a.svm", "test_dataset": "b.svm", "test_frac": "0.3",
+            "algorithms": "cips,poem", "seeds": "1..2", "delta": "3",
+            "valid_delta": "2", "train_frac": "0.6", "logger_frac": "0.1",
+            "logger_l2": "0.01", "logger_alpha": "0.7", "logger_max_iters": "50",
+            "grid_poem": "0.1", "grid_klcrm": "1,2", "grid_aklcrm": "0.5",
+            "optim_memory": "4", "optim_max_iters": "9", "optim_grad_tol": "1e-5",
+            "optim_f_tol": "1e-8", "add_bias": "no", "gamma_rule": "variance",
+            "freeze_weights": "0", "warm_start": "yes", "out_dir": "o",
+            "threads": "2", "save_params": "False"}
+        cfg = build_experiment_config(values)
+        assert (cfg.test_dataset, cfg.test_frac, cfg.seeds, cfg.valid_delta) == (
+            "b.svm", 0.3, (1, 2), 2)
+        assert (cfg.logger.alpha, cfg.optim.memory, cfg.optim.max_iters) == (0.7, 4, 9)
+        assert list(cfg.grids["klcrm"]) == [1.0, 2.0]
+        assert (cfg.add_bias, cfg.freeze_weights, cfg.warm_start, cfg.save_params) == (
+            False, False, True, False)
+        assert (cfg.gamma_rule, cfg.out_dir, cfg.threads) == ("variance", "o", 2)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(DataFormatError, match="'optim_maxiters'"):
+            build_experiment_config({"dataset": "a.svm", "optim_maxiters": "5"})
+
+    @pytest.mark.parametrize("key", ["add_bias", "freeze_weights", "warm_start",
+                                     "save_params"])
+    def test_unreadable_boolean_rejected(self, key):
+        with pytest.raises(DataFormatError, match=f"'{key}'.*'ture'"):
+            build_experiment_config({"dataset": "a.svm", key: "ture"})
 
 
 class TestCommands:
@@ -75,6 +106,24 @@ class TestCommands:
         np.savez(params_path, weights=np.zeros((2, 3)))
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path]) == 2
+
+    @pytest.mark.parametrize("kind", ["no_weights", "text", "npy"])
+    def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
+        path = tmp_path / "p.npz"
+        if kind == "no_weights":
+            np.savez(path, other=np.zeros((2, 7)))
+        elif kind == "text":
+            path.write_text("weights = 0\n")
+        else:
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros((2, 7)))
+        assert main(["eval", "--params", str(path), "--test", synth_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["run", "--dataset", "/no/such/file.svm",
@@ -131,3 +180,17 @@ class TestBadNumericInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("train_frac = 1.5", "train_frac must lie in (0, 1)"),
+        ("logger_frac = 0", "logger_frac must lie in (0, 1)"),
+        ("test_frac = 1.0", "test_frac must lie in (0, 1)"),
+        ("gamma_rule = bogus", "unknown gamma rule 'bogus'"),
+        ("optim_maxiters = 5", "'optim_maxiters'"),
+        ("add_bias = ture", "'add_bias'"),
+    ])
+    def test_bad_config_value(self, tmp_path, synth_path, capsys, entry, message):
+        code, err = self._run(tmp_path, synth_path, capsys, entry + "\n")
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out" / "results.csv").exists()

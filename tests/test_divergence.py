@@ -1,14 +1,17 @@
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
 
 from dro_crm import (ContractViolation, DivergenceKind, LossSample,
                      boltzmann_weights, chi2_quantile_1dof, chi2_radius,
-                     divergence, dro_oracle, gamma_star_approx,
+                     divergence, gamma_star_approx,
                      kl_gamma_fixed_point, phi_conjugate, phi_value,
                      robust_risk_chi2, robust_risk_kl_dual,
                      robust_risk_kl_fixed_gamma)
+from oracle import dro_oracle
 
 CHI = DivergenceKind.CHI_SQUARE
 KL = DivergenceKind.KULLBACK_LEIBLER
@@ -308,6 +311,30 @@ class TestOracle:
     def test_two_point_chi2(self):
         s = LossSample(np.array([1.0, -1.0]))
         assert dro_oracle(s, CHI, 0.04) == pytest.approx(0.2, abs=1e-6)
+
+    def test_imports_none_of_the_code_it_verifies(self):
+        # The oracle checks the closed forms and the dual only while it
+        # computes without them: from the package it may take the sample
+        # type, the divergence kind and the error class, nothing else.
+        path = os.path.join(os.path.dirname(__file__), "oracle.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        package_names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "dro_crm" for a in node.names), \
+                    "import the allowed names with 'from dro_crm... import'"
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in the oracle"
+                if node.module.split(".")[0] == "dro_crm":
+                    package_names |= {a.name for a in node.names}
+        assert package_names <= {"DivergenceKind", "LossSample", "ContractViolation"}, \
+            sorted(package_names)
+        verified = ("robust_risk_", "kl_gamma_fixed_point", "gamma_star_approx",
+                    "boltzmann_weights", "divergence", "phi_value", "phi_conjugate")
+        imported = {a.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        assert not {name for name in imported if name.startswith(verified)}
 
 
 class TestRiskProperties:

@@ -4,33 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (BanditLog, BanditRecord, ContractViolation, FeatureVector,
-                     LoggerSpec, LossSample, PolicyParams, akl_crm_objective,
-                     cips_risk, generate_bandit_log, ips_risk, kl_crm_objective,
+from dro_crm import (BanditLog, ContractViolation, LoggerSpec, LossSample,
+                     PolicyParams, akl_crm_objective, cips_risk,
+                     generate_bandit_log, ips_risk, kl_crm_objective,
                      make_objective, poem_objective, robust_risk_chi2,
-                     sample_action, sample_losses, synthetic_multilabel,
-                     train_logger)
+                     sample_losses, synthetic_multilabel, train_logger)
 from dro_crm.bandit import SupervisedDataset
-from dro_crm.policy import enumerate_actions
-
-
-def make_log(rng, n=8, q=2, d=3, clip_m=50.0, cost_low=-1.0, cost_high=0.0):
-    logger = PolicyParams(0.5 * rng.normal(size=(q, d)))
-    records = []
-    for _ in range(n):
-        x = FeatureVector.from_dense(rng.normal(size=d))
-        y, p = sample_action(logger, x, rng)
-        c = float(rng.uniform(cost_low, cost_high))
-        records.append(BanditRecord(x, y, p, c))
-    return BanditLog.from_records(records, clip_m), logger
+from oracle import enumerate_actions
+from toy_logs import one_feature_log, sample_log
 
 
 def two_point_log():
-    """Losses [1, 0] at theta = 0: empty features, propensities 0.5."""
-    x = FeatureVector(np.array([], dtype=int), np.array([]), 1)
-    records = [BanditRecord(x, np.array([1], dtype=np.int8), 0.5, 1.0),
-               BanditRecord(x, np.array([0], dtype=np.int8), 0.5, 0.0)]
-    return BanditLog.from_records(records, 2.0)
+    """Losses [1, 0] at theta = 0: a zero feature, propensities 0.5."""
+    return one_feature_log([0.0, 0.0], [[1], [0]], [0.5, 0.5], [1.0, 0.0], 2.0)
 
 
 def fd_gradient(fun, theta, h=1e-5):
@@ -50,7 +36,7 @@ def rel_err(a, b):
 class TestSampleLosses:
     def test_logger_as_target_gives_costs(self):
         rng = np.random.default_rng(0)
-        log, logger = make_log(rng, n=12)
+        log, logger = sample_log(rng, n=12)
         z, clipped = sample_losses(logger, log)
         assert np.allclose(z, log.costs, atol=1e-12)
         assert not clipped.any()
@@ -58,9 +44,7 @@ class TestSampleLosses:
     def test_clipping(self):
         # sigma(u) = 0.9 against propensity 0.1: ratio 9, clipped at 5
         u = math.log(9.0)
-        x = FeatureVector.from_dense(np.array([1.0]))
-        rec = BanditRecord(x, np.array([1], dtype=np.int8), 0.1, -0.5)
-        log = BanditLog.from_records([rec], clip_m=5.0)
+        log = one_feature_log([1.0], [[1]], [0.1], [-0.5], clip_m=5.0)
         params = PolicyParams(np.array([[u]]))
         z, clipped = sample_losses(params, log)
         assert clipped[0]
@@ -68,11 +52,10 @@ class TestSampleLosses:
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(1)
-        log, _ = make_log(rng, n=6, q=2, d=3)
+        log, _ = sample_log(rng, n=6, q=2, d=3)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
         z, _ = sample_losses(params, log)
         for i in range(log.n):
-            x = FeatureVector.from_dense(log.X[i])
             u = params.weights @ log.X[i]
             logz = math.log(sum(math.exp(float(y @ u))
                                 for y in enumerate_actions(2)))
@@ -85,19 +68,17 @@ class TestSampleLosses:
 class TestIpsRisk:
     def test_logger_recovers_mean_cost(self):
         rng = np.random.default_rng(2)
-        log, logger = make_log(rng, n=20)
+        log, logger = sample_log(rng, n=20)
         assert ips_risk(logger, log) == pytest.approx(float(log.costs.mean()), abs=1e-12)
 
     def test_single_record_ratio(self):
-        x = FeatureVector.from_dense(np.array([1.0]))
-        rec = BanditRecord(x, np.array([1], dtype=np.int8), 0.25, -2.0)
-        log = BanditLog.from_records([rec], clip_m=100.0)
+        log = one_feature_log([1.0], [[1]], [0.25], [-2.0], clip_m=100.0)
         params = PolicyParams(np.zeros((1, 1)))  # pi(y) = 0.5, ratio 2
         assert ips_risk(params, log) == pytest.approx(-4.0, rel=1e-12)
 
     def test_equals_clipped_mean_when_clip_never_binds(self):
         rng = np.random.default_rng(3)
-        log, _ = make_log(rng, n=10, clip_m=1e18)
+        log, _ = sample_log(rng, n=10, clip_m=1e18)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
         z, _ = sample_losses(params, log)
         assert ips_risk(params, log) == pytest.approx(float(z.mean()), rel=1e-12)
@@ -106,9 +87,7 @@ class TestIpsRisk:
 class TestCips:
     def test_all_clipped_zero_gradient(self):
         u = math.log(9.0)
-        x = FeatureVector.from_dense(np.array([1.0]))
-        recs = [BanditRecord(x, np.array([1], dtype=np.int8), 0.1, -1.0)] * 3
-        log = BanditLog.from_records(recs, clip_m=2.0)
+        log = one_feature_log([1.0] * 3, [[1]] * 3, [0.1] * 3, [-1.0] * 3, clip_m=2.0)
         report = cips_risk(PolicyParams(np.array([[u]])), log)
         assert np.all(report.gradient == 0.0)
 
@@ -121,7 +100,7 @@ class TestCips:
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            log, _ = make_log(rng, n=7)
+            log, _ = sample_log(rng, n=7)
             theta = 0.3 * rng.normal(size=6)
 
             def value(t):
@@ -134,7 +113,7 @@ class TestCips:
 class TestPoem:
     def test_zero_penalty_equals_cips(self):
         rng = np.random.default_rng(5)
-        log, _ = make_log(rng)
+        log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         a = poem_objective(params, log, 0.0)
         b = cips_risk(params, log)
@@ -142,16 +121,14 @@ class TestPoem:
         assert np.array_equal(a.gradient, b.gradient)
 
     def test_constant_losses_no_penalty(self):
-        x = FeatureVector(np.array([], dtype=int), np.array([]), 1)
-        recs = [BanditRecord(x, np.array([1], dtype=np.int8), 0.5, -0.5)] * 4
-        log = BanditLog.from_records(recs, 2.0)
+        log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.5] * 4, 2.0)
         report = poem_objective(PolicyParams.zeros(1, 1), log, 3.0)
         assert report.risk == pytest.approx(-0.5, abs=1e-14)
 
     def test_bridges_to_chi_square_robust_risk(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            log, _ = make_log(rng, n=10)
+            log, _ = sample_log(rng, n=10)
             params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
             lam = float(rng.uniform(0.01, 0.5))
             report = poem_objective(params, log, lam)
@@ -162,7 +139,7 @@ class TestPoem:
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            log, _ = make_log(rng, n=9)
+            log, _ = sample_log(rng, n=9)
             lam = float(rng.uniform(0.05, 1.0))
             theta = 0.3 * rng.normal(size=6)
 
@@ -176,7 +153,7 @@ class TestPoem:
 class TestKlCrm:
     def test_huge_temperature_is_cips(self):
         rng = np.random.default_rng(8)
-        log, _ = make_log(rng)
+        log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         a = kl_crm_objective(params, log, 1e9)
         b = cips_risk(params, log)
@@ -184,7 +161,7 @@ class TestKlCrm:
 
     def test_low_temperature_is_max_loss(self):
         rng = np.random.default_rng(9)
-        log, _ = make_log(rng)
+        log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         z, _ = sample_losses(params, log)
         spread = float(z.max() - z.min())
@@ -194,7 +171,7 @@ class TestKlCrm:
     def test_frozen_weight_gradient(self):
         rng = np.random.default_rng(10)
         for _ in range(25):
-            log, _ = make_log(rng, n=8)
+            log, _ = sample_log(rng, n=8)
             gamma = float(rng.uniform(0.2, 5.0))
             theta = 0.3 * rng.normal(size=6)
             report = kl_crm_objective(PolicyParams(theta.reshape(2, 3)), log, gamma)
@@ -209,7 +186,7 @@ class TestKlCrm:
     def test_full_softmax_gradient(self):
         rng = np.random.default_rng(11)
         for _ in range(15):
-            log, _ = make_log(rng, n=8)
+            log, _ = sample_log(rng, n=8)
             gamma = float(rng.uniform(0.5, 5.0))
             theta = 0.3 * rng.normal(size=6)
             report = kl_crm_objective(PolicyParams(theta.reshape(2, 3)), log,
@@ -229,9 +206,7 @@ class TestKlCrm:
 
 class TestAklCrm:
     def test_constant_losses_degenerate(self):
-        x = FeatureVector(np.array([], dtype=int), np.array([]), 1)
-        recs = [BanditRecord(x, np.array([1], dtype=np.int8), 0.5, -0.25)] * 4
-        log = BanditLog.from_records(recs, 2.0)
+        log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.25] * 4, 2.0)
         report = akl_crm_objective(PolicyParams.zeros(1, 1), log, 0.1)
         assert report.degenerate
         assert report.risk == pytest.approx(-0.25, abs=1e-14)
@@ -239,7 +214,7 @@ class TestAklCrm:
 
     def test_huge_radius_hardest_example(self):
         rng = np.random.default_rng(12)
-        log, _ = make_log(rng)
+        log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         z, _ = sample_losses(params, log)
         report = akl_crm_objective(params, log, 1e12)
@@ -262,7 +237,7 @@ class TestAklCrm:
     def test_frozen_gradient(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
-            log, _ = make_log(rng, n=8)
+            log, _ = sample_log(rng, n=8)
             eps = float(rng.uniform(0.05, 1.0))
             theta = 0.3 * rng.normal(size=6)
             report = akl_crm_objective(PolicyParams(theta.reshape(2, 3)), log, eps)
@@ -278,7 +253,7 @@ class TestAklCrm:
 class TestObjectiveProperties:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
-        log, _ = make_log(rng, n=10)
+        log, _ = sample_log(rng, n=10)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         perm = rng.permutation(log.n)
         shuffled = BanditLog(log.X[perm], log.Y[perm], log.log_propensities[perm],
@@ -292,7 +267,7 @@ class TestObjectiveProperties:
     def test_akl_pessimism_and_monotonicity(self):
         rng = np.random.default_rng(15)
         for _ in range(25):
-            log, _ = make_log(rng, n=9)
+            log, _ = sample_log(rng, n=9)
             params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
             base = cips_risk(params, log).risk
             prev = -np.inf
@@ -304,7 +279,7 @@ class TestObjectiveProperties:
 
     def test_make_objective_adapter(self):
         rng = np.random.default_rng(16)
-        log, _ = make_log(rng)
+        log, _ = sample_log(rng)
         fun, shape = make_objective("poem", log, 0.1)
         assert shape == (2, 3)
         theta = 0.1 * rng.normal(size=6)
@@ -318,13 +293,13 @@ class TestObjectiveProperties:
             make_objective("nope", log, 0.1)
 
     def test_record_validation(self):
-        x = FeatureVector.from_dense(np.array([1.0]))
+        for propensity in (0.0, 1.5):
+            with pytest.raises(ContractViolation), np.errstate(divide="ignore"):
+                one_feature_log([1.0], [[1]], [propensity], [1.0], 1.0)
         with pytest.raises(ContractViolation):
-            BanditRecord(x, np.array([1], dtype=np.int8), 0.0, 1.0)
+            one_feature_log([1.0], [[1]], [0.5], [math.nan], 1.0)
         with pytest.raises(ContractViolation):
-            BanditRecord(x, np.array([1], dtype=np.int8), 1.5, 1.0)
-        with pytest.raises(ContractViolation):
-            BanditLog.from_records([], 1.0)
+            BanditLog(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 1.0)
 
 
 class TestReplayLayoutEquivalence:
