@@ -8,9 +8,9 @@ the grid point with the lowest unclipped importance-weighted validation risk,
 and reports exact expected and greedy Hamming loss on the test set, alongside
 the logging policy and a fully supervised skyline fit of the same family.
 
-Cells are independent: they may be scheduled on a process pool (capped by the
-DRO_CRM_THREADS environment variable); rows are keyed and sorted afterwards,
-and a single-worker run writes byte-identical outputs.
+Cells are independent: they may be scheduled on a process pool of `threads`
+workers; rows are keyed and sorted afterwards, and a single-worker run writes
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .bandit import (LoggerSpec, SplitSpec, SupervisedDataset, append_bias,
                      evaluate_policy, generate_bandit_log, ips_validation_score,
                      load_multilabel_svmlight, split_dataset, train_logger)
 from .errors import ContractViolation
-from .objectives import GAMMA_RULES, make_objective
+from .objectives import make_objective
 from .optim import OptimConfig, minimize
 from .policy import PolicyParams
 from .special import student_t_sf
@@ -65,11 +65,10 @@ class ExperimentConfig:
     grids: Dict[str, Sequence[float]] = field(default_factory=default_grids)
     optim: OptimConfig = field(default_factory=OptimConfig)
     add_bias: bool = True
-    gamma_rule: str = "sum_sq"
     freeze_weights: bool = True
     warm_start: bool = False      # start each fit from the logger's weights
     out_dir: str = "bench_out"
-    threads: Optional[int] = None
+    threads: Optional[int] = None         # pool workers; defaults to the CPU count
     save_params: bool = True
 
     def __post_init__(self):
@@ -77,7 +76,7 @@ class ExperimentConfig:
             raise ContractViolation("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ContractViolation(f"seeds must be non-negative, got {min(self.seeds)}")
-        for name in ("delta", "valid_delta"):
+        for name in ("delta", "valid_delta", "threads"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractViolation(f"{name} must be at least 1, got {value}")
@@ -87,8 +86,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ContractViolation(f"{name} must lie in (0, 1), got {value}")
-        if self.gamma_rule not in GAMMA_RULES:
-            raise ContractViolation(f"unknown gamma rule {self.gamma_rule!r}")
+        for alg, grid in self.grids.items():
+            # poem's penalty may be zero; a temperature or a radius may not
+            bad = [v for v in grid if not (v >= 0.0 if alg == "poem" else v > 0.0)]
+            if bad:
+                sign = "non-negative" if alg == "poem" else "positive"
+                raise ContractViolation(f"{alg} grid values must be {sign}, got {bad[0]}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ContractViolation(f"unknown algorithm {alg!r}")
@@ -96,14 +99,7 @@ class ExperimentConfig:
                 raise ContractViolation(f"algorithm {alg!r} needs a non-empty grid")
 
     def worker_count(self) -> int:
-        requested = self.threads if self.threads is not None else (os.cpu_count() or 1)
-        env = os.environ.get("DRO_CRM_THREADS")
-        try:
-            cap = int(env) if env else requested
-        except ValueError:
-            raise ContractViolation(
-                f"DRO_CRM_THREADS must be an integer, got {env!r}") from None
-        return max(1, min(requested, cap))
+        return self.threads if self.threads is not None else (os.cpu_count() or 1)
 
 
 @dataclass
@@ -204,7 +200,6 @@ def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> Resul
     scores: List[float] = []
     for hyper in grid:
         fun, shape = make_objective(algorithm, train_log, hyper,
-                                    gamma_rule=cfg.gamma_rule,
                                     freeze_weights=cfg.freeze_weights)
         theta0 = logger.weights.ravel() if cfg.warm_start else np.zeros(shape[0] * shape[1])
         theta, _ = minimize(fun, theta0, cfg.optim)
@@ -285,11 +280,11 @@ RESULTS_HEADER = ("dataset,algorithm,seed,delta,hyper_name,hyper_value,"
 
 
 def emit_results(rows: List[ResultRow], out_dir,
-                 config: Optional[ExperimentConfig] = None) -> Dict[str, str]:
+                 meta: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
     """Write results.csv (one row per cell, no timings), summary.csv
     (per-algorithm mean, standard error, p-value against the best algorithm),
-    timings.csv, and a run_meta key-value echo of the configuration.  All
-    numbers use 6 significant digits.  Returns the written paths."""
+    timings.csv, and run_meta (versions, then the `key = value` pairs of
+    `meta`).  All numbers use 6 significant digits.  Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     rows = sorted(rows, key=lambda r: (r.algorithm, r.seed))
 
@@ -365,39 +360,10 @@ def emit_results(rows: List[ResultRow], out_dir,
         fh.write(f"version = {__version__}\n")
         fh.write(f"python = {sys.version.split()[0]}\n")
         fh.write(f"numpy = {np.__version__}\n")
-        fh.write(f"algorithms = {','.join(sorted({r.algorithm for r in rows}))}\n")
-        fh.write(f"seeds = {','.join(str(s) for s in sorted({r.seed for r in rows}))}\n")
-        if config is not None:
-            for key, value in _config_echo(config):
-                fh.write(f"{key} = {value}\n")
-        elif rows:
-            fh.write(f"dataset = {rows[0].dataset}\n")
-            fh.write(f"delta = {rows[0].delta}\n")
+        for key, value in meta:
+            fh.write(f"{key} = {value}\n")
     return {"results": results_path, "summary": summary_path,
             "timings": timings_path, "meta": meta_path}
-
-
-def _config_echo(cfg: ExperimentConfig):
-    yield "dataset", cfg.dataset
-    yield "test_dataset", cfg.test_dataset or ""
-    yield "test_frac", cfg.test_frac
-    yield "delta", cfg.delta
-    yield "valid_delta", cfg.valid_delta if cfg.valid_delta is not None else cfg.delta
-    yield "train_frac", cfg.train_frac
-    yield "logger_frac", cfg.logger_frac
-    yield "logger_l2", cfg.logger.l2
-    yield "logger_alpha", cfg.logger.alpha
-    yield "logger_max_iters", cfg.logger.max_iters
-    for alg in ("poem", "klcrm", "aklcrm"):
-        yield f"grid_{alg}", ",".join(_fmt(float(v)) for v in cfg.grids.get(alg, ()))
-    yield "optim_memory", cfg.optim.memory
-    yield "optim_max_iters", cfg.optim.max_iters
-    yield "optim_grad_tol", cfg.optim.grad_tol
-    yield "optim_f_tol", cfg.optim.f_tol
-    yield "add_bias", cfg.add_bias
-    yield "gamma_rule", cfg.gamma_rule
-    yield "freeze_weights", cfg.freeze_weights
-    yield "warm_start", cfg.warm_start
 
 
 def _stderr(vals) -> float:

@@ -35,7 +35,6 @@ from .policy import (PolicyParams, clamp_logits, log_prob_matrix,
 
 _VAR_FLOOR = 1e-12
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
-GAMMA_RULES = ("sum_sq", "variance")  # temperature rules of akl_crm_objective
 
 
 @dataclass(frozen=True)
@@ -242,24 +241,21 @@ def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float,
 
 
 def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
-                      gamma_rule: str = "sum_sq",
                       freeze_weights: bool = True) -> RiskReport:
     """Adaptive-temperature tilted risk.
 
     Every evaluation recomputes the temperature from the current losses:
-    gamma = sqrt(sum_i (z_i - mean)^2 / (2 eps)) under the default "sum_sq"
-    rule, or sqrt(var(z) / (2 eps)) under "variance".  Constant losses make
-    the temperature degenerate; the uniform-weight risk is returned flagged.
+    gamma = sqrt(sum_i (z_i - mean)^2 / (2 eps)).  This is the rule
+    sqrt(var(z) / (2 eps')) of `divergence.gamma_star_approx` at the radius
+    eps' = eps / n.  Constant losses make the temperature degenerate; the
+    uniform-weight risk is returned flagged.
     """
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    if gamma_rule not in GAMMA_RULES:
-        raise ContractViolation(f"unknown gamma rule {gamma_rule!r}")
     losses = _LossPass(params, log)
     z, n = losses.z, log.n
     sum_sq = float(((z - z.mean()) ** 2).sum())
-    scatter = sum_sq if gamma_rule == "sum_sq" else sum_sq / n
-    gamma = float(np.sqrt(scatter / (2.0 * epsilon)))
+    gamma = float(np.sqrt(sum_sq / (2.0 * epsilon)))
     if gamma <= 0.0:
         w = _uniform(n)
         return losses.report(float(z.mean()), w, w, gamma_used=0.0, degenerate=True)
@@ -267,7 +263,7 @@ def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
 
 
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float],
-                   gamma_rule: str = "sum_sq", freeze_weights: bool = True):
+                   freeze_weights: bool = True):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
     (risk, grad_flat) for the named algorithm, plus the matrix shape."""
     q = log.Y.shape[1]
@@ -295,6 +291,5 @@ def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float],
     if algorithm == "aklcrm":
         if hyper is None:
             raise ContractViolation("aklcrm needs a radius")
-        return wrap(lambda p: akl_crm_objective(p, log, hyper, gamma_rule,
-                                                freeze_weights)), (q, d)
+        return wrap(lambda p: akl_crm_objective(p, log, hyper, freeze_weights)), (q, d)
     raise ContractViolation(f"unknown algorithm {algorithm!r}")

@@ -18,6 +18,10 @@ from .errors import ContractViolation
 
 Objective = Callable[[np.ndarray], Tuple[float, np.ndarray]]
 
+_C1 = 1e-4                    # Armijo (sufficient decrease) constant
+_C2 = 0.9                     # curvature constant, 0 < _C1 < _C2 < 1
+_MAX_LINE_SEARCH_STEPS = 40   # evaluations per line search
+
 
 @dataclass
 class OptimConfig:
@@ -25,14 +29,9 @@ class OptimConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6          # infinity norm of the gradient
     f_tol: float = 1e-9             # relative decrease between accepted iterates
-    c1: float = 1e-4
-    c2: float = 0.9
-    max_line_search_steps: int = 40
     box_bound: Optional[float] = 1e3  # infinity-norm box, None disables
 
     def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ContractViolation("Wolfe constants must satisfy 0 < c1 < c2 < 1")
         if self.grad_tol <= 0.0 or self.f_tol <= 0.0:
             raise ContractViolation("tolerances must be positive")
         if self.memory < 1 or self.max_iters < 1:
@@ -58,8 +57,7 @@ class _NanObjective(Exception):
     pass
 
 
-def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float,
-                 g0: np.ndarray, cfg: OptimConfig):
+def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarray):
     """Strong-Wolfe search along direction p starting from unit step.
 
     `evaluate(x) -> (f, g)` raises _NanObjective on NaN.  Returns
@@ -69,7 +67,7 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float,
     d0 = float(g0 @ p)
     if d0 >= 0.0:
         return None
-    budget = [cfg.max_line_search_steps]
+    budget = [_MAX_LINE_SEARCH_STEPS]
 
     def phi(alpha: float):
         budget[0] -= 1
@@ -81,12 +79,12 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float,
         while budget[0] > 0:
             a = 0.5 * (a_lo + a_hi)
             fa, ga, xa = phi(a)
-            if fa > f0 + cfg.c1 * a * d0 or fa >= f_lo:
+            if fa > f0 + _C1 * a * d0 or fa >= f_lo:
                 a_hi = a
             else:
                 da = float(ga @ p)
                 best = (a, fa, ga, xa)
-                if abs(da) <= -cfg.c2 * d0:
+                if abs(da) <= -_C2 * d0:
                     return best
                 if da * (a_hi - a_lo) >= 0.0:
                     a_hi = a_lo
@@ -100,10 +98,10 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float,
     first = True
     while budget[0] > 0:
         fa, ga, xa = phi(a)
-        if fa > f0 + cfg.c1 * a * d0 or (not first and fa >= f_prev):
+        if fa > f0 + _C1 * a * d0 or (not first and fa >= f_prev):
             return zoom(a_prev, f_prev, a, best=prev)
         da = float(ga @ p)
-        if abs(da) <= -cfg.c2 * d0:
+        if abs(da) <= -_C2 * d0:
             return a, fa, ga, xa
         if da >= 0.0:
             return zoom(a, fa, a_prev, best=(a, fa, ga, xa))
@@ -172,12 +170,12 @@ def minimize(fun: Objective, x0: np.ndarray,
         p = -q
 
         try:
-            result = _line_search(evaluate, x, p, f, g, cfg)
+            result = _line_search(evaluate, x, p, f, g)
             if result is None:
                 s_hist.clear()
                 y_hist.clear()
                 rho_hist.clear()
-                result = _line_search(evaluate, x, -g, f, g, cfg)
+                result = _line_search(evaluate, x, -g, f, g)
         except _NanObjective:
             trace.termination = "nan_objective"
             break

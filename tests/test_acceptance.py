@@ -327,9 +327,9 @@ def test_criterion_10_byte_identical_runs(tmp_path):
         "grid_poem = 1e-4,1e-2\n"
         "grid_klcrm = 1,100\n"
         "grid_aklcrm = 1e-4,1e-2\n"
-        "optim_max_iters = 150\n")
-    env = dict(os.environ, DRO_CRM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(sys.path))
+        "optim_max_iters = 150\n"
+        "threads = 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for out in outs:
         r = subprocess.run(
             [sys.executable, "-m", "dro_crm.cli", "run", "--config", str(cfg),

@@ -1,11 +1,15 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dro_crm import (DataFormatError, save_multilabel_svmlight,
                      synthetic_multilabel)
-from dro_crm.cli import build_experiment_config, main, read_config_file
+from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
+                         read_config_file)
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +49,7 @@ class TestConfigFile:
             "logger_l2": "0.01", "logger_alpha": "0.7", "logger_max_iters": "50",
             "grid_poem": "0.1", "grid_klcrm": "1,2", "grid_aklcrm": "0.5",
             "optim_memory": "4", "optim_max_iters": "9", "optim_grad_tol": "1e-5",
-            "optim_f_tol": "1e-8", "add_bias": "no", "gamma_rule": "variance",
+            "optim_f_tol": "1e-8", "add_bias": "no",
             "freeze_weights": "0", "warm_start": "yes", "out_dir": "o",
             "threads": "2", "save_params": "False"}
         cfg = build_experiment_config(values)
@@ -55,7 +59,54 @@ class TestConfigFile:
         assert list(cfg.grids["klcrm"]) == [1.0, 2.0]
         assert (cfg.add_bias, cfg.freeze_weights, cfg.warm_start, cfg.save_params) == (
             False, False, True, False)
-        assert (cfg.gamma_rule, cfg.out_dir, cfg.threads) == ("variance", "o", 2)
+        assert (cfg.out_dir, cfg.threads) == ("o", 2)
+
+    def test_readme_example_builds(self, tmp_path):
+        with open(README, encoding="utf-8") as fh:
+            blocks = fh.read().split("```")[1::2]
+        example = [b for b in blocks if b.lstrip().startswith("dataset")]
+        assert len(example) == 1
+        cfg_file = tmp_path / "readme.cfg"
+        cfg_file.write_text(example[0])
+        values = read_config_file(cfg_file)
+        cfg = build_experiment_config(values)
+        assert cfg.dataset == values["dataset"] and cfg.threads == int(values["threads"])
+
+    def test_run_meta_echoes_every_key(self, tmp_path, synth_path):
+        cfg_file = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            f"dataset = {synth_path}\nalgorithms = cips\nseeds = 0\nthreads = 1\n"
+            "optim_max_iters = 5\ngrid_klcrm = 0.30000000000000004,1e-7\n"
+            f"logger_l2 = 0.001\nsave_params = no\nout_dir = {out}\n")
+        cfg = build_experiment_config(read_config_file(cfg_file))
+        assert main(["run", "--config", str(cfg_file)]) == 0
+        lines = (out / "run_meta").read_text().splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert all(keys.count(key) == 1 for key in CONFIG_KEYS)
+        meta = read_config_file(out / "run_meta")
+        echoed = build_experiment_config({key: meta[key] for key in CONFIG_KEYS})
+        assert replace(echoed, grids={}) == replace(cfg, grids={})
+        assert echoed.grids.keys() == cfg.grids.keys()
+        for alg, grid in cfg.grids.items():
+            assert list(echoed.grids[alg]) == list(grid)  # exact, not 6 digits
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("dataset = a.svm\ndelta = 4\n# comment\ndelta = 8\n")
+        with pytest.raises(DataFormatError, match=r":4: key 'delta' repeats line 2"):
+            read_config_file(cfg_file)
+
+    def test_flag_overrides_file_entry(self, tmp_path, synth_path):
+        cfg_file = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(f"dataset = {synth_path}\nalgorithms = cips\n"
+                            "seeds = 0\ndelta = 4\noptim_max_iters = 5\n"
+                            f"out_dir = {tmp_path / 'unused'}\n")
+        assert main(["run", "--config", str(cfg_file), "--delta", "2",
+                     "--out-dir", str(out), "--threads", "1"]) == 0
+        assert (out / "results.csv").read_text().splitlines()[1].split(",")[3] == "2"
+        assert not (tmp_path / "unused").exists()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DataFormatError, match="'optim_maxiters'"):
@@ -153,12 +204,6 @@ class TestBadNumericInput:
         assert code == 2
         assert err.startswith("error:") and "'threads'" in err and "two" in err
 
-    def test_non_integer_thread_env(self, tmp_path, synth_path, capsys, monkeypatch):
-        monkeypatch.setenv("DRO_CRM_THREADS", "two")
-        code, err = self._run(tmp_path, synth_path, capsys, "threads = 1\n")
-        assert code == 2
-        assert err.startswith("error:") and "DRO_CRM_THREADS" in err and "two" in err
-
     def test_negative_seed(self, tmp_path, synth_path, capsys):
         code = main(["run", "--dataset", synth_path, "--algorithms", "cips",
                      "--seeds=-1", "--out-dir", str(tmp_path / "out")])
@@ -185,9 +230,17 @@ class TestBadNumericInput:
         ("train_frac = 1.5", "train_frac must lie in (0, 1)"),
         ("logger_frac = 0", "logger_frac must lie in (0, 1)"),
         ("test_frac = 1.0", "test_frac must lie in (0, 1)"),
-        ("gamma_rule = bogus", "unknown gamma rule 'bogus'"),
+        ("gamma_rule = bogus", "unknown config key"),
         ("optim_maxiters = 5", "'optim_maxiters'"),
         ("add_bias = ture", "'add_bias'"),
+        ("logger_l2 = nan", "'logger_l2'"),
+        ("grid_poem = 1e-3,nan", "'grid_poem'"),
+        ("optim_f_tol = inf", "'optim_f_tol'"),
+        ("test_frac = -inf", "'test_frac'"),
+        ("grid_poem = -1", "poem grid values must be non-negative, got -1.0"),
+        ("grid_klcrm = 1,0", "klcrm grid values must be positive, got 0.0"),
+        ("grid_aklcrm = -1e-3", "aklcrm grid values must be positive, got -0.001"),
+        ("threads = 0", "threads must be at least 1, got 0"),
     ])
     def test_bad_config_value(self, tmp_path, synth_path, capsys, entry, message):
         code, err = self._run(tmp_path, synth_path, capsys, entry + "\n")

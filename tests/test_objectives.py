@@ -6,9 +6,10 @@ import pytest
 
 from dro_crm import (BanditLog, ContractViolation, LoggerSpec, LossSample,
                      PolicyParams, akl_crm_objective, cips_risk,
-                     generate_bandit_log, ips_risk, kl_crm_objective,
-                     make_objective, poem_objective, robust_risk_chi2,
-                     sample_losses, synthetic_multilabel, train_logger)
+                     gamma_star_approx, generate_bandit_log, ips_risk,
+                     kl_crm_objective, make_objective, poem_objective,
+                     robust_risk_chi2, sample_losses, synthetic_multilabel,
+                     train_logger)
 from dro_crm.bandit import SupervisedDataset
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
@@ -228,10 +229,20 @@ class TestAklCrm:
         assert report.risk == pytest.approx(math.e / (math.e + 1.0), abs=1e-14)
 
     def test_variance_rule(self):
-        log = two_point_log()
-        report = akl_crm_objective(PolicyParams.zeros(1, 1), log, 0.25,
-                                   gamma_rule="variance")
+        # the rule sqrt(var(z) / (2 eps)) is the sum-of-squares rule at radius n eps
+        rng = np.random.default_rng(14)
+        cases = [(two_point_log(), PolicyParams.zeros(1, 1), 0.25)]
+        for _ in range(5):
+            log, _ = sample_log(rng)
+            cases.append((log, PolicyParams(0.3 * rng.normal(size=(2, 3))),
+                          float(rng.uniform(0.01, 1.0))))
+        for log, params, eps in cases:
+            z, _ = sample_losses(params, log)
+            report = akl_crm_objective(params, log, log.n * eps)
+            assert report.gamma_used == pytest.approx(
+                gamma_star_approx(LossSample(z), eps).gamma, rel=1e-12)
         # variance of [1,0] is 0.25: gamma = sqrt(0.25/0.5)
+        report = akl_crm_objective(PolicyParams.zeros(1, 1), two_point_log(), 2 * 0.25)
         assert report.gamma_used == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_frozen_gradient(self):
