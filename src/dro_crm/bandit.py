@@ -89,10 +89,10 @@ class LoggerSpec:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ContractViolation("alpha must be positive")
-        if self.l2 < 0.0:
-            raise ContractViolation("l2 must be nonnegative")
+        if not 0.0 < self.alpha < math.inf:
+            raise ContractViolation(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ContractViolation(f"l2 must be nonnegative and finite, got {self.l2}")
 
 
 # ---------------------------------------------------------------------------

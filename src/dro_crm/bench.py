@@ -30,12 +30,12 @@ from .bandit import (LoggerSpec, SplitSpec, SupervisedDataset, append_bias,
                      evaluate_policy, generate_bandit_log, ips_validation_score,
                      load_multilabel_svmlight, split_dataset, train_logger)
 from .errors import ContractViolation
-from .objectives import make_objective
+from .objectives import RULES, make_objective
 from .optim import OptimConfig, minimize
 from .policy import PolicyParams
 from .special import student_t_sf
 
-ALGORITHMS = ("cips", "poem", "klcrm", "aklcrm")
+ALGORITHMS = tuple(RULES)
 
 _VALID_LOG_STREAM = 1  # train logs use stream 0
 
@@ -65,7 +65,6 @@ class ExperimentConfig:
     grids: Dict[str, Sequence[float]] = field(default_factory=default_grids)
     optim: OptimConfig = field(default_factory=OptimConfig)
     add_bias: bool = True
-    freeze_weights: bool = True
     warm_start: bool = False      # start each fit from the logger's weights
     out_dir: str = "bench_out"
     threads: Optional[int] = None         # pool workers; defaults to the CPU count
@@ -124,8 +123,7 @@ class ResultRow:
     params: Optional[PolicyParams] = None
 
 
-_HYPER_NAME = {"cips": "", "poem": "lambda", "klcrm": "gamma", "aklcrm": "epsilon",
-               "baseline": ""}
+_HYPER_NAME = {alg: name for alg, (name, _) in RULES.items()} | {"baseline": ""}
 
 
 def _pad_columns(ds: SupervisedDataset, d: int, q: int) -> SupervisedDataset:
@@ -199,8 +197,7 @@ def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> Resul
     candidates: List[PolicyParams] = []
     scores: List[float] = []
     for hyper in grid:
-        fun, shape = make_objective(algorithm, train_log, hyper,
-                                    freeze_weights=cfg.freeze_weights)
+        fun, shape = make_objective(algorithm, train_log, hyper)
         theta0 = logger.weights.ravel() if cfg.warm_start else np.zeros(shape[0] * shape[1])
         theta, _ = minimize(fun, theta0, cfg.optim)
         params = PolicyParams(theta.reshape(shape))

@@ -90,7 +90,6 @@ CONFIG_KEYS = {
     "optim_grad_tol": _Key(_finite_float, "optim", "grad_tol"),
     "optim_f_tol": _Key(_finite_float, "optim", "f_tol"),
     "add_bias": _Key(_parse_bool),
-    "freeze_weights": _Key(_parse_bool),
     "warm_start": _Key(_parse_bool),
     "out_dir": _Key(str, flag_in=_RUN_SWEEP),
     "threads": _Key(_optional(int), flag_in=_RUN_SWEEP),

@@ -15,6 +15,13 @@ phi(1) = 0.  Two generators are supported:
   inf_{gamma > 0} gamma*eps + gamma*log sum_i p_i exp(z_i / gamma), attained by
   exponentially tilted (Boltzmann) weights at the minimizing temperature.
 
+The training objectives in `objectives` are rules built from these worst
+cases over the uniform weights of the logged sample: poem is
+`robust_risk_chi2` at radius lam^2 / n (cips at radius 0), klcrm is the
+`boltzmann_weights` tilt at a fixed temperature, and aklcrm the tilt at the
+`gamma_star_approx` temperature.  The maximizing weights of a rule are the
+gradient of its risk in the losses (Danskin's theorem).
+
 A brute-force maximizer over the feasible set, which shares no code with the
 closed forms or the dual, verifies them at small n in `tests/oracle.py`.
 

@@ -6,34 +6,41 @@ per-sample counterfactual loss under a candidate policy is
     z_i = c_i * min(M, pi_theta(y_i | x_i) / p_i),
 
 with the importance ratio computed in log space and clipped at M.  Every
-objective is one weighting of z, evaluated by one shared kernel: the plain
-clipped estimator (uniform weights), its variance-penalized version, a
-fixed-temperature tilted version that puts more weight on high-loss samples,
-and an adaptive-temperature version that recomputes the temperature from the
-loss spread at every evaluation.
+objective is the worst case of the mean of z over a divergence ball around the
+uniform weights, evaluated by one shared kernel and one rule per algorithm
+(`RULES`).  A rule maps z to the risk and the weights q it puts on z:
 
-Gradients follow the score-function identity d z_i / d theta =
-c_i * ratio_i * d log pi / d theta on unclipped samples and zero on clipped
-ones.  For the tilted objectives the weights are treated as constants of the
-evaluation by default (the surrogate each optimizer step actually minimizes);
-`freeze_weights=False` switches to the fully differentiated form.
+* cips: the plain clipped mean (poem at lam = 0, uniform q);
+* poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
+  case at radius lam^2 / n (`divergence.robust_risk_chi2`), with its
+  active-set solution where the interior weights would turn negative;
+* klcrm: Boltzmann weights q_i prop. to exp(z_i / gamma) at a fixed gamma;
+* aklcrm: the same at the temperature `divergence.gamma_star_approx` gives
+  for radius eps / n, recomputed from z at every evaluation.
+
+The gradient is sum_i q_i dz_i/dtheta for every rule, with the score-function
+identity dz_i/dtheta = c_i * ratio_i * dlog pi(y_i | x_i)/dtheta on unclipped
+samples and zero on clipped ones.  For cips and poem this is the exact
+gradient of the risk (Danskin's theorem: q is the maximizer over the ball).
+For klcrm and aklcrm it treats q as constant, so it is the gradient of the
+surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .divergence import LossSample, boltzmann_weights
+from .divergence import (DualSolution, LossSample, boltzmann_weights,
+                         gamma_star_approx, robust_risk_chi2)
 from .errors import ContractViolation
 # log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
 # the policy calls of this module by wrapping these names in place.
 from .policy import (PolicyParams, clamp_logits, log_prob_matrix,
                      logits_matrix, sigmoid, softplus_sigmoid)
 
-_VAR_FLOOR = 1e-12
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
 
 
@@ -111,14 +118,13 @@ class BanditLog:
 
 @dataclass
 class RiskReport:
-    """Risk value with its ingredients: per-sample losses z, the weights s
-    applied to them, their variance (divisor n), the gradient in theta, and
-    the temperature used when one was."""
+    """Risk value with its ingredients: per-sample losses z, the weights q the
+    rule puts on them, the gradient sum_i q_i dz_i/dtheta, the temperature
+    used when one was, and whether the losses were constant."""
 
     risk: float
     losses: np.ndarray
     weights: np.ndarray
-    variance: float
     gradient: np.ndarray
     gamma_used: Optional[float] = None
     degenerate: bool = False
@@ -146,32 +152,66 @@ class _LossPass:
         self.dz = np.where(self.clipped, 0.0, log.costs * self.ratio)
         self._log = log
 
-    def report(self, risk: float, weights: np.ndarray, dz_weights: np.ndarray,
-               gamma_used: Optional[float] = None,
-               degenerate: bool = False) -> RiskReport:
-        """Report of a weighting rule that gives the risk, the weights it puts
-        on z, and d risk / d z_i (`dz_weights`).  With c_i the product of
-        d risk / d z_i and dz_i, the gradient sum_i c_i (y_i - sigmoid(u_i)) x_i
-        is summed into one row per example, sum_i c_i y_i minus
-        (sum_i c_i) sigmoid(u), before a single product with the features."""
+    def report(self, sol: DualSolution) -> RiskReport:
+        """Report of a rule's risk and weights q.  With c_i = q_i dz_i, the
+        gradient sum_i c_i (y_i - sigmoid(u_i)) x_i is summed into one row per
+        example, sum_i c_i y_i minus (sum_i c_i) sigmoid(u), before a single
+        product with the features."""
         log = self._log
         ids = log.example_ids
         n_ex, q = self._sigmoid.shape
-        c = dz_weights * self.dz
+        c = sol.worst_case_weights * self.dz
         R = np.empty((n_ex, q))
         for label in range(q):
             R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
         R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
-        return RiskReport(risk, self.z, weights, _variance(self.z), R.T @ log.X,
-                          gamma_used, degenerate)
+        return RiskReport(sol.robust_risk, self.z, sol.worst_case_weights,
+                          R.T @ log.X, sol.gamma, sol.degenerate)
 
 
-def _variance(z: np.ndarray) -> float:
-    return float(np.mean((z - z.mean()) ** 2))
+def _chi2_rule(z: np.ndarray, lam: float) -> DualSolution:
+    if lam < 0.0:
+        raise ContractViolation("lambda must be nonnegative")
+    return robust_risk_chi2(LossSample(z), lam * lam / z.size)
 
 
-def _uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
+def _tilted_rule(z: np.ndarray, gamma: float) -> DualSolution:
+    s = boltzmann_weights(LossSample(z), gamma)
+    return DualSolution(float(s @ z), gamma, s)
+
+
+def _adaptive_tilted_rule(z: np.ndarray, epsilon: float) -> DualSolution:
+    sample = LossSample(z)
+    gamma, degenerate = gamma_star_approx(sample, epsilon / z.size)
+    if degenerate:
+        return DualSolution(sample.mean(), 0.0, sample.base_weights, degenerate=True)
+    return _tilted_rule(z, gamma)
+
+
+# algorithm -> (name of its hyper-parameter, rule (z, hyper) -> risk and weights q)
+RULES: Dict[str, Tuple[str, Callable[..., DualSolution]]] = {
+    "cips": ("", lambda z, _: _chi2_rule(z, 0.0)),
+    "poem": ("lambda", _chi2_rule),
+    "klcrm": ("gamma", _tilted_rule),
+    "aklcrm": ("epsilon", _adaptive_tilted_rule),
+}
+
+
+def _rule(algorithm: str, hyper: Optional[float]):
+    """The algorithm's rule, checked to have the hyper-parameter it needs."""
+    if algorithm not in RULES:
+        raise ContractViolation(f"unknown algorithm {algorithm!r}")
+    name, rule = RULES[algorithm]
+    if name and hyper is None:
+        raise ContractViolation(f"{algorithm} needs its {name}")
+    return rule
+
+
+def _evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
+              hyper: Optional[float] = None) -> RiskReport:
+    rule = _rule(algorithm, hyper)
+    losses = _LossPass(params, log)
+    return losses.report(rule(losses.z, hyper))
 
 
 def sample_losses(params: PolicyParams, log: BanditLog) -> Tuple[np.ndarray, np.ndarray]:
@@ -189,107 +229,42 @@ def ips_risk(params: PolicyParams, log: BanditLog) -> float:
 
 def cips_risk(params: PolicyParams, log: BanditLog) -> RiskReport:
     """Clipped importance-weighted risk: mean of z with uniform weights."""
-    losses = _LossPass(params, log)
-    w = _uniform(log.n)
-    return losses.report(float(losses.z.mean()), w, w)
+    return _evaluate("cips", params, log)
 
 
 def poem_objective(params: PolicyParams, log: BanditLog, lam: float) -> RiskReport:
-    """Variance-penalized clipped risk: mean(z) + lam * sqrt(var(z) / n).
-
-    The penalty gradient chains through the variance; it is treated as zero
-    when the variance falls below 1e-12.
-    """
-    if lam < 0.0:
-        raise ContractViolation("lambda must be nonnegative")
-    n = log.n
-    if lam > 0.0 and n < 2:
-        raise ContractViolation("variance penalty needs at least two records")
-    losses = _LossPass(params, log)
-    z = losses.z
-    var = _variance(z)
-    w = _uniform(n)
-    dz_weights = w
-    if lam > 0.0 and var >= _VAR_FLOOR:
-        # d/dz_i sqrt(var/n) = (1 / (2 sqrt(var/n))) * (2/n) (z_i - mean) / n
-        pref = lam / (2.0 * np.sqrt(var / n))
-        dz_weights = w + pref * (2.0 / n) * (z - z.mean()) / n
-    return losses.report(float(z.mean()) + lam * np.sqrt(var / n), w, dz_weights)
+    """Variance-penalized clipped risk mean(z) + lam * sqrt(var(z) / n), the
+    worst case over the chi-square ball of radius lam^2 / n."""
+    return _evaluate("poem", params, log, lam)
 
 
-def _tilted(losses: _LossPass, gamma: float, freeze_weights: bool) -> RiskReport:
-    """sum_i s_i z_i with s_i prop. to exp(z_i / gamma); with frozen weights
-    d risk / d z_i = s_i, otherwise the softmax is differentiated too."""
-    z = losses.z
-    s = boltzmann_weights(LossSample(z), gamma)
-    risk = float(s @ z)
-    dz_weights = s if freeze_weights else s * (1.0 + (z - risk) / gamma)
-    return losses.report(risk, s, dz_weights, gamma_used=gamma)
+def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float) -> RiskReport:
+    """Tilted clipped risk sum_i s_i z_i with s_i prop. to exp(z_i / gamma)."""
+    return _evaluate("klcrm", params, log, gamma)
 
 
-def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float,
-                     freeze_weights: bool = True) -> RiskReport:
-    """Tilted clipped risk sum_i s_i z_i with s_i prop. to exp(z_i / gamma).
-
-    With `freeze_weights` (default) the tilt is a constant of the evaluation
-    and the gradient is sum_i s_i dz_i; otherwise the softmax is differentiated
-    through as well.
-    """
-    if gamma <= 0.0:
-        raise ContractViolation("gamma must be positive")
-    return _tilted(_LossPass(params, log), gamma, freeze_weights)
-
-
-def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float,
-                      freeze_weights: bool = True) -> RiskReport:
+def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float) -> RiskReport:
     """Adaptive-temperature tilted risk.
 
     Every evaluation recomputes the temperature from the current losses:
-    gamma = sqrt(sum_i (z_i - mean)^2 / (2 eps)).  This is the rule
+    gamma = sqrt(sum_i (z_i - mean)^2 / (2 eps)), the rule
     sqrt(var(z) / (2 eps')) of `divergence.gamma_star_approx` at the radius
     eps' = eps / n.  Constant losses make the temperature degenerate; the
     uniform-weight risk is returned flagged.
     """
-    if epsilon <= 0.0:
-        raise ContractViolation("epsilon must be positive")
-    losses = _LossPass(params, log)
-    z, n = losses.z, log.n
-    sum_sq = float(((z - z.mean()) ** 2).sum())
-    gamma = float(np.sqrt(sum_sq / (2.0 * epsilon)))
-    if gamma <= 0.0:
-        w = _uniform(n)
-        return losses.report(float(z.mean()), w, w, gamma_used=0.0, degenerate=True)
-    return _tilted(losses, gamma, freeze_weights)
+    return _evaluate("aklcrm", params, log, epsilon)
 
 
-def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float],
-                   freeze_weights: bool = True):
+def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
     (risk, grad_flat) for the named algorithm, plus the matrix shape."""
+    _rule(algorithm, hyper)
     q = log.Y.shape[1]
     d = log.X.shape[1]
 
-    def wrap(report_fn):
-        def fun(theta_flat: np.ndarray):
-            params = PolicyParams(theta_flat.reshape(q, d))
-            report = report_fn(params)
-            fun.last_gamma = report.gamma_used  # minimizer traces show it
-            return report.risk, report.gradient.ravel()
-        fun.last_gamma = None
-        return fun
-
-    if algorithm == "cips":
-        return wrap(lambda p: cips_risk(p, log)), (q, d)
-    if algorithm == "poem":
-        if hyper is None:
-            raise ContractViolation("poem needs a penalty strength")
-        return wrap(lambda p: poem_objective(p, log, hyper)), (q, d)
-    if algorithm == "klcrm":
-        if hyper is None:
-            raise ContractViolation("klcrm needs a temperature")
-        return wrap(lambda p: kl_crm_objective(p, log, hyper, freeze_weights)), (q, d)
-    if algorithm == "aklcrm":
-        if hyper is None:
-            raise ContractViolation("aklcrm needs a radius")
-        return wrap(lambda p: akl_crm_objective(p, log, hyper, freeze_weights)), (q, d)
-    raise ContractViolation(f"unknown algorithm {algorithm!r}")
+    def fun(theta_flat: np.ndarray):
+        report = _evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
+        fun.last_gamma = report.gamma_used  # minimizer traces show it
+        return report.risk, report.gradient.ravel()
+    fun.last_gamma = None
+    return fun, (q, d)

@@ -32,8 +32,10 @@ class OptimConfig:
     box_bound: Optional[float] = 1e3  # infinity-norm box, None disables
 
     def __post_init__(self):
-        if self.grad_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ContractViolation("tolerances must be positive")
+        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
+            raise ContractViolation("tolerances must be positive and finite")
+        if self.box_bound is not None and not 0.0 < self.box_bound < math.inf:
+            raise ContractViolation("box_bound must be positive and finite, or None")
         if self.memory < 1 or self.max_iters < 1:
             raise ContractViolation("memory and max_iters must be positive")
 

@@ -29,10 +29,8 @@ def _divergence_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray) -> np.n
     """Row-wise D(q || p) for strictly positive p (vectorized, 0*log 0 := 0)."""
     if kind is DivergenceKind.CHI_SQUARE:
         return ((Q - p) ** 2 / p).sum(axis=1)
-    ratio = Q / p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(Q > 0.0, Q * np.log(ratio), 0.0)
-    return terms.sum(axis=1) - Q.sum(axis=1) + 1.0
+    log_ratio = np.log(Q / p, out=np.zeros(Q.shape), where=Q > 0.0)
+    return (Q * log_ratio).sum(axis=1) - Q.sum(axis=1) + 1.0
 
 
 def _project_simplex_rows(Q: np.ndarray) -> np.ndarray:
@@ -48,10 +46,19 @@ def _project_simplex_rows(Q: np.ndarray) -> np.ndarray:
 
 
 def _shrink_to_ball_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray,
-                         epsilon: float, iters: int = 60) -> np.ndarray:
+                         epsilon: float, max_steps: int = 30) -> np.ndarray:
     """Move each infeasible row along the ray toward p until D(q||p) = eps.
+
     The chi-square divergence is exactly quadratic along the ray, so that case
-    scales in closed form; KL bisects."""
+    scales in closed form.  For KL, f(t) = KL(p + t (q - p) || p) is convex,
+    rises from f(0) = 0 to f(1) = D(q||p) > eps and stays close to its
+    quadratic model chi2(q||p) t^2 / 2, so sqrt(f) is close to linear in t.
+    Newton's method on sqrt(f) = sqrt(eps) starts where the model crosses,
+    never more than halves t in one step, and stops once the steps fall
+    below 1e-6 t.  The result is pulled back toward p by a relative 1e-10
+    and checked with `_divergence_rows`; a row still outside the ball is
+    halved toward p until it is inside (at most 60 times, which leaves it at
+    p to rounding)."""
     d = _divergence_rows(kind, Q, p)
     bad = d > epsilon
     if not bad.any():
@@ -62,15 +69,27 @@ def _shrink_to_ball_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray,
         t = np.sqrt(epsilon / d[bad])
         out[bad] = p + t[:, None] * (base - p)
         return out
-    lo = np.zeros(base.shape[0])
-    hi = np.ones(base.shape[0])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        trial = p + mid[:, None] * (base - p)
-        inside = _divergence_rows(kind, trial, p) <= epsilon
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    out[bad] = p + lo[:, None] * (base - p)
+    diff = base - p
+    rel = diff / p
+    t = np.sqrt(2.0 * epsilon / np.einsum("ij,ij->i", diff, rel))
+    t = np.where(t < 1.0, t, epsilon / d[bad])  # else the chord's crossing
+    root_eps = math.sqrt(epsilon)
+    for _ in range(max_steps):
+        log_ratio = np.log1p(t[:, None] * rel)  # r / p = 1 + t rel > 0 for 0 < t < 1
+        slope = np.einsum("ij,ij->i", diff, log_ratio)  # f'(t)
+        root_f = np.sqrt(log_ratio @ p + t * slope)  # f = sum_j r_j log(r_j / p_j)
+        step = (root_f - root_eps) * 2.0 * root_f / slope
+        t = np.minimum(np.maximum(t - step, 0.5 * t), 1.0 - 1e-12)
+        if (np.abs(step) <= 1e-6 * t).all():
+            break
+    t *= 1.0 - 1e-10
+    for _ in range(60):
+        rows = p + t[:, None] * diff
+        outside = _divergence_rows(kind, rows, p) > epsilon
+        if not outside.any():
+            break
+        t = np.where(outside, 0.5 * t, t)
+    out[bad] = rows
     return out
 
 
@@ -221,7 +240,7 @@ def _tangent_walk(kind: DivergenceKind, Q: np.ndarray, z: np.ndarray,
         T = z[None, :] - alpha[:, None] * G - beta[:, None]
         norm = np.sqrt((T * T).sum(axis=1, keepdims=True))
         trial = _project_simplex_rows(Q + eta * T / np.maximum(norm, 1e-15))
-        trial = _shrink_to_ball_rows(kind, trial, p, epsilon, iters=14)
+        trial = _shrink_to_ball_rows(kind, trial, p, epsilon)
         trial_obj = trial @ z
         better = trial_obj > obj
         Q = np.where(better[:, None], trial, Q)
@@ -277,7 +296,7 @@ def dro_oracle(sample: LossSample, kind: DivergenceKind, epsilon: float) -> floa
         grids.append(_exp_tilt_candidates(z, p, np.array([g_hi])))
     grids.append(tilts)
 
-    Q = _shrink_to_ball_rows(kind, np.vstack(grids), p, epsilon, iters=40)
+    Q = _shrink_to_ball_rows(kind, np.vstack(grids), p, epsilon)
     obj = Q @ z
     best = float(obj.max())
 

@@ -106,6 +106,14 @@ class TestSplit:
 
 
 class TestLoggerTraining:
+    def test_spec_validation(self):
+        for fields in ({"l2": math.nan, "alpha": math.nan}, {"alpha": math.inf},
+                       {"alpha": math.nan}, {"alpha": 0.0}, {"l2": math.nan},
+                       {"l2": math.inf}, {"l2": -1e-4}):
+            with pytest.raises(ContractViolation):
+                LoggerSpec(**fields)
+        LoggerSpec(l2=0.0)
+
     def test_always_on_label(self):
         X = np.array([[1.0, 1.0]])
         Y = np.array([[1.0]])

@@ -49,16 +49,14 @@ class TestConfigFile:
             "logger_l2": "0.01", "logger_alpha": "0.7", "logger_max_iters": "50",
             "grid_poem": "0.1", "grid_klcrm": "1,2", "grid_aklcrm": "0.5",
             "optim_memory": "4", "optim_max_iters": "9", "optim_grad_tol": "1e-5",
-            "optim_f_tol": "1e-8", "add_bias": "no",
-            "freeze_weights": "0", "warm_start": "yes", "out_dir": "o",
+            "optim_f_tol": "1e-8", "add_bias": "no", "warm_start": "yes", "out_dir": "o",
             "threads": "2", "save_params": "False"}
         cfg = build_experiment_config(values)
         assert (cfg.test_dataset, cfg.test_frac, cfg.seeds, cfg.valid_delta) == (
             "b.svm", 0.3, (1, 2), 2)
         assert (cfg.logger.alpha, cfg.optim.memory, cfg.optim.max_iters) == (0.7, 4, 9)
         assert list(cfg.grids["klcrm"]) == [1.0, 2.0]
-        assert (cfg.add_bias, cfg.freeze_weights, cfg.warm_start, cfg.save_params) == (
-            False, False, True, False)
+        assert (cfg.add_bias, cfg.warm_start, cfg.save_params) == (False, True, False)
         assert (cfg.out_dir, cfg.threads) == ("o", 2)
 
     def test_readme_example_builds(self, tmp_path):
@@ -112,8 +110,7 @@ class TestConfigFile:
         with pytest.raises(DataFormatError, match="'optim_maxiters'"):
             build_experiment_config({"dataset": "a.svm", "optim_maxiters": "5"})
 
-    @pytest.mark.parametrize("key", ["add_bias", "freeze_weights", "warm_start",
-                                     "save_params"])
+    @pytest.mark.parametrize("key", ["add_bias", "warm_start", "save_params"])
     def test_unreadable_boolean_rejected(self, key):
         with pytest.raises(DataFormatError, match=f"'{key}'.*'ture'"):
             build_experiment_config({"dataset": "a.svm", key: "ture"})
@@ -231,6 +228,7 @@ class TestBadNumericInput:
         ("logger_frac = 0", "logger_frac must lie in (0, 1)"),
         ("test_frac = 1.0", "test_frac must lie in (0, 1)"),
         ("gamma_rule = bogus", "unknown config key"),
+        ("freeze_weights = 0", "unknown config key"),
         ("optim_maxiters = 5", "'optim_maxiters'"),
         ("add_bias = ture", "'add_bias'"),
         ("logger_l2 = nan", "'logger_l2'"),

@@ -11,6 +11,7 @@ from dro_crm import (BanditLog, ContractViolation, LoggerSpec, LossSample,
                      robust_risk_chi2, sample_losses, synthetic_multilabel,
                      train_logger)
 from dro_crm.bandit import SupervisedDataset
+from dro_crm.objectives import RULES
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
 
@@ -184,21 +185,6 @@ class TestKlCrm:
 
             assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
 
-    def test_full_softmax_gradient(self):
-        rng = np.random.default_rng(11)
-        for _ in range(15):
-            log, _ = sample_log(rng, n=8)
-            gamma = float(rng.uniform(0.5, 5.0))
-            theta = 0.3 * rng.normal(size=6)
-            report = kl_crm_objective(PolicyParams(theta.reshape(2, 3)), log,
-                                      gamma, freeze_weights=False)
-
-            def value(t):
-                return kl_crm_objective(PolicyParams(t.reshape(2, 3)), log,
-                                        gamma).risk
-
-            assert rel_err(report.gradient.ravel(), fd_gradient(value, theta)) < 1e-5
-
     def test_requires_positive_temperature(self):
         log = two_point_log()
         with pytest.raises(ContractViolation):
@@ -259,6 +245,51 @@ class TestAklCrm:
                 return float(s0 @ z)
 
             assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
+
+
+class TestWorstCaseWeights:
+    """Each rule's gradient is sum_i q_i dz_i/dtheta with q its reported
+    weights.  For cips and poem, whose q maximizes over a chi-square ball,
+    that is also the gradient of the risk, inside and outside the ball's
+    interior regime."""
+
+    EVALUATE = {"cips": lambda p, log, _: cips_risk(p, log), "poem": poem_objective,
+                "klcrm": kl_crm_objective, "aklcrm": akl_crm_objective}
+
+    def test_gradient_is_weighted_loss_gradient(self):
+        assert set(self.EVALUATE) == set(RULES)
+        rng = np.random.default_rng(23)
+        draw = {"cips": lambda: None, "poem": lambda: float(rng.uniform(0.05, 3.0)),
+                "klcrm": lambda: float(rng.uniform(0.2, 5.0)),
+                "aklcrm": lambda: float(rng.uniform(0.05, 1.0))}
+        poem_on_face = 0
+        for _ in range(20):
+            log, _ = sample_log(rng, n=8)
+            theta = 0.3 * rng.normal(size=6)
+            params = PolicyParams(theta.reshape(2, 3))
+            z, clipped = sample_losses(params, log)
+            assert not clipped.any()
+            for alg in RULES:
+                hyper = draw[alg]()
+                report = self.EVALUATE[alg](params, log, hyper)
+                q = report.weights
+
+                def weighted(t, q=q):
+                    return float(q @ sample_losses(PolicyParams(t.reshape(2, 3)), log)[0])
+
+                g = report.gradient.ravel()
+                assert rel_err(g, fd_gradient(weighted, theta)) < 1e-5, alg
+                if alg in ("cips", "poem"):
+                    def value(t, alg=alg, hyper=hyper):
+                        return self.EVALUATE[alg](PolicyParams(t.reshape(2, 3)), log, hyper).risk
+
+                    assert rel_err(g, fd_gradient(value, theta)) < 1e-5, alg
+                if alg == "poem":
+                    sol = robust_risk_chi2(LossSample(z), hyper * hyper / log.n)
+                    assert np.array_equal(q, sol.worst_case_weights)
+                    assert q.sum() == pytest.approx(1.0, abs=1e-12)
+                    poem_on_face += bool(np.any(q == 0.0))
+        assert 0 < poem_on_face < 20  # both chi-square regimes were exercised
 
 
 class TestObjectiveProperties:
@@ -352,13 +383,12 @@ class TestReplayLayoutEquivalence:
         else:
             if rule == "aklcrm":
                 gamma = np.sqrt(((z - z.mean()) ** 2).sum() / (2.0 * 0.05))
-                frozen = True
             else:
-                gamma, frozen = 0.3, rule == "klcrm_frozen"
+                gamma = 0.3
             s = np.exp((z - z.max()) / gamma)
             s /= s.sum()
             risk = s @ z
-            coeff = s * dz if frozen else s * (1.0 + (z - risk) / gamma) * dz
+            coeff = s * dz
         grad = (coeff[:, None] * (log.Y - sig)).T @ X_tiled
         return float(risk), grad
 
@@ -371,8 +401,7 @@ class TestReplayLayoutEquivalence:
         evaluators = {
             "cips": lambda p: cips_risk(p, log),
             "poem": lambda p: poem_objective(p, log, 0.4),
-            "klcrm_frozen": lambda p: kl_crm_objective(p, log, 0.3),
-            "klcrm_full": lambda p: kl_crm_objective(p, log, 0.3, freeze_weights=False),
+            "klcrm": lambda p: kl_crm_objective(p, log, 0.3),
             "aklcrm": lambda p: akl_crm_objective(p, log, 0.05),
         }
         rng = np.random.default_rng(22)

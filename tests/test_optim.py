@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,8 +110,13 @@ class TestMinimize:
             assert gap <= 1e-10 * max(1.0, abs(f_star))
 
     def test_config_validation(self):
-        with pytest.raises(ContractViolation):
-            OptimConfig(grad_tol=0.0)
+        for fields in ({"grad_tol": 0.0}, {"grad_tol": math.nan, "f_tol": math.inf},
+                       {"grad_tol": math.nan}, {"f_tol": math.inf}, {"f_tol": -1e-9},
+                       {"box_bound": math.nan}, {"box_bound": math.inf},
+                       {"box_bound": 0.0}):
+            with pytest.raises(ContractViolation):
+                OptimConfig(**fields)
+        OptimConfig(box_bound=None)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ContractViolation):
