@@ -3,12 +3,9 @@ chi-square and Kullback-Leibler distributionally robust objectives."""
 
 __version__ = "0.1.0"
 
-from .divergence import (DivergenceKind, DualSolution, FixedPointResult,
-                         GammaApprox, LossSample, boltzmann_weights,
-                         chi2_quantile_1dof, chi2_radius, divergence,
-                         gamma_star_approx, kl_gamma_fixed_point,
-                         phi_conjugate, phi_value, robust_risk_chi2,
-                         robust_risk_kl_dual, robust_risk_kl_fixed_gamma)
+from .divergence import (DualSolution, GammaApprox, LossSample,
+                         boltzmann_weights, gamma_star_approx,
+                         robust_risk_chi2)
 from .errors import ContractViolation, DataFormatError
 from .objectives import (BanditLog, CostScaling, RiskReport,
                          akl_crm_objective, cips_risk, ips_risk,

@@ -234,7 +234,7 @@ def train_logger(subset: SupervisedDataset, spec: LoggerSpec) -> PolicyParams:
         G = (sigmoid(U) - Y).T @ X / m + spec.l2 * W
         return f, G.ravel()
 
-    cfg = OptimConfig(max_iters=spec.max_iters, grad_tol=1e-8, box_bound=None)
+    cfg = OptimConfig(max_iters=spec.max_iters, grad_tol=1e-8)
     theta, _ = minimize(fun, np.zeros(q * d), cfg)
     return PolicyParams(spec.alpha * theta.reshape(q, d))
 

@@ -28,6 +28,7 @@ surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -198,12 +199,14 @@ RULES: Dict[str, Tuple[str, Callable[..., DualSolution]]] = {
 
 
 def _rule(algorithm: str, hyper: Optional[float]):
-    """The algorithm's rule, checked to have the hyper-parameter it needs."""
+    """The algorithm's rule, checked to have the finite hyper-parameter it needs."""
     if algorithm not in RULES:
         raise ContractViolation(f"unknown algorithm {algorithm!r}")
     name, rule = RULES[algorithm]
     if name and hyper is None:
         raise ContractViolation(f"{algorithm} needs its {name}")
+    if name and not math.isfinite(hyper):
+        raise ContractViolation(f"{name} must be finite, got {hyper}")
     return rule
 
 

@@ -29,13 +29,10 @@ class OptimConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6          # infinity norm of the gradient
     f_tol: float = 1e-9             # relative decrease between accepted iterates
-    box_bound: Optional[float] = 1e3  # infinity-norm box, None disables
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
             raise ContractViolation("tolerances must be positive and finite")
-        if self.box_bound is not None and not 0.0 < self.box_bound < math.inf:
-            raise ContractViolation("box_bound must be positive and finite, or None")
         if self.memory < 1 or self.max_iters < 1:
             raise ContractViolation("memory and max_iters must be positive")
 
@@ -186,19 +183,6 @@ def minimize(fun: Objective, x0: np.ndarray,
             break
 
         alpha, f_new, g_new, x_new = result
-        if cfg.box_bound is not None:
-            clipped = np.clip(x_new, -cfg.box_bound, cfg.box_bound)
-            if not np.array_equal(clipped, x_new):
-                x_new = clipped
-                try:
-                    f_new, g_new = evaluate(x_new)
-                except _NanObjective:
-                    trace.termination = "nan_objective"
-                    break
-                if f_new > f:  # projection undid the decrease; keep the old point
-                    trace.termination = "box_projection_stalled"
-                    break
-
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)

@@ -1,54 +1,12 @@
-"""Scalar special functions used by the risk evaluators and the benchmark stats.
+"""Scalar special functions for the benchmark's paired t-test.
 
-Self-contained double-precision routines: the standard-normal quantile (rational
-approximation polished by one Halley step), the regularized incomplete beta
-function (Lentz continued fraction), and the Student-t upper tail built on it.
+Self-contained double-precision routines: the regularized incomplete beta
+function (Lentz continued fraction) and the Student-t upper tail built on it.
 """
 
 import math
 
 from .errors import ContractViolation
-
-# Acklam's rational approximation coefficients for the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_P_LOW = 0.02425
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to a few ulp for p in (0, 1).
-
-    A rational approximation supplies the initial value (relative error below
-    1.2e-9 on its own); one Halley refinement against erfc pushes it to near
-    machine precision.
-    """
-    if not 0.0 < p < 1.0:
-        raise ContractViolation(f"normal_quantile requires 0 < p < 1, got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Halley step on F(x) = Phi(x) - p with Phi via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

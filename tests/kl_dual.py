@@ -1,0 +1,141 @@
+"""The 1-d dual of the Kullback-Leibler worst case and the fixed-point
+temperature iteration, as references for the package's KL rules.
+
+Acceptance criteria 2-4 compare against these: the dual's risk against the
+brute-force maximizer in `oracle.py`, the fixed point's temperature against
+the dual's, and the `gamma_star_approx` temperature rule against the dual's
+minimizer.  The oracle must not import this module, or criterion 2 would
+check the dual against itself.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from dro_crm.divergence import (DualSolution, LossSample, _effectively_constant,
+                                boltzmann_weights)
+from dro_crm.errors import ContractViolation
+
+
+@dataclass(frozen=True)
+class KlDualSolution(DualSolution):
+    """`DualSolution` of the KL dual.  `saturated` marks a radius large enough
+    that the solution sits at the max-loss vertex (or the temperature bracket
+    boundary)."""
+
+    saturated: bool = False
+
+
+class FixedPointResult(NamedTuple):
+    gamma: float
+    converged: bool
+    fell_back: bool
+    iterations: int
+
+
+def _kl_dual_value(sample: LossSample, epsilon: float, gamma: float) -> float:
+    a = sample.values / gamma
+    m = a.max()
+    lse = m + math.log(float(sample.base_weights @ np.exp(a - m)))
+    return gamma * epsilon + gamma * lse
+
+
+def _kl_dual_deriv(sample: LossSample, epsilon: float, gamma: float) -> float:
+    """Derivative in gamma of gamma*eps + gamma*log sum p exp(z/gamma)."""
+    a = sample.values / gamma
+    m = a.max()
+    e = sample.base_weights * np.exp(a - m)
+    total = float(e.sum())
+    lse = m + math.log(total)
+    tilted_mean = float(e @ sample.values) / total
+    return epsilon + lse - tilted_mean / gamma
+
+
+def _argmax_limit_weights(sample: LossSample) -> np.ndarray:
+    """Zero-temperature limit of the tilted weights: base mass renormalized on
+    the set of maximal losses."""
+    z = sample.values
+    top = z >= z.max() - 1e-15 * max(1.0, abs(z.max()))
+    q = np.where(top, sample.base_weights, 0.0)
+    return q / q.sum()
+
+
+def robust_risk_kl_dual(sample: LossSample, epsilon: float) -> KlDualSolution:
+    """Worst-case mean over the KL ball of radius epsilon via the 1-d dual.
+
+    The dual objective gamma*eps + gamma*log sum_i p_i exp(z_i/gamma) is convex
+    in gamma; its minimizer is bracketed in [1e-6, 1e6] * range(z) and located
+    by bisection on the derivative to 1e-10 relative width.  A radius so large
+    that the supremum sits at the max-loss vertex (minimizer below the bracket)
+    returns that vertex solution flagged `saturated`; a minimizer above the
+    bracket returns the ceiling evaluation, also flagged.
+    """
+    if epsilon <= 0.0:
+        raise ContractViolation("epsilon must be positive")
+    z = sample.values
+    p = sample.base_weights
+    spread = float(z.max() - z.min())
+    if _effectively_constant(z):
+        return KlDualSolution(sample.mean(), None, p.copy(), degenerate=True)
+
+    lo, hi = 1e-6 * spread, 1e6 * spread
+    if _kl_dual_deriv(sample, epsilon, lo) >= 0.0:
+        # Increasing already at the floor: the ball covers the max-loss vertex.
+        return KlDualSolution(float(z.max()), lo, _argmax_limit_weights(sample),
+                              saturated=True)
+    if _kl_dual_deriv(sample, epsilon, hi) <= 0.0:
+        risk = _kl_dual_value(sample, epsilon, hi)
+        return KlDualSolution(risk, hi, boltzmann_weights(sample, hi), saturated=True)
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _kl_dual_deriv(sample, epsilon, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-10 * hi:
+            break
+    gamma = 0.5 * (lo + hi)
+    risk = _kl_dual_value(sample, epsilon, gamma)
+    return KlDualSolution(risk, gamma, boltzmann_weights(sample, gamma))
+
+
+def kl_gamma_fixed_point(sample: LossSample, epsilon: float,
+                         gamma0: float) -> FixedPointResult:
+    """Temperature found by iterating gamma <- tilted_mean / (eps + log-mean-exp).
+
+    The iteration's fixed points are the stationary temperatures of the KL
+    dual.  It is iterated to 1e-8 relative tolerance or 200 steps; when it
+    leaves (0, inf), collapses toward the spurious root at 0, or fails to
+    settle, the bisection minimizer is returned with `fell_back` set.
+    """
+    if epsilon <= 0.0:
+        raise ContractViolation("epsilon must be positive")
+    if gamma0 <= 0.0:
+        raise ContractViolation("gamma0 must be positive")
+    z = sample.values
+    spread = float(z.max() - z.min())
+    if _effectively_constant(z):
+        raise ContractViolation("losses must be non-constant")
+
+    gamma = float(gamma0)
+    lo_guard, hi_guard = 1e-9 * spread, 1e9 * spread
+    for k in range(1, 201):
+        a = z / gamma
+        m = a.max()
+        e = sample.base_weights * np.exp(a - m)
+        total = float(e.sum())
+        tilted_mean = float(e @ z) / total
+        denom = epsilon + m + math.log(total)
+        if denom == 0.0 or not math.isfinite(denom):
+            break
+        step = tilted_mean / denom
+        if not math.isfinite(step) or step <= lo_guard or step >= hi_guard:
+            break
+        if abs(step - gamma) <= 1e-8 * abs(step):
+            return FixedPointResult(step, True, False, k)
+        gamma = step
+    fallback = robust_risk_kl_dual(sample, epsilon)
+    return FixedPointResult(float(fallback.gamma), False, True, 200)

@@ -1,20 +1,28 @@
 """Brute-force worst-case risk over a divergence ball, for verifying the
-closed forms and the dual in `dro_crm.divergence` at small n.
+chi-square closed form in `dro_crm.divergence` and the KL dual in
+`kl_dual.py` at small n.
 
 `dro_oracle` shares no code with what it checks: it imports only the sample
-type, the divergence kind and the error class from the package, and computes
-divergences, projections and ascent steps itself.  `enumerate_actions` lists
-every action of a small label space for exhaustive checks of the policy.
+type and the error class from the package, and computes divergences
+(`divergence_rows`), projections and ascent steps itself.
+`enumerate_actions` lists every action of a small label space for
+exhaustive checks of the policy.
 """
 
 import math
+from enum import Enum
 from itertools import product
 from typing import Iterator
 
 import numpy as np
 
-from dro_crm.divergence import DivergenceKind, LossSample
+from dro_crm.divergence import LossSample
 from dro_crm.errors import ContractViolation
+
+
+class DivergenceKind(Enum):
+    CHI_SQUARE = "chi_square"
+    KULLBACK_LEIBLER = "kullback_leibler"
 
 
 def enumerate_actions(n_labels: int) -> Iterator[np.ndarray]:
@@ -25,7 +33,7 @@ def enumerate_actions(n_labels: int) -> Iterator[np.ndarray]:
         yield np.array(bits, dtype=np.int8)
 
 
-def _divergence_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+def divergence_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row-wise D(q || p) for strictly positive p (vectorized, 0*log 0 := 0)."""
     if kind is DivergenceKind.CHI_SQUARE:
         return ((Q - p) ** 2 / p).sum(axis=1)
@@ -56,10 +64,10 @@ def _shrink_to_ball_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray,
     Newton's method on sqrt(f) = sqrt(eps) starts where the model crosses,
     never more than halves t in one step, and stops once the steps fall
     below 1e-6 t.  The result is pulled back toward p by a relative 1e-10
-    and checked with `_divergence_rows`; a row still outside the ball is
+    and checked with `divergence_rows`; a row still outside the ball is
     halved toward p until it is inside (at most 60 times, which leaves it at
     p to rounding)."""
-    d = _divergence_rows(kind, Q, p)
+    d = divergence_rows(kind, Q, p)
     bad = d > epsilon
     if not bad.any():
         return Q
@@ -85,7 +93,7 @@ def _shrink_to_ball_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray,
     t *= 1.0 - 1e-10
     for _ in range(60):
         rows = p + t[:, None] * diff
-        outside = _divergence_rows(kind, rows, p) > epsilon
+        outside = divergence_rows(kind, rows, p) > epsilon
         if not outside.any():
             break
         t = np.where(outside, 0.5 * t, t)
@@ -103,15 +111,15 @@ def _push_to_boundary_rows(kind: DivergenceKind, Q: np.ndarray, p: np.ndarray,
     t_cap = np.minimum(caps.min(axis=1), 1e6)
     t_cap = np.maximum(t_cap, 1.0)
     if kind is DivergenceKind.CHI_SQUARE:
-        d = _divergence_rows(kind, Q, p)
+        d = divergence_rows(kind, Q, p)
         t_ball = np.where(d > 0.0, np.sqrt(epsilon / np.maximum(d, 1e-300)), t_cap)
         return np.maximum(p + np.maximum(np.minimum(t_ball, t_cap), 1.0)[:, None] * diff, 0.0)
-    at_cap = _divergence_rows(kind, p + t_cap[:, None] * diff, p) <= epsilon
+    at_cap = divergence_rows(kind, p + t_cap[:, None] * diff, p) <= epsilon
     hi = t_cap
     lo = np.where(at_cap, t_cap, 1.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = _divergence_rows(kind, p + mid[:, None] * diff, p) <= epsilon
+        inside = divergence_rows(kind, p + mid[:, None] * diff, p) <= epsilon
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return np.maximum(p + lo[:, None] * diff, 0.0)
@@ -125,12 +133,12 @@ def _ray_max_feasible_rows(kind: DivergenceKind, base: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         caps = np.where(direction < 0.0, base / -direction, np.inf)
     t_cap = np.where(np.isfinite(caps.min(axis=1)), caps.min(axis=1), 1.0)
-    at_cap = _divergence_rows(kind, base + t_cap[:, None] * direction, p) <= epsilon
+    at_cap = divergence_rows(kind, base + t_cap[:, None] * direction, p) <= epsilon
     hi = t_cap
     lo = np.where(at_cap, t_cap, 0.0)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        inside = _divergence_rows(kind, base + mid[:, None] * direction, p) <= epsilon
+        inside = divergence_rows(kind, base + mid[:, None] * direction, p) <= epsilon
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     return np.maximum(base + lo[:, None] * direction, 0.0)
@@ -156,7 +164,7 @@ def _face_line_candidates(kind: DivergenceKind, z: np.ndarray, p: np.ndarray,
         bases[k - 1] = base
         norm = np.abs(d).max()
         dirs[k - 1] = d / norm if norm > 0 else d
-    feasible = _divergence_rows(kind, bases, p) <= epsilon
+    feasible = divergence_rows(kind, bases, p) <= epsilon
     bases, dirs = bases[feasible], dirs[feasible]
     if bases.shape[0] == 0:
         return p[None, :]
@@ -176,7 +184,7 @@ def _pairwise_polish(kind: DivergenceKind, q: np.ndarray, z: np.ndarray,
     q = q.copy()
     for _ in range(3):
         improved = False
-        slack = epsilon - _divergence_rows(kind, q[None, :], p)[0]
+        slack = epsilon - divergence_rows(kind, q[None, :], p)[0]
         g = _divergence_grad_rows(kind, q[None, :], p)[0]
         for i in order[::-1]:
             for j in order:
@@ -190,7 +198,7 @@ def _pairwise_polish(kind: DivergenceKind, q: np.ndarray, z: np.ndarray,
                 trial = q.copy()
                 trial[i] += hi
                 trial[j] -= hi
-                if _divergence_rows(kind, trial[None, :], p)[0] <= epsilon:
+                if divergence_rows(kind, trial[None, :], p)[0] <= epsilon:
                     lo = hi
                 else:
                     for _ in range(40):
@@ -198,7 +206,7 @@ def _pairwise_polish(kind: DivergenceKind, q: np.ndarray, z: np.ndarray,
                         trial = q.copy()
                         trial[i] += mid
                         trial[j] -= mid
-                        if _divergence_rows(kind, trial[None, :], p)[0] <= epsilon:
+                        if divergence_rows(kind, trial[None, :], p)[0] <= epsilon:
                             lo = mid
                         else:
                             hi = mid
@@ -280,7 +288,7 @@ def dro_oracle(sample: LossSample, kind: DivergenceKind, epsilon: float) -> floa
     spread = max(float(z.max() - z.min()), 1e-12)
     coarse = spread * 10.0 ** np.linspace(-3.0, 3.0, 40)
     tilts = _exp_tilt_candidates(z, p, coarse)
-    feas = _divergence_rows(kind, tilts, p) <= epsilon
+    feas = divergence_rows(kind, tilts, p) <= epsilon
     if feas.any() and not feas.all():
         # the sharpest feasible tilt sits at the feasibility threshold of the
         # temperature; locate it by bisection on primal feasibility
@@ -288,7 +296,7 @@ def dro_oracle(sample: LossSample, kind: DivergenceKind, epsilon: float) -> floa
         g_lo, g_hi = coarse[i - 1], coarse[i]
         for _ in range(80):
             g_mid = math.sqrt(g_lo * g_hi)
-            if _divergence_rows(kind, _exp_tilt_candidates(z, p, np.array([g_mid])),
+            if divergence_rows(kind, _exp_tilt_candidates(z, p, np.array([g_mid])),
                                 p)[0] <= epsilon:
                 g_hi = g_mid
             else:

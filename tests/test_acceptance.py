@@ -14,15 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from dro_crm import (DivergenceKind, ExperimentConfig, LossSample,
-                     PolicyParams, akl_crm_objective, cips_risk,
-                     gamma_star_approx, kl_crm_objective, kl_gamma_fixed_point,
-                     paired_t_test_one_tailed, poem_objective,
-                     robust_risk_chi2, robust_risk_kl_dual, run_experiment,
+from dro_crm import (ExperimentConfig, LossSample, PolicyParams,
+                     akl_crm_objective, cips_risk, gamma_star_approx,
+                     kl_crm_objective, paired_t_test_one_tailed,
+                     poem_objective, robust_risk_chi2, run_experiment,
                      sample_losses, save_multilabel_svmlight,
                      synthetic_multilabel)
 from dro_crm.bench import default_grids
-from oracle import dro_oracle
+from kl_dual import kl_gamma_fixed_point, robust_risk_kl_dual
+from oracle import DivergenceKind, dro_oracle
 from toy_logs import sample_log
 
 CHI = DivergenceKind.CHI_SQUARE

@@ -70,6 +70,14 @@ class TestConfigFile:
         cfg = build_experiment_config(values)
         assert cfg.dataset == values["dataset"] and cfg.threads == int(values["threads"])
 
+    def test_readme_library_example_runs(self, capsys):
+        with open(README, encoding="utf-8") as fh:
+            blocks = fh.read().split("```")[1::2]
+        example = [b for b in blocks if b.startswith("python\n")]
+        assert len(example) == 1
+        exec(compile(example[0].removeprefix("python\n"), "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "0.2"
+
     def test_run_meta_echoes_every_key(self, tmp_path, synth_path):
         cfg_file = tmp_path / "exp.cfg"
         out = tmp_path / "out"

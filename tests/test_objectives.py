@@ -334,6 +334,18 @@ class TestObjectiveProperties:
         with pytest.raises(ContractViolation):
             make_objective("nope", log, 0.1)
 
+    @pytest.mark.parametrize("algorithm", [alg for alg, (name, _) in RULES.items() if name])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hyper_rejected(self, algorithm, value):
+        objective = {"poem": poem_objective, "klcrm": kl_crm_objective,
+                     "aklcrm": akl_crm_objective}[algorithm]
+        log, _ = sample_log(np.random.default_rng(17))
+        message = f"^{RULES[algorithm][0]} must be finite"
+        with pytest.raises(ContractViolation, match=message):
+            objective(PolicyParams.zeros(2, 3), log, value)
+        with pytest.raises(ContractViolation, match=message):
+            make_objective(algorithm, log, value)
+
     def test_record_validation(self):
         for propensity in (0.0, 1.5):
             with pytest.raises(ContractViolation), np.errstate(divide="ignore"):

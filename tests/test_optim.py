@@ -73,11 +73,6 @@ class TestMinimize:
         _, trace = minimize(bad, np.array([1.0]))
         assert trace.termination == "nan_objective"
 
-    def test_box_projection(self):
-        center = np.array([50.0, -50.0])
-        x, _ = minimize(quadratic(center), np.zeros(2), OptimConfig(box_bound=10.0))
-        assert np.all(np.abs(x) <= 10.0 + 1e-12)
-
     def test_max_iters_termination(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
                             OptimConfig(max_iters=2, f_tol=1e-30))
@@ -105,18 +100,15 @@ class TestMinimize:
 
             x, _ = minimize(fun, rng.normal(size=dim) * 5.0,
                             OptimConfig(max_iters=2000, grad_tol=1e-9,
-                                        f_tol=1e-16, box_bound=None))
+                                        f_tol=1e-16))
             gap = fun(x)[0] - f_star
             assert gap <= 1e-10 * max(1.0, abs(f_star))
 
     def test_config_validation(self):
         for fields in ({"grad_tol": 0.0}, {"grad_tol": math.nan, "f_tol": math.inf},
-                       {"grad_tol": math.nan}, {"f_tol": math.inf}, {"f_tol": -1e-9},
-                       {"box_bound": math.nan}, {"box_bound": math.inf},
-                       {"box_bound": 0.0}):
+                       {"grad_tol": math.nan}, {"f_tol": math.inf}, {"f_tol": -1e-9}):
             with pytest.raises(ContractViolation):
                 OptimConfig(**fields)
-        OptimConfig(box_bound=None)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ContractViolation):
