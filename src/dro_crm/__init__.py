@@ -13,7 +13,7 @@ from .objectives import (BanditLog, CostScaling, RiskReport,
                          sample_losses)
 from .optim import IterRecord, OptimConfig, OptimTrace, minimize
 from .policy import PolicyParams
-from .bandit import (LoggerSpec, SplitSpec, SupervisedDataset, append_bias,
+from .bandit import (SupervisedDataset, append_bias,
                      compute_clip_constant, evaluate_policy,
                      generate_bandit_log, ips_validation_score,
                      load_bandit_log, load_multilabel_svmlight,
@@ -23,4 +23,8 @@ from .bench import (ALGORITHMS, ExperimentConfig, ResultRow, TTestResult,
                     default_grids, emit_results, paired_t_test_one_tailed,
                     replay_sweep, run_experiment, run_single)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The API names; the submodules imported above are attributes too, not exports.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -64,35 +64,13 @@ class SupervisedDataset:
         return SupervisedDataset(self.X[idx], self.Y[idx], self.has_bias, self.label_base)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.75
-    valid_frac: float = 0.25
-    logger_frac: float = 0.05
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("train_frac", "valid_frac", "logger_frac"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ContractViolation(f"{name} must lie in (0, 1)")
-        if abs(self.train_frac + self.valid_frac - 1.0) > 1e-9:
-            raise ContractViolation("train and valid fractions must sum to 1")
-        if self.seed < 0:
-            raise ContractViolation(f"seed must be non-negative, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class LoggerSpec:
-    l2: float = 1e-4           # L2 strength of the maximum-likelihood fit
-    alpha: float = 0.5         # sharpness multiplier applied to the fitted weights
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.inf:
-            raise ContractViolation(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 <= self.l2 < math.inf:
-            raise ContractViolation(f"l2 must be nonnegative and finite, got {self.l2}")
+# The protocol: train/validation split, the share of train the logging policy
+# is fitted on, and the multiplier that softens it (the skyline uses 1).
+TRAIN_FRAC = 0.75
+LOGGER_FRAC = 0.05
+LOGGER_ALPHA = 0.5
+_LOGGER_L2 = 1e-4          # L2 strength of the maximum-likelihood fit
+_LOGGER_MAX_ITERS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +184,25 @@ def append_bias(ds: SupervisedDataset) -> SupervisedDataset:
 # Splitting, logger training, log generation
 # ---------------------------------------------------------------------------
 
-def split_dataset(ds: SupervisedDataset, spec: SplitSpec
+def split_dataset(ds: SupervisedDataset, seed: int
                   ) -> Tuple[SupervisedDataset, SupervisedDataset, SupervisedDataset]:
-    """Deterministic shuffle by seed into (train, valid, logger_subset); the
-    logger subset is the leading ceil(logger_frac * |train|) of train."""
-    perm = np.random.default_rng(spec.seed).permutation(ds.n_examples)
-    n_train = int(spec.train_frac * ds.n_examples)
+    """Deterministic shuffle by seed into (train: the leading TRAIN_FRAC, valid,
+    logger_subset: the leading ceil(LOGGER_FRAC * |train|) of train)."""
+    if seed < 0:
+        raise ContractViolation(f"seed must be non-negative, got {seed}")
+    perm = np.random.default_rng(seed).permutation(ds.n_examples)
+    n_train = int(TRAIN_FRAC * ds.n_examples)
     train_idx, valid_idx = perm[:n_train], perm[n_train:]
-    n_logger = max(1, math.ceil(spec.logger_frac * n_train))
+    n_logger = max(1, math.ceil(LOGGER_FRAC * n_train))
     return ds.subset(train_idx), ds.subset(valid_idx), ds.subset(train_idx[:n_logger])
 
 
-def train_logger(subset: SupervisedDataset, spec: LoggerSpec) -> PolicyParams:
+def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> PolicyParams:
     """Fit the factorized exponential policy by L2-regularized maximum
     likelihood (q independent logistic fits, run jointly), then multiply the
-    weights by alpha to keep the logger stochastic."""
+    weights by alpha (below 1 keeps the logger stochastic)."""
+    if not 0.0 < alpha < math.inf:
+        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
     if subset.n_examples < 1:
         raise ContractViolation("logger subset must be non-empty")
     X, Y = subset.X, subset.Y
@@ -230,13 +212,13 @@ def train_logger(subset: SupervisedDataset, spec: LoggerSpec) -> PolicyParams:
     def fun(theta_flat):
         W = theta_flat.reshape(q, d)
         U = X @ W.T
-        f = float(np.sum(log1p_exp(U) - Y * U)) / m + 0.5 * spec.l2 * float(theta_flat @ theta_flat)
-        G = (sigmoid(U) - Y).T @ X / m + spec.l2 * W
+        f = float(np.sum(log1p_exp(U) - Y * U)) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
+        G = (sigmoid(U) - Y).T @ X / m + _LOGGER_L2 * W
         return f, G.ravel()
 
-    cfg = OptimConfig(max_iters=spec.max_iters, grad_tol=1e-8)
+    cfg = OptimConfig(max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
     theta, _ = minimize(fun, np.zeros(q * d), cfg)
-    return PolicyParams(spec.alpha * theta.reshape(q, d))
+    return PolicyParams(alpha * theta.reshape(q, d))
 
 
 def compute_clip_constant(propensities: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bandit import (LoggerSpec, SplitSpec, SupervisedDataset, append_bias,
+from .bandit import (SupervisedDataset, append_bias,
                      evaluate_policy, generate_bandit_log, ips_validation_score,
                      load_multilabel_svmlight, split_dataset, train_logger)
 from .errors import ContractViolation
@@ -38,6 +38,7 @@ from .special import student_t_sf
 ALGORITHMS = tuple(RULES)
 
 _VALID_LOG_STREAM = 1  # train logs use stream 0
+_TEST_FRAC = 0.25      # carved from the dataset when there is no test file
 
 
 def default_grids() -> Dict[str, np.ndarray]:
@@ -54,37 +55,23 @@ def default_grids() -> Dict[str, np.ndarray]:
 class ExperimentConfig:
     dataset: str
     test_dataset: Optional[str] = None
-    test_frac: float = 0.25               # used only when test_dataset is None
     algorithms: Tuple[str, ...] = ALGORITHMS
     seeds: Tuple[int, ...] = tuple(range(20))
-    delta: int = 4
-    valid_delta: Optional[int] = None     # defaults to delta
-    train_frac: float = 0.75
-    logger_frac: float = 0.05
-    logger: LoggerSpec = field(default_factory=LoggerSpec)
+    delta: int = 4                        # replays of the train and validation logs
     grids: Dict[str, Sequence[float]] = field(default_factory=default_grids)
-    optim: OptimConfig = field(default_factory=OptimConfig)
-    add_bias: bool = True
-    warm_start: bool = False      # start each fit from the logger's weights
+    optim_max_iters: int = 500
     out_dir: str = "bench_out"
     threads: Optional[int] = None         # pool workers; defaults to the CPU count
-    save_params: bool = True
 
     def __post_init__(self):
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractViolation("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ContractViolation(f"seeds must be non-negative, got {min(self.seeds)}")
-        for name in ("delta", "valid_delta", "threads"):
+        for name in ("delta", "optim_max_iters", "threads"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractViolation(f"{name} must be at least 1, got {value}")
-        fractions = ("train_frac", "logger_frac") + (
-            ("test_frac",) if self.test_dataset is None else ())
-        for name in fractions:
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ContractViolation(f"{name} must lie in (0, 1), got {value}")
         for alg, grid in self.grids.items():
             # poem's penalty may be zero; a temperature or a radius may not
             bad = [v for v in grid if not (v >= 0.0 if alg == "poem" else v > 0.0)]
@@ -136,10 +123,10 @@ def _pad_columns(ds: SupervisedDataset, d: int, q: int) -> SupervisedDataset:
 
 def _load_pools(cfg: ExperimentConfig, seed: int
                 ) -> Tuple[SupervisedDataset, SupervisedDataset]:
-    """(non-test pool, test set).  Without a test file, a test fraction is
-    carved from the file deterministically per seed before the 75/25 split.
-    A separate test file is parsed with the pool's label convention and both
-    are padded to common feature/label dimensions."""
+    """(non-test pool, test set), both with a bias column.  Without a test file,
+    _TEST_FRAC of the file is carved out deterministically per seed.  A test
+    file is parsed with the pool's label convention and both are padded to
+    common feature/label dimensions."""
     full = load_multilabel_svmlight(cfg.dataset, add_bias=False)
     if cfg.test_dataset is not None:
         test = load_multilabel_svmlight(cfg.test_dataset, add_bias=False,
@@ -149,11 +136,9 @@ def _load_pools(cfg: ExperimentConfig, seed: int
         full, test = _pad_columns(full, d, q), _pad_columns(test, d, q)
     else:
         perm = np.random.default_rng((seed, 0xD5)).permutation(full.n_examples)
-        n_test = int(cfg.test_frac * full.n_examples)
+        n_test = int(_TEST_FRAC * full.n_examples)
         full, test = full.subset(perm[n_test:]), full.subset(perm[:n_test])
-    if cfg.add_bias:
-        full, test = append_bias(full), append_bias(test)
-    return full, test
+    return append_bias(full), append_bias(test)
 
 
 def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
@@ -172,12 +157,10 @@ def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
 
 def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
     pool, test = _load_pools(cfg, seed)
-    split = SplitSpec(cfg.train_frac, 1.0 - cfg.train_frac, cfg.logger_frac, seed)
-    train, valid, logger_subset = split_dataset(pool, split)
+    train, valid, logger_subset = split_dataset(pool, seed)
 
-    logger = train_logger(logger_subset, cfg.logger)
-    skyline = train_logger(train, LoggerSpec(l2=cfg.logger.l2, alpha=1.0,
-                                             max_iters=cfg.logger.max_iters))
+    logger = train_logger(logger_subset)
+    skyline = train_logger(train, alpha=1.0)
     if algorithm == "baseline":
         return ResultRow(
             dataset=cfg.dataset, algorithm=algorithm, seed=seed, delta=cfg.delta,
@@ -190,16 +173,16 @@ def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> Resul
             grid_scores=(), status="baseline")
 
     train_log = generate_bandit_log(logger, train, cfg.delta, seed, stream=0)
-    valid_log = generate_bandit_log(logger, valid, cfg.valid_delta or cfg.delta,
-                                    seed, stream=_VALID_LOG_STREAM)
+    valid_log = generate_bandit_log(logger, valid, cfg.delta, seed,
+                                    stream=_VALID_LOG_STREAM)
 
     grid = [None] if algorithm == "cips" else [float(h) for h in cfg.grids[algorithm]]
     candidates: List[PolicyParams] = []
     scores: List[float] = []
     for hyper in grid:
         fun, shape = make_objective(algorithm, train_log, hyper)
-        theta0 = logger.weights.ravel() if cfg.warm_start else np.zeros(shape[0] * shape[1])
-        theta, _ = minimize(fun, theta0, cfg.optim)
+        theta, _ = minimize(fun, np.zeros(shape[0] * shape[1]),
+                            OptimConfig(max_iters=cfg.optim_max_iters))
         params = PolicyParams(theta.reshape(shape))
         candidates.append(params)
         scores.append(ips_validation_score(params, valid_log))

@@ -3,8 +3,7 @@
 Configuration comes from a flat `key = value` text file in the format of
 `CONFIG_KEYS`.  Unknown or repeated keys, values that do not parse and
 non-finite numbers are errors; CLI flags override file values.  Lists are comma
-separated; integer ranges accept "a..b" (inclusive); booleans are true/false,
-1/0 or yes/no.
+separated; integer ranges accept "a..b" (inclusive).
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
-from .bandit import (LoggerSpec, generate_bandit_log, load_multilabel_svmlight,
-                     save_bandit_log, split_dataset, SplitSpec, train_logger,
+from .bandit import (generate_bandit_log, load_multilabel_svmlight,
+                     save_bandit_log, split_dataset, train_logger,
                      evaluate_policy)
 from .bench import (ExperimentConfig, default_grids, emit_results,
                     replay_sweep, run_experiment, write_sweep_csv)
 from .errors import ContractViolation, DataFormatError
-from .optim import OptimConfig
 from .policy import PolicyParams
 
 
@@ -52,53 +50,29 @@ def _optional(parse):
     return lambda text: parse(text) if text else None
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
-        raise ValueError(text)
-    return text.lower() in ("true", "1", "yes")
-
-
 class _Key(NamedTuple):
     parse: Callable[[str], object]
-    owner: str = ""             # ExperimentConfig field the key sets a part of, if any
-    name: str = ""              # the field it sets; "" means the key itself
     flag_in: Tuple[str, ...] = ()  # subcommands that also take the key as a --flag
 
 
 _RUN_SWEEP = ("run", "sweep")
+_GRID = "grid_"  # grid_<algorithm> replaces that algorithm's default grid
 
-# The config format.  Owner "logger" sets a LoggerSpec field, "optim" an
-# OptimConfig field and "grids" replaces one algorithm's grid.
+# The config format: each key sets the ExperimentConfig field of its name,
+# except the grid keys, which set one entry of `grids`.
 CONFIG_KEYS = {
-    "dataset": _Key(str, flag_in=_RUN_SWEEP),
-    "test_dataset": _Key(_optional(str), flag_in=_RUN_SWEEP),
-    "test_frac": _Key(_finite_float),
-    "algorithms": _Key(_list(str), flag_in=_RUN_SWEEP),
-    "seeds": _Key(_parse_int_list, flag_in=("run",)),
-    "delta": _Key(int, flag_in=("run",)),
-    "valid_delta": _Key(_optional(int)),
-    "train_frac": _Key(_finite_float),
-    "logger_frac": _Key(_finite_float),
-    "logger_l2": _Key(_finite_float, "logger", "l2"),
-    "logger_alpha": _Key(_finite_float, "logger", "alpha"),
-    "logger_max_iters": _Key(int, "logger", "max_iters"),
-    "grid_poem": _Key(_list(_finite_float), "grids", "poem"),
-    "grid_klcrm": _Key(_list(_finite_float), "grids", "klcrm"),
-    "grid_aklcrm": _Key(_list(_finite_float), "grids", "aklcrm"),
-    "optim_memory": _Key(int, "optim", "memory"),
-    "optim_max_iters": _Key(int, "optim", "max_iters"),
-    "optim_grad_tol": _Key(_finite_float, "optim", "grad_tol"),
-    "optim_f_tol": _Key(_finite_float, "optim", "f_tol"),
-    "add_bias": _Key(_parse_bool),
-    "warm_start": _Key(_parse_bool),
-    "out_dir": _Key(str, flag_in=_RUN_SWEEP),
-    "threads": _Key(_optional(int), flag_in=_RUN_SWEEP),
-    "save_params": _Key(_parse_bool),
+    "dataset": _Key(str, _RUN_SWEEP),
+    "test_dataset": _Key(_optional(str), _RUN_SWEEP),
+    "algorithms": _Key(_list(str), _RUN_SWEEP),
+    "seeds": _Key(_parse_int_list, ("run",)),
+    "delta": _Key(int, ("run",)),
+    "grid_poem": _Key(_list(_finite_float)),
+    "grid_klcrm": _Key(_list(_finite_float)),
+    "grid_aklcrm": _Key(_list(_finite_float)),
+    "optim_max_iters": _Key(int),
+    "out_dir": _Key(str, _RUN_SWEEP),
+    "threads": _Key(_optional(int), _RUN_SWEEP),
 }
-
-# How the parts an owner's keys set become that ExperimentConfig field.
-_OWNERS = {"logger": LoggerSpec, "optim": OptimConfig,
-           "grids": lambda **grids: {**default_grids(), **grids}}
 
 
 def read_config_file(path) -> dict:
@@ -126,18 +100,15 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     if unknown:
         raise DataFormatError(
             f"unknown config key(s): {', '.join(repr(k) for k in unknown)}")
-    fields: dict = {}
-    parts = {owner: {} for owner in _OWNERS}
+    fields, grids = {}, {}
     for key, text in values.items():
-        entry = CONFIG_KEYS[key]
         try:
-            value = entry.parse(text)
+            value = CONFIG_KEYS[key].parse(text)
         except ValueError:
             raise DataFormatError(f"config key {key!r}: cannot parse {text!r}") from None
-        (parts[entry.owner] if entry.owner else fields)[entry.name or key] = value
-    for owner, given in parts.items():
-        if given:
-            fields[owner] = _OWNERS[owner](**given)
+        (grids if key.startswith(_GRID) else fields)[key.removeprefix(_GRID)] = value
+    if grids:
+        fields["grids"] = {**default_grids(), **grids}
     for f in dataclasses.fields(ExperimentConfig):
         if f.default is f.default_factory is dataclasses.MISSING and f.name not in fields:
             raise ContractViolation(f"config needs a {f.name!r} entry")
@@ -155,38 +126,29 @@ def _echo_text(value) -> str:
 
 def config_echo(cfg: ExperimentConfig) -> Iterator[Tuple[str, str]]:
     """(key, text) for every key of CONFIG_KEYS, as run_meta records them."""
-    for key, (_, owner, name, _) in CONFIG_KEYS.items():
-        if owner == "grids":
-            yield key, _echo_text(cfg.grids.get(name))
+    for key in CONFIG_KEYS:
+        if key.startswith(_GRID):
+            yield key, _echo_text(cfg.grids.get(key.removeprefix(_GRID)))
         else:
-            yield key, _echo_text(getattr(getattr(cfg, owner) if owner else cfg, name or key))
+            yield key, _echo_text(getattr(cfg, key))
 
 
 def _config_from_args(args) -> ExperimentConfig:
     values = read_config_file(args.config) if args.config else {}
-    values.update(_given(**{key: getattr(args, key, None) for key in CONFIG_KEYS}))
+    for key in CONFIG_KEYS:  # a flag given overrides the file entry
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     return build_experiment_config(values)
-
-
-def _given(**values) -> dict:
-    """The arguments that were given, so the dataclass defaults fill the rest."""
-    return {k: v for k, v in values.items() if v is not None}
-
-
-def _save_params(rows, out_dir):
-    for r in rows:
-        if r.params is None:
-            continue
-        path = os.path.join(out_dir, f"params_{r.algorithm}_seed{r.seed}.npz")
-        np.savez(path, weights=r.params.weights)
 
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     rows = run_experiment(cfg)
     paths = emit_results(rows, cfg.out_dir, config_echo(cfg))
-    if cfg.save_params:
-        _save_params(rows, cfg.out_dir)
+    for r in rows:
+        if r.params is not None:
+            np.savez(os.path.join(cfg.out_dir, f"params_{r.algorithm}_seed{r.seed}.npz"),
+                     weights=r.params.weights)
     failed = [r for r in rows if r.status == "failed"]
     for r in failed:
         print(f"[failed] {r.algorithm} seed={r.seed}: {r.message}", file=sys.stderr)
@@ -194,10 +156,22 @@ def cmd_run(args) -> int:
     return 1 if failed and len(failed) == len(rows) else 0
 
 
+def _flag_int_list(flag: str, text: str) -> Tuple[int, ...]:
+    """The integers of a --flag list such as 1,4,16..18: distinct, at least one."""
+    try:
+        values = _parse_int_list(text)
+    except ValueError:
+        values = ()
+    if not values or len(set(values)) != len(values):
+        raise DataFormatError(f"{flag} needs distinct integers, got {text!r}")
+    return values
+
+
 def cmd_sweep(args) -> int:
+    deltas = _flag_int_list("--deltas", args.deltas)
+    seeds = (_flag_int_list("--sweep-seeds", args.sweep_seeds)
+             if args.sweep_seeds is not None else None)
     cfg = _config_from_args(args)
-    deltas = _parse_int_list(args.deltas)
-    seeds = _parse_int_list(args.sweep_seeds) if args.sweep_seeds else None
     rows = replay_sweep(cfg, deltas, seeds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
@@ -207,10 +181,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ds = load_multilabel_svmlight(args.input, add_bias=not args.no_bias)
-    spec = SplitSpec(seed=args.seed, **_given(logger_frac=args.logger_frac))
-    train, _valid, logger_subset = split_dataset(ds, spec)
-    logger = train_logger(logger_subset, LoggerSpec(**_given(alpha=args.logger_alpha)))
+    ds = load_multilabel_svmlight(args.input)
+    train, _valid, logger_subset = split_dataset(ds, args.seed)
+    logger = train_logger(logger_subset)
     log = generate_bandit_log(logger, train, args.delta, args.seed)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bandit_log.csv")
@@ -236,11 +209,11 @@ def _load_params(path) -> PolicyParams:
 
 def cmd_eval(args) -> int:
     params = _load_params(args.params)
-    test = load_multilabel_svmlight(args.test, add_bias=not args.no_bias)
+    test = load_multilabel_svmlight(args.test)
     if test.n_features != params.n_features:
         raise ContractViolation(
-            f"test features ({test.n_features}) do not match params "
-            f"({params.n_features}); check the bias flag")
+            f"test features ({test.n_features}, with the bias column) do not "
+            f"match params ({params.n_features})")
     print(f"{evaluate_policy(params, test, args.mode):.6g}")
     return 0
 
@@ -271,16 +244,12 @@ def main(argv=None) -> int:
     p_conv.add_argument("--out", required=True)
     p_conv.add_argument("--delta", type=int, default=4)
     p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--logger-frac", type=_finite_float)
-    p_conv.add_argument("--logger-alpha", type=_finite_float)
-    p_conv.add_argument("--no-bias", action="store_true")
     p_conv.set_defaults(func=cmd_convert)
 
     p_eval = sub.add_parser("eval", help="evaluate saved policy parameters")
     p_eval.add_argument("--params", required=True, help=".npz with 'weights'")
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--mode", choices=("expected", "greedy"), default="expected")
-    p_eval.add_argument("--no-bias", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
     args = parser.parse_args(argv)

@@ -159,8 +159,8 @@ def robust_risk_chi2(sample: LossSample, epsilon: float) -> DualSolution:
 def boltzmann_weights(sample: LossSample, gamma: float) -> np.ndarray:
     """Exponentially tilted weights s_i = p_i exp(z_i/gamma) / sum_j p_j exp(z_j/gamma),
     computed with a max shift so the result is finite for any finite z/gamma."""
-    if gamma <= 0.0:
-        raise ContractViolation("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ContractViolation(f"gamma must be positive and finite, got {gamma}")
     a = sample.values / gamma
     a -= a.max()
     w = sample.base_weights * np.exp(a)
@@ -170,8 +170,8 @@ def boltzmann_weights(sample: LossSample, gamma: float) -> np.ndarray:
 def gamma_star_approx(sample: LossSample, epsilon: float) -> GammaApprox:
     """Second-order temperature rule sqrt(var / (2*eps)); degenerate (gamma 0)
     for constant losses."""
-    if epsilon <= 0.0:
-        raise ContractViolation("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ContractViolation(f"epsilon must be positive and finite, got {epsilon}")
     var = sample.variance()
     if var <= _VAR_FLOOR:
         return GammaApprox(0.0, True)

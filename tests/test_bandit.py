@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (BanditLog, ContractViolation, DataFormatError, LoggerSpec,
-                     PolicyParams, SplitSpec, compute_clip_constant,
+from dro_crm import (BanditLog, ContractViolation, DataFormatError,
+                     PolicyParams, compute_clip_constant,
                      evaluate_policy, generate_bandit_log, ips_risk,
                      ips_validation_score, load_bandit_log,
                      load_multilabel_svmlight, save_bandit_log,
@@ -69,67 +69,61 @@ class TestSvmlightFormat:
 class TestSplit:
     def test_fractions_and_ceiling_rule(self):
         ds = synthetic_multilabel(100, 4, 2, seed=0)
-        train, valid, logger = split_dataset(ds, SplitSpec(seed=3))
+        train, valid, logger = split_dataset(ds, 3)
         assert train.n_examples == 75
         assert valid.n_examples == 25
         assert logger.n_examples == math.ceil(0.05 * 75)
 
     def test_same_seed_identical(self):
         ds = synthetic_multilabel(60, 4, 2, seed=0)
-        a = split_dataset(ds, SplitSpec(seed=9))
-        b = split_dataset(ds, SplitSpec(seed=9))
+        a = split_dataset(ds, 9)
+        b = split_dataset(ds, 9)
         for x, y in zip(a, b):
             assert np.array_equal(x.X, y.X)
 
     def test_different_seeds_differ(self):
         ds = synthetic_multilabel(1000, 4, 2, seed=0)
-        a, _, _ = split_dataset(ds, SplitSpec(seed=0))
-        b, _, _ = split_dataset(ds, SplitSpec(seed=1))
+        a, _, _ = split_dataset(ds, 0)
+        b, _, _ = split_dataset(ds, 1)
         assert not np.array_equal(a.X, b.X)
 
     def test_partitions_disjoint(self):
         ds = synthetic_multilabel(40, 3, 2, seed=1)
         ds.X[:, 0] = np.arange(40)  # tag rows
-        train, valid, logger = split_dataset(ds, SplitSpec(seed=2))
+        train, valid, logger = split_dataset(ds, 2)
         train_ids = set(train.X[:, 0].tolist())
         valid_ids = set(valid.X[:, 0].tolist())
         assert not train_ids & valid_ids
         assert set(logger.X[:, 0].tolist()) <= train_ids
 
-    def test_invalid_spec(self):
-        with pytest.raises(ContractViolation):
-            SplitSpec(train_frac=0.7, valid_frac=0.25)
-
     def test_negative_seed_rejected(self):
         with pytest.raises(ContractViolation):
-            SplitSpec(seed=-1)
+            split_dataset(synthetic_multilabel(20, 3, 2, seed=0), -1)
 
 
 class TestLoggerTraining:
     def test_spec_validation(self):
-        for fields in ({"l2": math.nan, "alpha": math.nan}, {"alpha": math.inf},
-                       {"alpha": math.nan}, {"alpha": 0.0}, {"l2": math.nan},
-                       {"l2": math.inf}, {"l2": -1e-4}):
-            with pytest.raises(ContractViolation):
-                LoggerSpec(**fields)
-        LoggerSpec(l2=0.0)
+        ds = synthetic_multilabel(10, 3, 2, seed=0)
+        for alpha in (math.inf, math.nan, 0.0, -0.5):
+            with pytest.raises(ContractViolation, match="alpha must be positive and finite"):
+                train_logger(ds, alpha=alpha)
 
     def test_always_on_label(self):
         X = np.array([[1.0, 1.0]])
         Y = np.array([[1.0]])
         ds = SupervisedDataset(X, Y)
-        params = train_logger(ds, LoggerSpec())
+        params = train_logger(ds)
         assert sigmoid(logits_matrix(params, X))[0, 0] > 0.5
 
     def test_tiny_alpha_gives_uniform(self):
         ds = synthetic_multilabel(30, 4, 3, seed=2)
-        params = train_logger(ds, LoggerSpec(alpha=1e-6))
+        params = train_logger(ds, alpha=1e-6)
         lp = log_prob_matrix(params, ds.X, ds.Y)
         assert np.allclose(np.exp(lp), 2.0 ** -3, atol=1e-4)
 
     def test_likelihood_beats_zero_weights(self):
         ds = synthetic_multilabel(50, 5, 3, seed=3)
-        params = train_logger(ds, LoggerSpec(alpha=1.0))
+        params = train_logger(ds, alpha=1.0)
         trained = log_prob_matrix(params, ds.X, ds.Y).mean()
         baseline = log_prob_matrix(PolicyParams.zeros(3, 5), ds.X, ds.Y).mean()
         assert trained > baseline
@@ -138,7 +132,7 @@ class TestLoggerTraining:
 class TestBanditGeneration:
     def test_record_count(self):
         ds = synthetic_multilabel(5, 3, 2, seed=4)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=0)
         assert log.n == 10
 
@@ -169,7 +163,7 @@ class TestBanditGeneration:
 
     def test_reproducible_bit_identical(self):
         ds = synthetic_multilabel(20, 3, 2, seed=7)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         a = generate_bandit_log(logger, ds, delta=3, seed=5)
         b = generate_bandit_log(logger, ds, delta=3, seed=5)
         assert a.Y.tobytes() == b.Y.tobytes()
@@ -179,14 +173,14 @@ class TestBanditGeneration:
 
     def test_propensities_match_reevaluation(self):
         ds = synthetic_multilabel(30, 3, 2, seed=8)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=3)
         again = log_prob_matrix(logger, log.X[log.example_ids], log.Y)
         assert np.abs(again - log.log_propensities).max() < 1e-12
 
     def test_mean_cost_matches_expected_loss(self):
         ds = synthetic_multilabel(300, 3, 2, seed=9)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=8, seed=4)
         raw = log.cost_scaling.to_raw(log.costs)
         expected = evaluate_policy(logger, ds, "expected")
@@ -196,7 +190,7 @@ class TestBanditGeneration:
 
     def test_clip_constant_at_least_one(self):
         ds = synthetic_multilabel(40, 3, 2, seed=10)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=1, seed=5)
         assert log.clip_m >= 1.0
 
@@ -239,7 +233,7 @@ class TestRecordStreams:
 
     def test_more_replays_extend_the_log(self):
         ds = synthetic_multilabel(25, 3, 2, seed=22)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         one = generate_bandit_log(logger, ds, delta=1, seed=13)
         three = generate_bandit_log(logger, ds, delta=3, seed=13)
         n_ex = ds.n_examples
@@ -285,7 +279,7 @@ class TestEvaluation:
         from dro_crm import append_bias
         ds = append_bias(synthetic_multilabel(30, 4, 2, seed=13))
         # a policy with huge logits matching the labels exactly
-        params = train_logger(ds, LoggerSpec(l2=1e-8, alpha=60.0, max_iters=400))
+        params = train_logger(ds, alpha=60.0)
         assert evaluate_policy(params, ds, "greedy") == 0.0
         assert evaluate_policy(params, ds, "expected") < 0.05
 
@@ -314,14 +308,14 @@ class TestEvaluation:
 class TestValidationScore:
     def test_delegates_to_ips(self):
         ds = synthetic_multilabel(40, 3, 2, seed=16)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=1, seed=6)
         params = PolicyParams(0.1 * np.ones((2, 3)))
         assert ips_validation_score(params, log) == ips_risk(params, log)
 
     def test_logger_scores_its_mean_cost(self):
         ds = synthetic_multilabel(40, 3, 2, seed=17)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=7)
         assert ips_validation_score(logger, log) == pytest.approx(
             float(log.costs.mean()), abs=1e-12)
@@ -330,7 +324,7 @@ class TestValidationScore:
 class TestLogSerialization:
     def test_round_trip(self, tmp_path):
         ds = synthetic_multilabel(15, 3, 2, seed=18)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=8)
         csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
         save_bandit_log(log, csv_path, meta_path)

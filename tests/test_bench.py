@@ -9,7 +9,6 @@ from dro_crm import (ContractViolation, ExperimentConfig, default_grids,
                      run_experiment, run_single, synthetic_multilabel,
                      save_multilabel_svmlight)
 from dro_crm.bench import read_sweep_csv, write_sweep_csv
-from dro_crm.optim import OptimConfig
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +20,8 @@ def synth_path(tmp_path_factory):
 
 
 def small_config(synth_path, **kw):
-    base = dict(dataset=synth_path, test_frac=0.25, seeds=(0,), delta=2,
-                optim=OptimConfig(max_iters=150), threads=1,
+    base = dict(dataset=synth_path, seeds=(0,), delta=2,
+                optim_max_iters=150, threads=1,
                 grids={"poem": [1e-4, 1e-2], "klcrm": [1.0, 100.0],
                        "aklcrm": [1e-4, 1e-2]})
     base.update(kw)
@@ -43,14 +42,10 @@ class TestConfigValidation:
             small_config(synth_path, algorithms=("sgd",))
 
     @pytest.mark.parametrize("bad", [dict(seeds=(0, -1)), dict(delta=0),
-                                     dict(valid_delta=0)])
+                                     dict(optim_max_iters=0)])
     def test_negative_seed_and_zero_replays_rejected(self, synth_path, bad):
         with pytest.raises(ContractViolation):
             small_config(synth_path, **bad)
-
-    def test_test_frac_unused_with_test_file(self, synth_path):
-        cfg = small_config(synth_path, test_dataset=synth_path, test_frac=1.0)
-        assert cfg.test_frac == 1.0
 
 
 class TestDefaultGrids:
@@ -205,12 +200,6 @@ class TestEmitResults:
         summary = {l.split(",")[0]: l for l in
                    open(paths["summary"]).read().splitlines()[1:]}
         assert summary["cips"].split(",")[1] == "1"  # only the good seed
-
-    def test_warm_start_from_logger(self, synth_path):
-        cold = run_single(small_config(synth_path), "cips", 0)
-        warm = run_single(small_config(synth_path, warm_start=True), "cips", 0)
-        assert cold.status == warm.status == "ok"
-        assert warm.expected_loss < warm.logger_expected
 
     def test_no_wall_time_in_results(self, synth_path, tmp_path):
         cfg = small_config(synth_path)

@@ -1,9 +1,11 @@
 import os
 from dataclasses import replace
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import dro_crm
 from dro_crm import (DataFormatError, save_multilabel_svmlight,
                      synthetic_multilabel)
 from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
@@ -43,20 +45,17 @@ class TestConfigFile:
 
     def test_every_key_is_read(self):
         values = {
-            "dataset": "a.svm", "test_dataset": "b.svm", "test_frac": "0.3",
-            "algorithms": "cips,poem", "seeds": "1..2", "delta": "3",
-            "valid_delta": "2", "train_frac": "0.6", "logger_frac": "0.1",
-            "logger_l2": "0.01", "logger_alpha": "0.7", "logger_max_iters": "50",
-            "grid_poem": "0.1", "grid_klcrm": "1,2", "grid_aklcrm": "0.5",
-            "optim_memory": "4", "optim_max_iters": "9", "optim_grad_tol": "1e-5",
-            "optim_f_tol": "1e-8", "add_bias": "no", "warm_start": "yes", "out_dir": "o",
-            "threads": "2", "save_params": "False"}
+            "dataset": "a.svm", "test_dataset": "b.svm", "algorithms": "cips,poem",
+            "seeds": "1..2", "delta": "3", "grid_poem": "0.1", "grid_klcrm": "1,2",
+            "grid_aklcrm": "0.5", "optim_max_iters": "9", "out_dir": "o",
+            "threads": "2"}
+        assert values.keys() == CONFIG_KEYS.keys()
         cfg = build_experiment_config(values)
-        assert (cfg.test_dataset, cfg.test_frac, cfg.seeds, cfg.valid_delta) == (
-            "b.svm", 0.3, (1, 2), 2)
-        assert (cfg.logger.alpha, cfg.optim.memory, cfg.optim.max_iters) == (0.7, 4, 9)
-        assert list(cfg.grids["klcrm"]) == [1.0, 2.0]
-        assert (cfg.add_bias, cfg.warm_start, cfg.save_params) == (False, True, False)
+        assert (cfg.dataset, cfg.test_dataset, cfg.algorithms) == (
+            "a.svm", "b.svm", ("cips", "poem"))
+        assert (cfg.seeds, cfg.delta, cfg.optim_max_iters) == ((1, 2), 3, 9)
+        assert {alg: list(grid) for alg, grid in cfg.grids.items()} == {
+            "poem": [0.1], "klcrm": [1.0, 2.0], "aklcrm": [0.5]}
         assert (cfg.out_dir, cfg.threads) == ("o", 2)
 
     def test_readme_example_builds(self, tmp_path):
@@ -84,7 +83,7 @@ class TestConfigFile:
         cfg_file.write_text(
             f"dataset = {synth_path}\nalgorithms = cips\nseeds = 0\nthreads = 1\n"
             "optim_max_iters = 5\ngrid_klcrm = 0.30000000000000004,1e-7\n"
-            f"logger_l2 = 0.001\nsave_params = no\nout_dir = {out}\n")
+            f"out_dir = {out}\n")
         cfg = build_experiment_config(read_config_file(cfg_file))
         assert main(["run", "--config", str(cfg_file)]) == 0
         lines = (out / "run_meta").read_text().splitlines()
@@ -118,10 +117,10 @@ class TestConfigFile:
         with pytest.raises(DataFormatError, match="'optim_maxiters'"):
             build_experiment_config({"dataset": "a.svm", "optim_maxiters": "5"})
 
-    @pytest.mark.parametrize("key", ["add_bias", "warm_start", "save_params"])
-    def test_unreadable_boolean_rejected(self, key):
-        with pytest.raises(DataFormatError, match=f"'{key}'.*'ture'"):
-            build_experiment_config({"dataset": "a.svm", key: "ture"})
+    def test_exports_no_modules(self):
+        assert [name for name in dro_crm.__all__
+                if isinstance(getattr(dro_crm, name), ModuleType)] == []
+        assert "ExperimentConfig" in dro_crm.__all__
 
 
 class TestCommands:
@@ -188,7 +187,7 @@ class TestCommands:
 
 
 class TestBadNumericInput:
-    def _run(self, tmp_path, synth_path, capsys, extra):
+    def _run(self, tmp_path, synth_path, capsys, extra, command="run", flags=()):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(
             f"dataset = {synth_path}\n"
@@ -196,7 +195,7 @@ class TestBadNumericInput:
             "seeds = 0\n"
             "optim_max_iters = 5\n"
             f"out_dir = {tmp_path / 'out'}\n" + extra)
-        code = main(["run", "--config", str(cfg_file)])
+        code = main([command, "--config", str(cfg_file), *flags])
         return code, capsys.readouterr().err
 
     def test_non_integer_delta(self, tmp_path, synth_path, capsys):
@@ -217,7 +216,7 @@ class TestBadNumericInput:
         assert err.startswith("error:") and "seeds" in err and "-1" in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
-    @pytest.mark.parametrize("key", ["delta", "valid_delta"])
+    @pytest.mark.parametrize("key", ["delta"])
     def test_replay_count_below_one(self, tmp_path, synth_path, capsys, key):
         code, err = self._run(tmp_path, synth_path, capsys, f"{key} = 0\n")
         assert code == 2
@@ -231,18 +230,39 @@ class TestBadNumericInput:
         assert code == 2
         assert err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--deltas", "four"], "--deltas needs distinct integers, got 'four'"),
+        (["--deltas", ""], "--deltas needs distinct integers, got ''"),
+        (["--deltas", "2,1..2"], "--deltas needs distinct integers, got '2,1..2'"),
+        (["--deltas", "2", "--sweep-seeds", "0..x"], "--sweep-seeds needs distinct integers"),
+        (["--deltas", "2", "--sweep-seeds", "1,1"], "--sweep-seeds needs distinct integers"),
+    ])
+    def test_bad_sweep_flag(self, tmp_path, synth_path, capsys, flags, message):
+        code, err = self._run(tmp_path, synth_path, capsys, "", "sweep", flags)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     @pytest.mark.parametrize("entry, message", [
-        ("train_frac = 1.5", "train_frac must lie in (0, 1)"),
-        ("logger_frac = 0", "logger_frac must lie in (0, 1)"),
-        ("test_frac = 1.0", "test_frac must lie in (0, 1)"),
+        # the protocol's constants are not config keys
+        ("train_frac = 1.5", "unknown config key(s): 'train_frac'"),
+        ("logger_frac = 0", "unknown config key(s): 'logger_frac'"),
+        ("test_frac = 1.0", "unknown config key(s): 'test_frac'"),
+        ("valid_delta = 4", "unknown config key(s): 'valid_delta'"),
+        ("logger_alpha = 0.5", "unknown config key(s): 'logger_alpha'"),
+        ("logger_max_iters = 200", "unknown config key(s): 'logger_max_iters'"),
+        ("optim_memory = 10", "unknown config key(s): 'optim_memory'"),
+        ("optim_grad_tol = 1e-6", "unknown config key(s): 'optim_grad_tol'"),
+        ("warm_start = false", "unknown config key(s): 'warm_start'"),
+        ("save_params = true", "unknown config key(s): 'save_params'"),
+        ("add_bias = ture", "'add_bias'"),
+        ("logger_l2 = nan", "'logger_l2'"),
+        ("optim_f_tol = inf", "'optim_f_tol'"),
+        ("test_frac = -inf", "'test_frac'"),
         ("gamma_rule = bogus", "unknown config key"),
         ("freeze_weights = 0", "unknown config key"),
         ("optim_maxiters = 5", "'optim_maxiters'"),
-        ("add_bias = ture", "'add_bias'"),
-        ("logger_l2 = nan", "'logger_l2'"),
         ("grid_poem = 1e-3,nan", "'grid_poem'"),
-        ("optim_f_tol = inf", "'optim_f_tol'"),
-        ("test_frac = -inf", "'test_frac'"),
         ("grid_poem = -1", "poem grid values must be non-negative, got -1.0"),
         ("grid_klcrm = 1,0", "klcrm grid values must be positive, got 0.0"),
         ("grid_aklcrm = -1e-3", "aklcrm grid values must be positive, got -0.001"),

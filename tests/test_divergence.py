@@ -133,8 +133,9 @@ class TestBoltzmann:
             assert abs(w.sum() - 1.0) <= 1e-12
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ContractViolation):
-            boltzmann_weights(LossSample(np.array([1.0, 0.0])), 0.0)
+        for gamma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
+                boltzmann_weights(LossSample(np.array([1.0, 0.0])), gamma)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
@@ -252,6 +253,12 @@ class TestGammaApprox:
     def test_degenerate_on_constant(self):
         res = gamma_star_approx(LossSample(np.array([3.0, 3.0])), 0.5)
         assert res.degenerate and res.gamma == 0.0
+
+    def test_radius_must_be_positive_and_finite(self):
+        # inf gave gamma 0 without the degenerate flag, nan gave gamma nan
+        for epsilon in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="epsilon must be positive and finite"):
+                gamma_star_approx(LossSample(np.array([1.0, 0.0, 2.0])), epsilon)
 
     def test_small_radius_accuracy(self):
         s = LossSample(np.array([1.0, 0.0]))

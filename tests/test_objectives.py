@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (BanditLog, ContractViolation, LoggerSpec, LossSample,
+from dro_crm import (BanditLog, ContractViolation, LossSample,
                      PolicyParams, akl_crm_objective, cips_risk,
                      gamma_star_approx, generate_bandit_log, ips_risk,
                      kl_crm_objective, make_objective, poem_objective,
@@ -367,7 +367,7 @@ class TestReplayLayoutEquivalence:
     @staticmethod
     def _log():
         ds = synthetic_multilabel(40, 5, 3, seed=21)
-        logger = train_logger(ds, LoggerSpec())
+        logger = train_logger(ds)
         return generate_bandit_log(logger, ds, delta=TestReplayLayoutEquivalence.DELTA,
                                    seed=4), ds
 
