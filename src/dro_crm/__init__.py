@@ -7,17 +7,14 @@ from .divergence import (DualSolution, GammaApprox, LossSample,
                          boltzmann_weights, gamma_star_approx,
                          robust_risk_chi2)
 from .errors import ContractViolation, DataFormatError
-from .objectives import (BanditLog, CostScaling, RiskReport,
-                         akl_crm_objective, cips_risk, ips_risk,
-                         kl_crm_objective, make_objective, poem_objective,
-                         sample_losses)
+from .objectives import (BanditLog, CostScaling, RiskReport, evaluate,
+                         ips_risk, make_objective)
 from .optim import IterRecord, OptimConfig, OptimTrace, minimize
 from .policy import PolicyParams
-from .bandit import (SupervisedDataset, append_bias,
-                     compute_clip_constant, evaluate_policy,
-                     generate_bandit_log, ips_validation_score,
-                     load_bandit_log, load_multilabel_svmlight,
-                     save_bandit_log, save_multilabel_svmlight, split_dataset,
+from .bandit import (SupervisedDataset, append_bias, compute_clip_constant,
+                     evaluate_policy, generate_bandit_log, load_bandit_log,
+                     load_multilabel_svmlight, save_bandit_log,
+                     save_multilabel_svmlight, split_dataset,
                      synthetic_multilabel, train_logger)
 from .bench import (ALGORITHMS, ExperimentConfig, ResultRow, TTestResult,
                     default_grids, emit_results, paired_t_test_one_tailed,

@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._streams import record_uniforms
-from .errors import ContractViolation, DataFormatError
-from .objectives import BanditLog, CostScaling, ips_risk
+from .errors import ContractViolation, DataFormatError, utf8_lines
+from .objectives import BanditLog, CostScaling
 from .optim import OptimConfig, minimize
 from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
                      sigmoid)
@@ -77,8 +77,7 @@ _LOGGER_MAX_ITERS = 200
 # svmlight-style multilabel text format
 # ---------------------------------------------------------------------------
 
-def load_multilabel_svmlight(path, add_bias: bool = True,
-                             n_features: Optional[int] = None,
+def load_multilabel_svmlight(path, n_features: Optional[int] = None,
                              n_labels: Optional[int] = None,
                              zero_based: Optional[bool] = None) -> SupervisedDataset:
     """Parse lines of the form "l1,l2,... idx:val idx:val ...".
@@ -90,33 +89,32 @@ def load_multilabel_svmlight(path, add_bias: bool = True,
     given explicitly.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if ":" in tokens[0]:
-                labels, feat_tokens = [], tokens
-            else:
-                label_tok, feat_tokens = tokens[0], tokens[1:]
-                try:
-                    labels = [int(t) for t in label_tok.split(",") if t != ""]
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad label list {label_tok!r}") from exc
-            feats = []
-            for tok in feat_tokens:
-                try:
-                    idx_s, val_s = tok.split(":")
-                    idx, val = int(idx_s), float(val_s)
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
-                if idx < 1:
-                    raise DataFormatError(f"{path}:{lineno}: feature indices are 1-based")
-                if not math.isfinite(val):
-                    raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
-                feats.append((idx - 1, val))
-            rows.append((labels, feats))
+    for lineno, raw in utf8_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if ":" in tokens[0]:
+            labels, feat_tokens = [], tokens
+        else:
+            label_tok, feat_tokens = tokens[0], tokens[1:]
+            try:
+                labels = [int(t) for t in label_tok.split(",") if t != ""]
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad label list {label_tok!r}") from exc
+        feats = []
+        for tok in feat_tokens:
+            try:
+                idx_s, val_s = tok.split(":")
+                idx, val = int(idx_s), float(val_s)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
+            if idx < 1:
+                raise DataFormatError(f"{path}:{lineno}: feature indices are 1-based")
+            if not math.isfinite(val):
+                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+            feats.append((idx - 1, val))
+        rows.append((labels, feats))
     if not rows:
         raise DataFormatError(f"{path}: no examples")
 
@@ -129,7 +127,7 @@ def load_multilabel_svmlight(path, add_bias: bool = True,
     max_feat = max((i for _, feats in rows for i, _ in feats), default=-1)
     d = n_features if n_features is not None else max_feat + 1
 
-    X = np.zeros((len(rows), d + (1 if add_bias else 0)))
+    X = np.zeros((len(rows), d))
     Y = np.zeros((len(rows), q))
     for r, (labels, feats) in enumerate(rows):
         for lab in labels:
@@ -141,9 +139,7 @@ def load_multilabel_svmlight(path, add_bias: bool = True,
             if i >= d:
                 raise DataFormatError(f"{path}: feature index {i + 1} exceeds declared dim")
             X[r, i] = v
-    if add_bias:
-        X[:, -1] = 1.0
-    return SupervisedDataset(X, Y, has_bias=add_bias, label_base=shift)
+    return SupervisedDataset(X, Y, label_base=shift)
 
 
 def save_multilabel_svmlight(ds: SupervisedDataset, path) -> None:
@@ -288,11 +284,6 @@ def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) ->
     raise ContractViolation(f"unknown evaluation mode {mode!r}")
 
 
-def ips_validation_score(params: PolicyParams, valid_log: BanditLog) -> float:
-    """Unclipped importance-weighted mean cost on the validation log."""
-    return ips_risk(params, valid_log)
-
-
 # ---------------------------------------------------------------------------
 # Bandit log serialization (CSV plus key-value sidecar)
 # ---------------------------------------------------------------------------
@@ -329,40 +320,39 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
     example ids in range, q-bit 0/1 actions, propensities in (0, 1] and
     finite costs."""
     meta = {}
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                k, v = line.split("=", 1)
-                meta[k.strip()] = v.strip()
+    for _, line in utf8_lines(meta_path):
+        if "=" in line:
+            k, v = line.split("=", 1)
+            meta[k.strip()] = v.strip()
     n_ex, q = dataset.n_examples, dataset.n_labels
     replay, example, Y, p, costs = [], [], [], [], []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _LOG_HEADER:
-            raise DataFormatError(f"{csv_path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            where = f"{csv_path}:{lineno}"
-            parts = line.strip().split(",")
-            if len(parts) != 7:
-                raise DataFormatError(f"{where}: expected 7 fields")
-            try:
-                r, e, prop, cost = int(parts[1]), int(parts[2]), float(parts[4]), float(parts[6])
-            except ValueError as exc:
-                raise DataFormatError(f"{where}: bad number ({exc})") from exc
-            bits = parts[3]
-            if not 0 <= e < n_ex:
-                raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
-            if len(bits) != q or set(bits) - {"0", "1"}:
-                raise DataFormatError(f"{where}: action {bits!r} is not {q} bits of 0/1")
-            if not 0.0 < prop <= 1.0:
-                raise DataFormatError(f"{where}: propensity {prop!r} outside (0, 1]")
-            if not math.isfinite(cost):
-                raise DataFormatError(f"{where}: non-finite cost {cost!r}")
-            replay.append(r)
-            example.append(e)
-            Y.append([float(c) for c in bits])
-            p.append(prop)
-            costs.append(cost)
+    lines = utf8_lines(csv_path)
+    header = next(lines, (1, ""))[1].strip()
+    if header != _LOG_HEADER:
+        raise DataFormatError(f"{csv_path}: unexpected header {header!r}")
+    for lineno, line in lines:
+        where = f"{csv_path}:{lineno}"
+        parts = line.strip().split(",")
+        if len(parts) != 7:
+            raise DataFormatError(f"{where}: expected 7 fields")
+        try:
+            r, e, prop, cost = int(parts[1]), int(parts[2]), float(parts[4]), float(parts[6])
+        except ValueError as exc:
+            raise DataFormatError(f"{where}: bad number ({exc})") from exc
+        bits = parts[3]
+        if not 0 <= e < n_ex:
+            raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
+        if len(bits) != q or set(bits) - {"0", "1"}:
+            raise DataFormatError(f"{where}: action {bits!r} is not {q} bits of 0/1")
+        if not 0.0 < prop <= 1.0:
+            raise DataFormatError(f"{where}: propensity {prop!r} outside (0, 1]")
+        if not math.isfinite(cost):
+            raise DataFormatError(f"{where}: non-finite cost {cost!r}")
+        replay.append(r)
+        example.append(e)
+        Y.append([float(c) for c in bits])
+        p.append(prop)
+        costs.append(cost)
     if not Y:
         raise DataFormatError(f"{csv_path}: no records")
     try:

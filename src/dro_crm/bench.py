@@ -26,11 +26,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .bandit import (SupervisedDataset, append_bias,
-                     evaluate_policy, generate_bandit_log, ips_validation_score,
-                     load_multilabel_svmlight, split_dataset, train_logger)
+from .bandit import (SupervisedDataset, append_bias, evaluate_policy,
+                     generate_bandit_log, load_multilabel_svmlight,
+                     split_dataset, train_logger)
 from .errors import ContractViolation
-from .objectives import RULES, make_objective
+# a name of its own, so perfbench/spans.py can time validation scoring alone
+from .objectives import RULES, ips_risk as ips_validation_score, make_objective
 from .optim import OptimConfig, minimize
 from .policy import PolicyParams
 from .special import student_t_sf
@@ -64,6 +65,8 @@ class ExperimentConfig:
     threads: Optional[int] = None         # pool workers; defaults to the CPU count
 
     def __post_init__(self):
+        if not self.seeds:
+            raise ContractViolation("seeds must name at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ContractViolation("seeds must be distinct")
         if any(s < 0 for s in self.seeds):
@@ -127,10 +130,9 @@ def _load_pools(cfg: ExperimentConfig, seed: int
     _TEST_FRAC of the file is carved out deterministically per seed.  A test
     file is parsed with the pool's label convention and both are padded to
     common feature/label dimensions."""
-    full = load_multilabel_svmlight(cfg.dataset, add_bias=False)
+    full = load_multilabel_svmlight(cfg.dataset)
     if cfg.test_dataset is not None:
-        test = load_multilabel_svmlight(cfg.test_dataset, add_bias=False,
-                                        zero_based=full.label_base == 0)
+        test = load_multilabel_svmlight(cfg.test_dataset, zero_based=full.label_base == 0)
         d = max(full.n_features, test.n_features)
         q = max(full.n_labels, test.n_labels)
         full, test = _pad_columns(full, d, q), _pad_columns(test, d, q)

@@ -18,12 +18,12 @@ from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
-from .bandit import (generate_bandit_log, load_multilabel_svmlight,
-                     save_bandit_log, split_dataset, train_logger,
-                     evaluate_policy)
+from .bandit import (append_bias, evaluate_policy, generate_bandit_log,
+                     load_multilabel_svmlight, save_bandit_log,
+                     split_dataset, train_logger)
 from .bench import (ExperimentConfig, default_grids, emit_results,
                     replay_sweep, run_experiment, write_sweep_csv)
-from .errors import ContractViolation, DataFormatError
+from .errors import ContractViolation, DataFormatError, utf8_lines
 from .policy import PolicyParams
 
 
@@ -77,18 +77,17 @@ CONFIG_KEYS = {
 
 def read_config_file(path) -> dict:
     values, lines = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in lines:
-                raise DataFormatError(
-                    f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
-            values[key], lines[key] = value, lineno
+    for lineno, raw in utf8_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise DataFormatError(
+                f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -181,7 +180,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ds = load_multilabel_svmlight(args.input)
+    ds = append_bias(load_multilabel_svmlight(args.input))
     train, _valid, logger_subset = split_dataset(ds, args.seed)
     logger = train_logger(logger_subset)
     log = generate_bandit_log(logger, train, args.delta, args.seed)
@@ -209,11 +208,14 @@ def _load_params(path) -> PolicyParams:
 
 def cmd_eval(args) -> int:
     params = _load_params(args.params)
-    test = load_multilabel_svmlight(args.test)
+    test = append_bias(load_multilabel_svmlight(args.test))
     if test.n_features != params.n_features:
         raise ContractViolation(
             f"test features ({test.n_features}, with the bias column) do not "
             f"match params ({params.n_features})")
+    if test.n_labels != params.n_labels:
+        raise ContractViolation(
+            f"test labels ({test.n_labels}) do not match params ({params.n_labels})")
     print(f"{evaluate_policy(params, test, args.mode):.6g}")
     return 0
 

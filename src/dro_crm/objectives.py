@@ -8,7 +8,8 @@ per-sample counterfactual loss under a candidate policy is
 with the importance ratio computed in log space and clipped at M.  Every
 objective is the worst case of the mean of z over a divergence ball around the
 uniform weights, evaluated by one shared kernel and one rule per algorithm
-(`RULES`).  A rule maps z to the risk and the weights q it puts on z:
+(`RULES`), and `evaluate(algorithm, params, log, hyper)` is the one entry point.
+A rule maps z to the risk and the weights q it puts on z:
 
 * cips: the plain clipped mean (poem at lam = 0, uniform q);
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
@@ -16,7 +17,8 @@ uniform weights, evaluated by one shared kernel and one rule per algorithm
   active-set solution where the interior weights would turn negative;
 * klcrm: Boltzmann weights q_i prop. to exp(z_i / gamma) at a fixed gamma;
 * aklcrm: the same at the temperature `divergence.gamma_star_approx` gives
-  for radius eps / n, recomputed from z at every evaluation.
+  for radius eps / n, recomputed from z at every evaluation (constant z has
+  none: the uniform-weight risk is returned, flagged degenerate).
 
 The gradient is sum_i q_i dz_i/dtheta for every rule, with the score-function
 identity dz_i/dtheta = c_i * ratio_i * dlog pi(y_i | x_i)/dtheta on unclipped
@@ -119,12 +121,14 @@ class BanditLog:
 
 @dataclass
 class RiskReport:
-    """Risk value with its ingredients: per-sample losses z, the weights q the
-    rule puts on them, the gradient sum_i q_i dz_i/dtheta, the temperature
-    used when one was, and whether the losses were constant."""
+    """Risk value with its ingredients: per-sample losses z, the mask of
+    samples clipped at M (their dz_i/dtheta is zero), the weights q the rule
+    puts on z, the gradient sum_i q_i dz_i/dtheta, the temperature used when
+    one was, and whether the losses were constant."""
 
     risk: float
     losses: np.ndarray
+    clipped: np.ndarray
     weights: np.ndarray
     gradient: np.ndarray
     gamma_used: Optional[float] = None
@@ -166,7 +170,7 @@ class _LossPass:
         for label in range(q):
             R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
         R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
-        return RiskReport(sol.robust_risk, self.z, sol.worst_case_weights,
+        return RiskReport(sol.robust_risk, self.z, self.clipped, sol.worst_case_weights,
                           R.T @ log.X, sol.gamma, sol.degenerate)
 
 
@@ -210,52 +214,19 @@ def _rule(algorithm: str, hyper: Optional[float]):
     return rule
 
 
-def _evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
-              hyper: Optional[float] = None) -> RiskReport:
+def evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
+             hyper: Optional[float] = None) -> RiskReport:
+    """The objective of `algorithm`, a name in RULES, at `params` on `log`.
+    `hyper` is the parameter RULES names for it (none for cips)."""
     rule = _rule(algorithm, hyper)
     losses = _LossPass(params, log)
     return losses.report(rule(losses.z, hyper))
-
-
-def sample_losses(params: PolicyParams, log: BanditLog) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample clipped losses z_i and the mask of clipped samples
-    (importance ratio >= M), where the ratio's gradient contribution is zero."""
-    losses = _LossPass(params, log)
-    return losses.z, losses.clipped
 
 
 def ips_risk(params: PolicyParams, log: BanditLog) -> float:
     """Unclipped importance-weighted mean cost (the unbiased estimator used
     for validation-time model selection, never as a training objective)."""
     return float(np.mean(log.costs * _LossPass(params, log).ratio))
-
-
-def cips_risk(params: PolicyParams, log: BanditLog) -> RiskReport:
-    """Clipped importance-weighted risk: mean of z with uniform weights."""
-    return _evaluate("cips", params, log)
-
-
-def poem_objective(params: PolicyParams, log: BanditLog, lam: float) -> RiskReport:
-    """Variance-penalized clipped risk mean(z) + lam * sqrt(var(z) / n), the
-    worst case over the chi-square ball of radius lam^2 / n."""
-    return _evaluate("poem", params, log, lam)
-
-
-def kl_crm_objective(params: PolicyParams, log: BanditLog, gamma: float) -> RiskReport:
-    """Tilted clipped risk sum_i s_i z_i with s_i prop. to exp(z_i / gamma)."""
-    return _evaluate("klcrm", params, log, gamma)
-
-
-def akl_crm_objective(params: PolicyParams, log: BanditLog, epsilon: float) -> RiskReport:
-    """Adaptive-temperature tilted risk.
-
-    Every evaluation recomputes the temperature from the current losses:
-    gamma = sqrt(sum_i (z_i - mean)^2 / (2 eps)), the rule
-    sqrt(var(z) / (2 eps')) of `divergence.gamma_star_approx` at the radius
-    eps' = eps / n.  Constant losses make the temperature degenerate; the
-    uniform-weight risk is returned flagged.
-    """
-    return _evaluate("aklcrm", params, log, epsilon)
 
 
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
@@ -266,7 +237,7 @@ def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     d = log.X.shape[1]
 
     def fun(theta_flat: np.ndarray):
-        report = _evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
+        report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
         fun.last_gamma = report.gamma_used  # minimizer traces show it
         return report.risk, report.gradient.ravel()
     fun.last_gamma = None

@@ -14,12 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from dro_crm import (ExperimentConfig, LossSample, PolicyParams,
-                     akl_crm_objective, cips_risk, gamma_star_approx,
-                     kl_crm_objective, paired_t_test_one_tailed,
-                     poem_objective, robust_risk_chi2, run_experiment,
-                     sample_losses, save_multilabel_svmlight,
-                     synthetic_multilabel)
+from dro_crm import (ExperimentConfig, LossSample, PolicyParams, evaluate,
+                     gamma_star_approx, paired_t_test_one_tailed,
+                     robust_risk_chi2, run_experiment,
+                     save_multilabel_svmlight, synthetic_multilabel)
+from dro_crm.objectives import RULES
 from dro_crm.bench import default_grids
 from kl_dual import kl_gamma_fixed_point, robust_risk_kl_dual
 from oracle import DivergenceKind, dro_oracle
@@ -158,32 +157,27 @@ def test_criterion_4_remainder_decay():
 
 def test_criterion_5_gradient_suite():
     rng = np.random.default_rng(5)
-    objectives = {
-        "cips": lambda log: (lambda p: cips_risk(p, log)),
-        "poem": lambda log: (lambda p: poem_objective(p, log, 0.3)),
-        "klcrm": lambda log: (lambda p: kl_crm_objective(p, log, 1.5)),
-        "aklcrm": lambda log: (lambda p: akl_crm_objective(p, log, 0.2)),
-    }
-    worst = {name: 0.0 for name in objectives}
+    hypers = {"cips": None, "poem": 0.3, "klcrm": 1.5, "aklcrm": 0.2}
+    worst = {name: 0.0 for name in RULES}
     for _ in range(100):
         log, _ = sample_log(rng)
         theta = 0.3 * rng.normal(size=6)
         params = PolicyParams(theta.reshape(2, 3))
-        assert not sample_losses(params, log)[1].any()  # away from clip kinks
-        for name, make in objectives.items():
-            evaluate = make(log)
-            report_obj = evaluate(params)
+        assert not evaluate("cips", params, log).clipped.any()  # away from clip kinks
+        for name in RULES:
+            report_obj = evaluate(name, params, log, hypers[name])
             if name in ("klcrm", "aklcrm"):
                 s0 = report_obj.weights
 
                 def surrogate(t, s0=s0, log=log):
-                    z, _ = sample_losses(PolicyParams(t.reshape(2, 3)), log)
+                    z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                     return float(s0 @ z)
 
                 fd = fd_gradient(surrogate, theta)
             else:
-                def value(t, evaluate=evaluate):
-                    return evaluate(PolicyParams(t.reshape(2, 3))).risk
+                def value(t, name=name, log=log):
+                    return evaluate(name, PolicyParams(t.reshape(2, 3)), log,
+                                    hypers[name]).risk
 
                 fd = fd_gradient(value, theta)
             err = np.abs(report_obj.gradient.ravel() - fd).max() / \
@@ -200,18 +194,18 @@ def test_criterion_6_objective_equivalences():
     for _ in range(100):
         log, _ = sample_log(rng, n=10)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
-        z, _ = sample_losses(params, log)
+        z = evaluate("cips", params, log).losses
         s = LossSample(z)
         thr = s.variance() / max((s.mean() - z.min()) ** 2, 1e-300)
         lam = 0.5 * math.sqrt(log.n * thr) * float(rng.uniform(0.1, 1.0))
-        gap = abs(poem_objective(params, log, lam).risk
+        gap = abs(evaluate("poem", params, log, lam).risk
                   - robust_risk_chi2(s, lam * lam / log.n).robust_risk)
         worst_poem = max(worst_poem, gap)
-        worst_kl = max(worst_kl, abs(kl_crm_objective(params, log, 1e9).risk
-                                     - cips_risk(params, log).risk))
-        base = cips_risk(params, log).risk
+        worst_kl = max(worst_kl, abs(evaluate("klcrm", params, log, 1e9).risk
+                                     - evaluate("cips", params, log).risk))
+        base = evaluate("cips", params, log).risk
         for eps in (1e-3, 1e-1, 1.0):
-            if akl_crm_objective(params, log, eps).risk < base - 1e-12:
+            if evaluate("aklcrm", params, log, eps).risk < base - 1e-12:
                 pessimism_ok = False
     ok = worst_poem <= 1e-10 and worst_kl <= 1e-8 and pessimism_ok
     report(6, ok, f"variance-penalty bridge {worst_poem:.2e} (<=1e-10), "

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from dro_crm import (BanditLog, ContractViolation, DataFormatError,
-                     PolicyParams, compute_clip_constant,
+                     PolicyParams, append_bias, compute_clip_constant,
                      evaluate_policy, generate_bandit_log, ips_risk,
-                     ips_validation_score, load_bandit_log,
-                     load_multilabel_svmlight, save_bandit_log,
-                     save_multilabel_svmlight, split_dataset,
-                     synthetic_multilabel, train_logger)
+                     load_bandit_log, load_multilabel_svmlight,
+                     save_bandit_log, save_multilabel_svmlight,
+                     split_dataset, synthetic_multilabel, train_logger)
 from dro_crm._streams import record_uniforms
 from dro_crm.bandit import SupervisedDataset
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
@@ -19,14 +18,14 @@ class TestSvmlightFormat:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0,2 1:0.5 4:1.0\n")
-        ds = load_multilabel_svmlight(path, add_bias=False, n_labels=3, n_features=4)
+        ds = load_multilabel_svmlight(path, n_labels=3, n_features=4)
         assert ds.Y.tolist() == [[1.0, 0.0, 1.0]]
         assert ds.X.tolist() == [[0.5, 0.0, 0.0, 1.0]]
 
     def test_one_based_labels_detected(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("1,3 1:1.0\n2 2:1.0\n")
-        ds = load_multilabel_svmlight(path, add_bias=False)
+        ds = load_multilabel_svmlight(path)
         assert ds.n_labels == 3
         assert ds.Y.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
         assert ds.label_base == 1
@@ -34,7 +33,7 @@ class TestSvmlightFormat:
     def test_empty_label_list(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:1.0\n 2:0.5\n")
-        ds = load_multilabel_svmlight(path, add_bias=False)
+        ds = load_multilabel_svmlight(path)
         assert ds.Y[1].sum() == 0.0
 
     def test_empty_file_errors(self, tmp_path):
@@ -52,7 +51,10 @@ class TestSvmlightFormat:
     def test_bias_column_appended(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:2.0\n")
-        ds = load_multilabel_svmlight(path, add_bias=True)
+        loaded = load_multilabel_svmlight(path)
+        assert not loaded.has_bias
+        assert loaded.X.tolist() == [[2.0]]
+        ds = append_bias(loaded)
         assert ds.has_bias
         assert ds.X.tolist() == [[2.0, 1.0]]
 
@@ -60,8 +62,7 @@ class TestSvmlightFormat:
         ds = synthetic_multilabel(10, 6, 3, seed=5)
         path = tmp_path / "rt.svm"
         save_multilabel_svmlight(ds, path)
-        back = load_multilabel_svmlight(path, add_bias=False,
-                                        n_features=6, n_labels=3)
+        back = load_multilabel_svmlight(path, n_features=6, n_labels=3)
         assert np.allclose(back.X, ds.X, atol=0.0)
         assert np.array_equal(back.Y, ds.Y)
 
@@ -306,18 +307,11 @@ class TestEvaluation:
 
 
 class TestValidationScore:
-    def test_delegates_to_ips(self):
-        ds = synthetic_multilabel(40, 3, 2, seed=16)
-        logger = train_logger(ds)
-        log = generate_bandit_log(logger, ds, delta=1, seed=6)
-        params = PolicyParams(0.1 * np.ones((2, 3)))
-        assert ips_validation_score(params, log) == ips_risk(params, log)
-
     def test_logger_scores_its_mean_cost(self):
         ds = synthetic_multilabel(40, 3, 2, seed=17)
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=7)
-        assert ips_validation_score(logger, log) == pytest.approx(
+        assert ips_risk(logger, log) == pytest.approx(
             float(log.costs.mean()), abs=1e-12)
 
 
@@ -384,6 +378,14 @@ class TestLogValidation:
         ds, _, csv_path, meta_path = self._saved(tmp_path)
         meta_path.write_text("clip_m = 2.0\n")
         with pytest.raises(DataFormatError, match="cost_scale"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    @pytest.mark.parametrize("which", ["csv", "meta"])
+    def test_loader_rejects_non_utf8_file(self, tmp_path, which):
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        bad = csv_path if which == "csv" else meta_path
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(DataFormatError, match=f"{bad.name}: not UTF-8 text"):
             load_bandit_log(csv_path, meta_path, ds)
 
     def test_loader_keeps_features_once(self, tmp_path):

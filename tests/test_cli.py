@@ -156,11 +156,33 @@ class TestCommands:
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path, "--mode", "expected"]) == 0
 
-    def test_eval_dimension_mismatch_fails(self, tmp_path, synth_path):
+    @pytest.mark.parametrize("shape, message", [
+        ((2, 3), "test features (7, with the bias column) do not match params (3)"),
+        # the test file never uses the params' third label
+        ((3, 7), "test labels (2) do not match params (3)"),
+    ], ids=["features", "labels"])
+    def test_eval_dimension_mismatch_fails(self, tmp_path, synth_path, capsys,
+                                           shape, message):
         params_path = tmp_path / "bad.npz"
-        np.savez(params_path, weights=np.zeros((2, 3)))
+        np.savez(params_path, weights=np.zeros(shape))
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("command", ["run", "eval", "convert"])
+    def test_non_utf8_file_rejected(self, tmp_path, synth_path, capsys, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        params_path = tmp_path / "p.npz"
+        np.savez(params_path, weights=np.zeros((2, 7)))
+        argv = {"run": ["run", "--config", str(bad)],
+                "eval": ["eval", "--params", str(params_path), "--test", str(bad)],
+                "convert": ["convert", "--input", str(bad),
+                            "--out", str(tmp_path / "conv")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
 
     @pytest.mark.parametrize("kind", ["no_weights", "text", "npy"])
     def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
@@ -188,13 +210,14 @@ class TestCommands:
 
 class TestBadNumericInput:
     def _run(self, tmp_path, synth_path, capsys, extra, command="run", flags=()):
+        """Run a small cips config plus the `key = value` lines of `extra`,
+        which replace the base entries of their keys."""
+        base = {"dataset": synth_path, "algorithms": "cips", "seeds": "0",
+                "optim_max_iters": "5", "out_dir": tmp_path / "out"}
+        for line in extra.splitlines():
+            base.pop(line.split("=", 1)[0].strip(), None)
         cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            f"dataset = {synth_path}\n"
-            "algorithms = cips\n"
-            "seeds = 0\n"
-            "optim_max_iters = 5\n"
-            f"out_dir = {tmp_path / 'out'}\n" + extra)
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + extra)
         code = main([command, "--config", str(cfg_file), *flags])
         return code, capsys.readouterr().err
 
@@ -267,6 +290,7 @@ class TestBadNumericInput:
         ("grid_klcrm = 1,0", "klcrm grid values must be positive, got 0.0"),
         ("grid_aklcrm = -1e-3", "aklcrm grid values must be positive, got -0.001"),
         ("threads = 0", "threads must be at least 1, got 0"),
+        ("seeds = ", "seeds must name at least one seed"),
     ])
     def test_bad_config_value(self, tmp_path, synth_path, capsys, entry, message):
         code, err = self._run(tmp_path, synth_path, capsys, entry + "\n")

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from dro_crm import (BanditLog, ContractViolation, LossSample,
-                     PolicyParams, akl_crm_objective, cips_risk,
-                     gamma_star_approx, generate_bandit_log, ips_risk,
-                     kl_crm_objective, make_objective, poem_objective,
-                     robust_risk_chi2, sample_losses, synthetic_multilabel,
-                     train_logger)
+                     PolicyParams, evaluate, gamma_star_approx,
+                     generate_bandit_log, ips_risk, make_objective,
+                     robust_risk_chi2, synthetic_multilabel, train_logger)
 from dro_crm.bandit import SupervisedDataset
 from dro_crm.objectives import RULES
 from oracle import enumerate_actions
@@ -39,7 +37,8 @@ class TestSampleLosses:
     def test_logger_as_target_gives_costs(self):
         rng = np.random.default_rng(0)
         log, logger = sample_log(rng, n=12)
-        z, clipped = sample_losses(logger, log)
+        report = evaluate("cips", logger, log)
+        z, clipped = report.losses, report.clipped
         assert np.allclose(z, log.costs, atol=1e-12)
         assert not clipped.any()
 
@@ -48,7 +47,8 @@ class TestSampleLosses:
         u = math.log(9.0)
         log = one_feature_log([1.0], [[1]], [0.1], [-0.5], clip_m=5.0)
         params = PolicyParams(np.array([[u]]))
-        z, clipped = sample_losses(params, log)
+        report = evaluate("cips", params, log)
+        z, clipped = report.losses, report.clipped
         assert clipped[0]
         assert z[0] == pytest.approx(-0.5 * 5.0, rel=1e-12)
 
@@ -56,7 +56,7 @@ class TestSampleLosses:
         rng = np.random.default_rng(1)
         log, _ = sample_log(rng, n=6, q=2, d=3)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
-        z, _ = sample_losses(params, log)
+        z = evaluate("cips", params, log).losses
         for i in range(log.n):
             u = params.weights @ log.X[i]
             logz = math.log(sum(math.exp(float(y @ u))
@@ -82,7 +82,7 @@ class TestIpsRisk:
         rng = np.random.default_rng(3)
         log, _ = sample_log(rng, n=10, clip_m=1e18)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
-        z, _ = sample_losses(params, log)
+        z = evaluate("cips", params, log).losses
         assert ips_risk(params, log) == pytest.approx(float(z.mean()), rel=1e-12)
 
 
@@ -90,12 +90,12 @@ class TestCips:
     def test_all_clipped_zero_gradient(self):
         u = math.log(9.0)
         log = one_feature_log([1.0] * 3, [[1]] * 3, [0.1] * 3, [-1.0] * 3, clip_m=2.0)
-        report = cips_risk(PolicyParams(np.array([[u]])), log)
+        report = evaluate("cips", PolicyParams(np.array([[u]])), log)
         assert np.all(report.gradient == 0.0)
 
     def test_two_record_mean(self):
         log = two_point_log()
-        report = cips_risk(PolicyParams.zeros(1, 1), log)
+        report = evaluate("cips", PolicyParams.zeros(1, 1), log)
         assert report.risk == pytest.approx(0.5)
         assert np.allclose(report.weights, 0.5)
 
@@ -106,9 +106,9 @@ class TestCips:
             theta = 0.3 * rng.normal(size=6)
 
             def value(t):
-                return cips_risk(PolicyParams(t.reshape(2, 3)), log).risk
+                return evaluate("cips", PolicyParams(t.reshape(2, 3)), log).risk
 
-            g = cips_risk(PolicyParams(theta.reshape(2, 3)), log).gradient.ravel()
+            g = evaluate("cips", PolicyParams(theta.reshape(2, 3)), log).gradient.ravel()
             assert rel_err(g, fd_gradient(value, theta)) < 1e-5
 
 
@@ -117,14 +117,14 @@ class TestPoem:
         rng = np.random.default_rng(5)
         log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
-        a = poem_objective(params, log, 0.0)
-        b = cips_risk(params, log)
+        a = evaluate("poem", params, log, 0.0)
+        b = evaluate("cips", params, log)
         assert a.risk == b.risk
         assert np.array_equal(a.gradient, b.gradient)
 
     def test_constant_losses_no_penalty(self):
         log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.5] * 4, 2.0)
-        report = poem_objective(PolicyParams.zeros(1, 1), log, 3.0)
+        report = evaluate("poem", PolicyParams.zeros(1, 1), log, 3.0)
         assert report.risk == pytest.approx(-0.5, abs=1e-14)
 
     def test_bridges_to_chi_square_robust_risk(self):
@@ -133,8 +133,8 @@ class TestPoem:
             log, _ = sample_log(rng, n=10)
             params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
             lam = float(rng.uniform(0.01, 0.5))
-            report = poem_objective(params, log, lam)
-            z, _ = sample_losses(params, log)
+            report = evaluate("poem", params, log, lam)
+            z = evaluate("cips", params, log).losses
             sol = robust_risk_chi2(LossSample(z), lam * lam / log.n)
             assert abs(report.risk - sol.robust_risk) <= 1e-10
 
@@ -146,9 +146,9 @@ class TestPoem:
             theta = 0.3 * rng.normal(size=6)
 
             def value(t):
-                return poem_objective(PolicyParams(t.reshape(2, 3)), log, lam).risk
+                return evaluate("poem", PolicyParams(t.reshape(2, 3)), log, lam).risk
 
-            g = poem_objective(PolicyParams(theta.reshape(2, 3)), log, lam).gradient.ravel()
+            g = evaluate("poem", PolicyParams(theta.reshape(2, 3)), log, lam).gradient.ravel()
             assert rel_err(g, fd_gradient(value, theta)) < 1e-5
 
 
@@ -157,17 +157,17 @@ class TestKlCrm:
         rng = np.random.default_rng(8)
         log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
-        a = kl_crm_objective(params, log, 1e9)
-        b = cips_risk(params, log)
+        a = evaluate("klcrm", params, log, 1e9)
+        b = evaluate("cips", params, log)
         assert abs(a.risk - b.risk) <= 1e-8
 
     def test_low_temperature_is_max_loss(self):
         rng = np.random.default_rng(9)
         log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
-        z, _ = sample_losses(params, log)
+        z = evaluate("cips", params, log).losses
         spread = float(z.max() - z.min())
-        report = kl_crm_objective(params, log, 1e-6 * spread)
+        report = evaluate("klcrm", params, log, 1e-6 * spread)
         assert report.risk == pytest.approx(float(z.max()), abs=1e-9)
 
     def test_frozen_weight_gradient(self):
@@ -176,11 +176,11 @@ class TestKlCrm:
             log, _ = sample_log(rng, n=8)
             gamma = float(rng.uniform(0.2, 5.0))
             theta = 0.3 * rng.normal(size=6)
-            report = kl_crm_objective(PolicyParams(theta.reshape(2, 3)), log, gamma)
+            report = evaluate("klcrm", PolicyParams(theta.reshape(2, 3)), log, gamma)
             s0 = report.weights
 
             def surrogate(t):
-                z, _ = sample_losses(PolicyParams(t.reshape(2, 3)), log)
+                z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                 return float(s0 @ z)
 
             assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
@@ -188,13 +188,13 @@ class TestKlCrm:
     def test_requires_positive_temperature(self):
         log = two_point_log()
         with pytest.raises(ContractViolation):
-            kl_crm_objective(PolicyParams.zeros(1, 1), log, 0.0)
+            evaluate("klcrm", PolicyParams.zeros(1, 1), log, 0.0)
 
 
 class TestAklCrm:
     def test_constant_losses_degenerate(self):
         log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.25] * 4, 2.0)
-        report = akl_crm_objective(PolicyParams.zeros(1, 1), log, 0.1)
+        report = evaluate("aklcrm", PolicyParams.zeros(1, 1), log, 0.1)
         assert report.degenerate
         assert report.risk == pytest.approx(-0.25, abs=1e-14)
         assert np.allclose(report.weights, 0.25)
@@ -203,14 +203,14 @@ class TestAklCrm:
         rng = np.random.default_rng(12)
         log, _ = sample_log(rng)
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
-        z, _ = sample_losses(params, log)
-        report = akl_crm_objective(params, log, 1e12)
+        z = evaluate("cips", params, log).losses
+        report = evaluate("aklcrm", params, log, 1e12)
         assert report.risk == pytest.approx(float(z.max()), abs=1e-6)
 
     def test_hand_evaluated_two_point_instance(self):
         # z = [1, 0], eps = 0.25: temperature sqrt(0.5/0.5) = 1, risk e/(e+1)
         log = two_point_log()
-        report = akl_crm_objective(PolicyParams.zeros(1, 1), log, 0.25)
+        report = evaluate("aklcrm", PolicyParams.zeros(1, 1), log, 0.25)
         assert report.gamma_used == pytest.approx(1.0, abs=1e-14)
         assert report.risk == pytest.approx(math.e / (math.e + 1.0), abs=1e-14)
 
@@ -223,12 +223,12 @@ class TestAklCrm:
             cases.append((log, PolicyParams(0.3 * rng.normal(size=(2, 3))),
                           float(rng.uniform(0.01, 1.0))))
         for log, params, eps in cases:
-            z, _ = sample_losses(params, log)
-            report = akl_crm_objective(params, log, log.n * eps)
+            z = evaluate("cips", params, log).losses
+            report = evaluate("aklcrm", params, log, log.n * eps)
             assert report.gamma_used == pytest.approx(
                 gamma_star_approx(LossSample(z), eps).gamma, rel=1e-12)
         # variance of [1,0] is 0.25: gamma = sqrt(0.25/0.5)
-        report = akl_crm_objective(PolicyParams.zeros(1, 1), two_point_log(), 2 * 0.25)
+        report = evaluate("aklcrm", PolicyParams.zeros(1, 1), two_point_log(), 2 * 0.25)
         assert report.gamma_used == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_frozen_gradient(self):
@@ -237,11 +237,11 @@ class TestAklCrm:
             log, _ = sample_log(rng, n=8)
             eps = float(rng.uniform(0.05, 1.0))
             theta = 0.3 * rng.normal(size=6)
-            report = akl_crm_objective(PolicyParams(theta.reshape(2, 3)), log, eps)
+            report = evaluate("aklcrm", PolicyParams(theta.reshape(2, 3)), log, eps)
             s0 = report.weights
 
             def surrogate(t):
-                z, _ = sample_losses(PolicyParams(t.reshape(2, 3)), log)
+                z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                 return float(s0 @ z)
 
             assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
@@ -253,11 +253,7 @@ class TestWorstCaseWeights:
     that is also the gradient of the risk, inside and outside the ball's
     interior regime."""
 
-    EVALUATE = {"cips": lambda p, log, _: cips_risk(p, log), "poem": poem_objective,
-                "klcrm": kl_crm_objective, "aklcrm": akl_crm_objective}
-
     def test_gradient_is_weighted_loss_gradient(self):
-        assert set(self.EVALUATE) == set(RULES)
         rng = np.random.default_rng(23)
         draw = {"cips": lambda: None, "poem": lambda: float(rng.uniform(0.05, 3.0)),
                 "klcrm": lambda: float(rng.uniform(0.2, 5.0)),
@@ -267,21 +263,23 @@ class TestWorstCaseWeights:
             log, _ = sample_log(rng, n=8)
             theta = 0.3 * rng.normal(size=6)
             params = PolicyParams(theta.reshape(2, 3))
-            z, clipped = sample_losses(params, log)
-            assert not clipped.any()
+            cips = evaluate("cips", params, log)
+            z = cips.losses
+            assert not cips.clipped.any()
             for alg in RULES:
                 hyper = draw[alg]()
-                report = self.EVALUATE[alg](params, log, hyper)
+                report = evaluate(alg, params, log, hyper)
                 q = report.weights
 
                 def weighted(t, q=q):
-                    return float(q @ sample_losses(PolicyParams(t.reshape(2, 3)), log)[0])
+                    z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
+                    return float(q @ z)
 
                 g = report.gradient.ravel()
                 assert rel_err(g, fd_gradient(weighted, theta)) < 1e-5, alg
                 if alg in ("cips", "poem"):
                     def value(t, alg=alg, hyper=hyper):
-                        return self.EVALUATE[alg](PolicyParams(t.reshape(2, 3)), log, hyper).risk
+                        return evaluate(alg, PolicyParams(t.reshape(2, 3)), log, hyper).risk
 
                     assert rel_err(g, fd_gradient(value, theta)) < 1e-5, alg
                 if alg == "poem":
@@ -300,21 +298,21 @@ class TestObjectiveProperties:
         perm = rng.permutation(log.n)
         shuffled = BanditLog(log.X[perm], log.Y[perm], log.log_propensities[perm],
                              log.costs[perm], log.clip_m, log.cost_scaling)
-        for fn in (lambda p, l: cips_risk(p, l).risk,
-                   lambda p, l: poem_objective(p, l, 0.3).risk,
-                   lambda p, l: kl_crm_objective(p, l, 0.7).risk,
-                   lambda p, l: akl_crm_objective(p, l, 0.2).risk):
-            assert fn(params, shuffled) == pytest.approx(fn(params, log), abs=1e-11)
+        hypers = {"cips": None, "poem": 0.3, "klcrm": 0.7, "aklcrm": 0.2}
+        for alg in RULES:
+            hyper = hypers[alg]
+            assert evaluate(alg, params, shuffled, hyper).risk == pytest.approx(
+                evaluate(alg, params, log, hyper).risk, abs=1e-11), alg
 
     def test_akl_pessimism_and_monotonicity(self):
         rng = np.random.default_rng(15)
         for _ in range(25):
             log, _ = sample_log(rng, n=9)
             params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
-            base = cips_risk(params, log).risk
+            base = evaluate("cips", params, log).risk
             prev = -np.inf
             for eps in (1e-3, 1e-2, 1e-1, 1.0, 10.0):
-                risk = akl_crm_objective(params, log, eps).risk
+                risk = evaluate("aklcrm", params, log, eps).risk
                 assert risk >= base - 1e-12
                 assert risk >= prev - 1e-10
                 prev = risk
@@ -326,7 +324,7 @@ class TestObjectiveProperties:
         assert shape == (2, 3)
         theta = 0.1 * rng.normal(size=6)
         f, g = fun(theta)
-        report = poem_objective(PolicyParams(theta.reshape(2, 3)), log, 0.1)
+        report = evaluate("poem", PolicyParams(theta.reshape(2, 3)), log, 0.1)
         assert f == report.risk
         assert np.array_equal(g, report.gradient.ravel())
         with pytest.raises(ContractViolation):
@@ -337,12 +335,10 @@ class TestObjectiveProperties:
     @pytest.mark.parametrize("algorithm", [alg for alg, (name, _) in RULES.items() if name])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_hyper_rejected(self, algorithm, value):
-        objective = {"poem": poem_objective, "klcrm": kl_crm_objective,
-                     "aklcrm": akl_crm_objective}[algorithm]
         log, _ = sample_log(np.random.default_rng(17))
         message = f"^{RULES[algorithm][0]} must be finite"
         with pytest.raises(ContractViolation, match=message):
-            objective(PolicyParams.zeros(2, 3), log, value)
+            evaluate(algorithm, PolicyParams.zeros(2, 3), log, value)
         with pytest.raises(ContractViolation, match=message):
             make_objective(algorithm, log, value)
 
@@ -410,17 +406,12 @@ class TestReplayLayoutEquivalence:
         assert log.n == self.DELTA * ds.n_examples
         X_tiled = np.tile(ds.X, (self.DELTA, 1))
         assert np.array_equal(log.X[log.example_ids], X_tiled)
-        evaluators = {
-            "cips": lambda p: cips_risk(p, log),
-            "poem": lambda p: poem_objective(p, log, 0.4),
-            "klcrm": lambda p: kl_crm_objective(p, log, 0.3),
-            "aklcrm": lambda p: akl_crm_objective(p, log, 0.05),
-        }
+        hypers = {"cips": None, "poem": 0.4, "klcrm": 0.3, "aklcrm": 0.05}
         rng = np.random.default_rng(22)
         for _ in range(5):
             params = PolicyParams(0.8 * rng.normal(size=(3, 5)))
-            for rule, evaluate in evaluators.items():
-                report = evaluate(params)
+            for rule in RULES:
+                report = evaluate(rule, params, log, hypers[rule])
                 risk, grad = self._reference(params, log, X_tiled, rule)
                 assert report.risk == pytest.approx(risk, rel=1e-12, abs=0.0), rule
                 assert rel_err(report.gradient, grad) < 1e-12, rule
