@@ -1,16 +1,22 @@
 """Experiment orchestration: end-to-end runs, hyper-parameter selection,
 replay-count sweeps, significance testing, and CSV emission.
 
-One cell = (algorithm, seed).  Each cell splits the data, trains the logging
-policy on a small fraction of the train pool, generates train and validation
-bandit logs, minimizes the algorithm's objective at every grid point, selects
-the grid point with the lowest unclipped importance-weighted validation risk,
-and reports exact expected and greedy Hamming loss on the test set, alongside
-the logging policy and a fully supervised skyline fit of the same family.
+One cell = (algorithm, seed).  A seed's set-up is shared by all of its cells:
+it splits the data, trains the logging policy on a small fraction of the train
+pool and a fully supervised skyline of the same family, generates the train
+and validation bandit logs, and evaluates the logger and the skyline on the
+test set.  Each cell then minimizes its algorithm's objective at every grid
+point, selects the grid point with the lowest unclipped importance-weighted
+validation risk, and reports exact expected and greedy Hamming loss on the
+test set.
 
-Cells are independent: they may be scheduled on a process pool of `threads`
-workers; rows are keyed and sorted afterwards, and a single-worker run writes
-byte-identical outputs.
+The drivers run a seed's cells one after another and build its set-up once
+per process, in the first of them that the process runs, whose wall time
+therefore includes it; a bare `run_single` call builds its own.  At most one
+set-up is held, and none outlives the driver call.  Cells may be scheduled on
+a process pool of `threads` workers, a seed's cells to one worker when there
+are at least as many seeds as workers; rows are keyed and sorted afterwards,
+and a single-worker run writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .bandit import (SupervisedDataset, append_bias, evaluate_policy,
                      split_dataset, train_logger)
 from .errors import ContractViolation
 # a name of its own, so perfbench/spans.py can time validation scoring alone
-from .objectives import RULES, ips_risk as ips_validation_score, make_objective
+from .objectives import (RULES, BanditLog, ips_risk as ips_validation_score,
+                         make_objective)
 from .optim import OptimConfig, minimize
 from .policy import PolicyParams
 from .special import student_t_sf
@@ -143,11 +150,55 @@ def _load_pools(cfg: ExperimentConfig, seed: int
     return append_bias(full), append_bias(test)
 
 
+@dataclass(frozen=True)
+class _SeedSetup:
+    """What the cells of one seed share: the test set, the train and
+    validation logs drawn by the logging policy, and the logger's and the
+    skyline's test losses, keyed by their ResultRow fields."""
+    test: SupervisedDataset
+    train_log: BanditLog
+    valid_log: BanditLog
+    baselines: Dict[str, float]
+
+
+def _seed_setup(cfg: ExperimentConfig, seed: int) -> _SeedSetup:
+    pool, test = _load_pools(cfg, seed)
+    train, valid, logger_subset = split_dataset(pool, seed)
+    logger = train_logger(logger_subset)
+    skyline = train_logger(train, alpha=1.0)
+    return _SeedSetup(
+        test=test,
+        train_log=generate_bandit_log(logger, train, cfg.delta, seed, stream=0),
+        valid_log=generate_bandit_log(logger, valid, cfg.delta, seed,
+                                      stream=_VALID_LOG_STREAM),
+        baselines=dict(logger_expected=evaluate_policy(logger, test, "expected"),
+                       logger_greedy=evaluate_policy(logger, test, "greedy"),
+                       skyline_expected=evaluate_policy(skyline, test, "expected"),
+                       skyline_greedy=evaluate_policy(skyline, test, "greedy")))
+
+
+# The set-up of the seed whose cells are running, keyed by what it is built
+# from.  None outside a driver call, so a bare run_single builds its own.  It
+# is module state, not an argument, because run_single keeps the signature
+# perfbench/spans.py wraps as the traced cell.
+_shared: Optional[Dict[tuple, _SeedSetup]] = None
+
+
+def _setup_for(cfg: ExperimentConfig, seed: int) -> _SeedSetup:
+    if _shared is None:
+        return _seed_setup(cfg, seed)
+    key = (cfg.dataset, cfg.test_dataset, cfg.delta, seed)
+    if key not in _shared:
+        _shared.clear()  # before building, so two seeds' logs never coexist
+        _shared[key] = _seed_setup(cfg, seed)
+    return _shared[key]
+
+
 def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
     """Run one (algorithm, seed) cell; failures are captured in the row."""
     t0 = time.perf_counter()
     try:
-        row = _run_single_inner(cfg, algorithm, seed)
+        row = _fit_cell(cfg, algorithm, seed, _setup_for(cfg, seed))
     except Exception as exc:  # the run continues with other cells
         row = ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
                         _HYPER_NAME[algorithm], math.nan, math.nan, math.nan,
@@ -157,37 +208,25 @@ def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
     return row
 
 
-def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
-    pool, test = _load_pools(cfg, seed)
-    train, valid, logger_subset = split_dataset(pool, seed)
-
-    logger = train_logger(logger_subset)
-    skyline = train_logger(train, alpha=1.0)
+def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
+              setup: _SeedSetup) -> ResultRow:
     if algorithm == "baseline":
         return ResultRow(
             dataset=cfg.dataset, algorithm=algorithm, seed=seed, delta=cfg.delta,
             hyper_name="", hyper_value=math.nan, expected_loss=math.nan,
-            greedy_loss=math.nan, valid_score=math.nan,
-            logger_expected=evaluate_policy(logger, test, "expected"),
-            logger_greedy=evaluate_policy(logger, test, "greedy"),
-            skyline_expected=evaluate_policy(skyline, test, "expected"),
-            skyline_greedy=evaluate_policy(skyline, test, "greedy"),
+            greedy_loss=math.nan, valid_score=math.nan, **setup.baselines,
             grid_scores=(), status="baseline")
-
-    train_log = generate_bandit_log(logger, train, cfg.delta, seed, stream=0)
-    valid_log = generate_bandit_log(logger, valid, cfg.delta, seed,
-                                    stream=_VALID_LOG_STREAM)
 
     grid = [None] if algorithm == "cips" else [float(h) for h in cfg.grids[algorithm]]
     candidates: List[PolicyParams] = []
     scores: List[float] = []
     for hyper in grid:
-        fun, shape = make_objective(algorithm, train_log, hyper)
+        fun, shape = make_objective(algorithm, setup.train_log, hyper)
         theta, _ = minimize(fun, np.zeros(shape[0] * shape[1]),
                             OptimConfig(max_iters=cfg.optim_max_iters))
         params = PolicyParams(theta.reshape(shape))
         candidates.append(params)
-        scores.append(ips_validation_score(params, valid_log))
+        scores.append(ips_validation_score(params, setup.valid_log))
 
     best = int(np.argmin(scores))
     chosen = candidates[best]
@@ -196,13 +235,9 @@ def _run_single_inner(cfg: ExperimentConfig, algorithm: str, seed: int) -> Resul
     return ResultRow(
         dataset=cfg.dataset, algorithm=algorithm, seed=seed, delta=cfg.delta,
         hyper_name=_HYPER_NAME[algorithm], hyper_value=hyper_value,
-        expected_loss=evaluate_policy(chosen, test, "expected"),
-        greedy_loss=evaluate_policy(chosen, test, "greedy"),
-        valid_score=scores[best],
-        logger_expected=evaluate_policy(logger, test, "expected"),
-        logger_greedy=evaluate_policy(logger, test, "greedy"),
-        skyline_expected=evaluate_policy(skyline, test, "expected"),
-        skyline_greedy=evaluate_policy(skyline, test, "greedy"),
+        expected_loss=evaluate_policy(chosen, setup.test, "expected"),
+        greedy_loss=evaluate_policy(chosen, setup.test, "greedy"),
+        valid_score=scores[best], **setup.baselines,
         grid_scores=tuple(scores), params=chosen)
 
 
@@ -364,14 +399,29 @@ def _cell(args):
     return run_single(cfg, algorithm, seed)
 
 
+def _share_setups() -> None:
+    global _shared
+    _shared = {}
+
+
 def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
                workers: int) -> List[ResultRow]:
-    """One row per (config, algorithm, seed) cell, in cell order: in this
-    process for one worker or one cell, else on a process pool."""
-    if workers <= 1 or len(cells) <= 1:
-        return [_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell, cells))
+    """One row per (config, algorithm, seed) cell, in (delta, seed) order, so
+    that the cells of a seed run one after another and share its set-up: in
+    this process for one worker or one cell, else on a process pool that hands
+    a seed's cells to one worker while every worker gets some."""
+    global _shared
+    cells = sorted(cells, key=lambda c: (c[0].delta, c[2]))
+    _share_setups()
+    try:
+        if workers <= 1 or len(cells) <= 1:
+            return [_cell(c) for c in cells]
+        per_seed = len(cells[0][0].algorithms) or 1  # baseline cells: one per seed
+        chunk = min(per_seed, math.ceil(len(cells) / workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_setups) as pool:
+            return list(pool.map(_cell, cells, chunksize=chunk))
+    finally:
+        _shared = None
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:

@@ -132,12 +132,14 @@ def config_echo(cfg: ExperimentConfig) -> Iterator[Tuple[str, str]]:
             yield key, _echo_text(getattr(cfg, key))
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, **fixed: str) -> ExperimentConfig:
+    """The config file's entries, overridden by the flags given and then by
+    the entries of `fixed`."""
     values = read_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:  # a flag given overrides the file entry
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
-    return build_experiment_config(values)
+    return build_experiment_config({**values, **fixed})
 
 
 def cmd_run(args) -> int:
@@ -168,9 +170,10 @@ def _flag_int_list(flag: str, text: str) -> Tuple[int, ...]:
 
 def cmd_sweep(args) -> int:
     deltas = _flag_int_list("--deltas", args.deltas)
-    seeds = (_flag_int_list("--sweep-seeds", args.sweep_seeds)
-             if args.sweep_seeds is not None else None)
-    cfg = _config_from_args(args)
+    seeds = _flag_int_list("--sweep-seeds", args.sweep_seeds)
+    # Each sweep cell sets its own seed and replay count, so the file's
+    # `seeds` and `delta` entries are neither read nor validated.
+    cfg = _config_from_args(args, seeds=_echo_text(seeds), delta=str(deltas[0]))
     rows = replay_sweep(cfg, deltas, seeds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="replay-count sweep")
     p_sweep.add_argument("--deltas", required=True, help="e.g. 1,4,16,64")
-    p_sweep.add_argument("--sweep-seeds", dest="sweep_seeds")
+    p_sweep.add_argument("--sweep-seeds", dest="sweep_seeds", default="0..9")
     p_sweep.set_defaults(func=cmd_sweep)
 
     for name, p in (("run", p_run), ("sweep", p_sweep)):

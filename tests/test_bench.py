@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -8,7 +9,8 @@ from dro_crm import (ContractViolation, ExperimentConfig, default_grids,
                      emit_results, paired_t_test_one_tailed, replay_sweep,
                      run_experiment, run_single, synthetic_multilabel,
                      save_multilabel_svmlight)
-from dro_crm.bench import read_sweep_csv, write_sweep_csv
+from dro_crm import bench
+from dro_crm.bench import ResultRow, read_sweep_csv, write_sweep_csv
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +19,11 @@ def synth_path(tmp_path_factory):
     save_multilabel_svmlight(synthetic_multilabel(200, 8, 3, seed=0,
                                                   label_noise=0.05), path)
     return str(path)
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
 
 
 def small_config(synth_path, **kw):
@@ -159,7 +166,7 @@ class TestEmitResults:
                            algorithms=("cips", "aklcrm"))
         rows = run_experiment(cfg)
         paths = emit_results(rows, tmp_path / "out")
-        lines = open(paths["results"]).read().splitlines()
+        lines = read_lines(paths["results"])
         assert len(lines) == 1 + len(rows)
         # aggregates recomputable from rows
         body = [l.split(",") for l in lines[1:]]
@@ -167,7 +174,7 @@ class TestEmitResults:
         for parts in body:
             by_alg.setdefault(parts[1], []).append(float(parts[6]))
         summary = {l.split(",")[0]: l.split(",") for l in
-                   open(paths["summary"]).read().splitlines()[1:]}
+                   read_lines(paths["summary"])[1:]}
         for alg, vals in by_alg.items():
             assert float(summary[alg][2]) == pytest.approx(np.mean(vals), rel=1e-4)
         # p-value column against the best algorithm is recomputable
@@ -182,7 +189,7 @@ class TestEmitResults:
         cfg = small_config(synth_path, algorithms=())
         rows = run_experiment(cfg)
         paths = emit_results(rows, tmp_path / "out2")
-        summary = open(paths["summary"]).read().splitlines()
+        summary = read_lines(paths["summary"])
         names = [l.split(",")[0] for l in summary[1:]]
         assert "pi0" in names and "crf" in names
 
@@ -194,18 +201,18 @@ class TestEmitResults:
                         m.nan, m.nan, m.nan, m.nan, m.nan, (),
                         status="failed", message="boom")
         paths = emit_results([good, bad], tmp_path / "outf")
-        lines = open(paths["results"]).read().splitlines()
+        lines = read_lines(paths["results"])
         assert len(lines) == 3
         assert any(l.endswith("failed") for l in lines[1:])
         summary = {l.split(",")[0]: l for l in
-                   open(paths["summary"]).read().splitlines()[1:]}
+                   read_lines(paths["summary"])[1:]}
         assert summary["cips"].split(",")[1] == "1"  # only the good seed
 
     def test_no_wall_time_in_results(self, synth_path, tmp_path):
         cfg = small_config(synth_path)
         rows = run_experiment(cfg)
         paths = emit_results(rows, tmp_path / "out3")
-        header = open(paths["results"]).readline()
+        header = read_lines(paths["results"])[0]
         assert "wall" not in header
         assert os.path.exists(paths["timings"])
 
@@ -254,3 +261,93 @@ class TestReplaySweep:
     def test_validates_deltas(self, synth_path):
         with pytest.raises(ContractViolation):
             replay_sweep(small_config(synth_path), deltas=[0])
+
+
+def assert_same_rows(got, want):
+    """Every field but the wall time equal, NaNs and parameter arrays included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in dataclasses.fields(ResultRow):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name == "params":
+                assert (x is None) == (y is None)
+                if x is not None:
+                    np.testing.assert_array_equal(x.weights, y.weights)
+            elif f.name != "wall_time_s":
+                np.testing.assert_equal(x, y, err_msg=f.name)
+
+
+class TestSharedSetup:
+    """A driver builds each seed's set-up once and shares it among that
+    seed's cells; the rows are those of standalone run_single calls."""
+
+    @pytest.fixture
+    def split_paths(self, tmp_path):
+        full = synthetic_multilabel(200, 8, 3, seed=4, label_noise=0.05)
+        train, test = tmp_path / "train.svm", tmp_path / "test.svm"
+        save_multilabel_svmlight(full.subset(range(150)), train)
+        save_multilabel_svmlight(full.subset(range(150, 200)), test)
+        return str(train), str(test)
+
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(bench, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bench, name, counted)
+        return counts
+
+    def test_each_seed_set_up_once(self, split_paths, monkeypatch):
+        counts = self.count_calls(monkeypatch, ("load_multilabel_svmlight",
+                                                "train_logger", "generate_bandit_log"))
+        train, test = split_paths
+        cfg = small_config(train, test_dataset=test, seeds=(0, 1), optim_max_iters=5)
+        rows = run_experiment(cfg)
+        assert len(rows) == 8 and all(r.status == "ok" for r in rows)
+        # train and test file, logger and skyline, train and validation log
+        assert counts == dict.fromkeys(counts, 2 * 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_equal_standalone_cells(self, split_paths, threads):
+        train, test = split_paths
+        cfg = small_config(train, test_dataset=test, seeds=(0, 1),
+                           optim_max_iters=20, threads=threads)
+        standalone = [run_single(cfg, alg, seed)
+                      for alg in sorted(cfg.algorithms) for seed in cfg.seeds]
+        assert_same_rows(run_experiment(cfg), standalone)
+
+    def test_sweep_rows_equal_standalone_cells(self, synth_path):
+        cfg = small_config(synth_path, algorithms=("cips", "poem"), optim_max_iters=20)
+        got = replay_sweep(cfg, deltas=[2, 1], seeds=(0,))  # one set-up per delta
+        want = []
+        for alg in ("cips", "poem"):
+            for delta in (1, 2):
+                r = run_single(dataclasses.replace(cfg, delta=delta), alg, 0)
+                want.append((r.dataset, alg, delta, 0, r.expected_loss, r.greedy_loss))
+        assert got == want
+
+    def test_rewritten_file_is_read_again(self, tmp_path):
+        path = tmp_path / "data.svm"
+        cfg = small_config(str(path), algorithms=("cips",), optim_max_iters=20)
+        runs = []
+        for data_seed in (5, 6):
+            save_multilabel_svmlight(synthetic_multilabel(200, 8, 3, seed=data_seed), path)
+            standalone = run_single(cfg, "cips", 0)  # after a run, built anew too
+            rows = run_experiment(cfg)
+            assert_same_rows(rows, [standalone])
+            runs.append(rows[0])
+        assert runs[0].logger_expected != runs[1].logger_expected
+
+    def test_failed_set_up_fails_every_cell(self, monkeypatch):
+        counts = self.count_calls(monkeypatch, ("load_multilabel_svmlight",))
+        cfg = ExperimentConfig(dataset="/nonexistent/file.svm", seeds=(0, 1),
+                               algorithms=("cips", "poem"), threads=1)
+        rows = run_experiment(cfg)
+        assert len(rows) == 4
+        for r in rows:
+            assert r.status == "failed"
+            assert r.message.startswith("FileNotFoundError:")
+        assert len({r.message for r in rows}) == 1
+        assert counts["load_multilabel_svmlight"] == 4  # failures are not kept

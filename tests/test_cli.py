@@ -147,7 +147,8 @@ class TestCommands:
                      "--delta", "2", "--seed", "3"]) == 0
         assert (out / "bandit_log.csv").exists()
         assert (out / "bandit_log.meta").exists()
-        header = open(out / "bandit_log.csv").readline().strip()
+        with open(out / "bandit_log.csv") as fh:
+            header = fh.readline().strip()
         assert header == ("record_id,replay,example_id,action_bits,"
                           "propensity,cost_raw,cost_scaled")
 
@@ -155,6 +156,23 @@ class TestCommands:
         np.savez(params_path, weights=np.zeros((2, 7)))  # 6 features + bias
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path, "--mode", "expected"]) == 0
+
+    def test_sweep_ignores_seeds_and_delta_entries(self, tmp_path, synth_path):
+        # the sweep sets each cell's seed and replay count from its flags
+        cfg_file = tmp_path / "sweep.cfg"
+        out = tmp_path / "out"
+        cfg_file.write_text(
+            f"dataset = {synth_path}\n"
+            "algorithms = cips\n"
+            "seeds = \n"
+            "delta = 0\n"
+            "threads = 1\n"
+            "optim_max_iters = 5\n"
+            f"out_dir = {out}\n")
+        assert main(["sweep", "--config", str(cfg_file), "--deltas", "1,2",
+                     "--sweep-seeds", "0,1"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2
 
     @pytest.mark.parametrize("shape, message", [
         ((2, 3), "test features (7, with the bias column) do not match params (3)"),

@@ -40,3 +40,6 @@ def test_traced_run_reports_layer_metrics(tmp_path, capsys):
     assert metrics["objectives.evals"] > 0
     assert 0.0 < metrics["policy.matrix_calls_per_eval"] < 3.0
     assert metrics["divergence.boltzmann_calls"] > 0
+    # the seed's two cells share one parse and one logger and skyline fit
+    assert metrics["bandit.parse_calls"] == 1
+    assert metrics["bandit.train_logger_calls"] == 2
