@@ -3,12 +3,10 @@ chi-square and Kullback-Leibler distributionally robust objectives."""
 
 __version__ = "0.1.0"
 
-from .divergence import (DualSolution, GammaApprox, LossSample,
-                         boltzmann_weights, gamma_star_approx,
-                         robust_risk_chi2)
+from .divergence import boltzmann_weights, gamma_star_approx, robust_risk_chi2
 from .errors import ContractViolation, DataFormatError
-from .objectives import (BanditLog, CostScaling, RiskReport, evaluate,
-                         ips_risk, make_objective)
+from .objectives import (BanditLog, RiskReport, evaluate, ips_risk,
+                         make_objective)
 from .optim import IterRecord, OptimConfig, OptimTrace, minimize
 from .policy import PolicyParams
 from .bandit import (SupervisedDataset, append_bias, compute_clip_constant,

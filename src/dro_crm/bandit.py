@@ -6,7 +6,7 @@ maximum likelihood on a small fraction of the train pool, then replayed over
 the pool `delta` times, each pass sampling an action per example, recording
 its probability, and charging the Hamming distance to the ground truth as the
 cost.  Costs are rescaled to [-1, 0] (cost = hamming / q - 1) before logging;
-the affine map is stored in the log so raw values remain recoverable.  The
+a saved log writes this one fixed map to its sidecar beside the raw costs.  The
 ratio clipping constant is set from the logged propensities as the ratio of
 their 90th to 10th percentile.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from ._streams import record_uniforms
 from .errors import ContractViolation, DataFormatError, utf8_lines
-from .objectives import BanditLog, CostScaling
+from .objectives import BanditLog
 from .optim import OptimConfig, minimize
 from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
                      sigmoid)
@@ -71,6 +71,7 @@ LOGGER_FRAC = 0.05
 LOGGER_ALPHA = 0.5
 _LOGGER_L2 = 1e-4          # L2 strength of the maximum-likelihood fit
 _LOGGER_MAX_ITERS = 200
+_COST_OFFSET = -1.0        # logged cost = hamming / q + _COST_OFFSET
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +263,10 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
 
     log_p = (Y * U[example_ids] - log1p_exp(U)[example_ids]).sum(axis=1)
     raw_cost = np.abs(Y - train.Y[example_ids]).sum(axis=1)
-    scaling = CostScaling(scale=1.0 / q, offset=-1.0)
-    costs = raw_cost * scaling.scale + scaling.offset
+    costs = raw_cost * (1.0 / q) + _COST_OFFSET
     clip_m = compute_clip_constant(np.exp(log_p))
-    return BanditLog(train.X, Y, log_p, costs, clip_m, scaling,
-                     replay_ids=replay_ids, example_ids=example_ids,
-                     seed=seed, delta=delta)
+    return BanditLog(train.X, Y, log_p, costs, clip_m,
+                     replay_ids=replay_ids, example_ids=example_ids)
 
 
 def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) -> float:
@@ -291,13 +290,14 @@ def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) ->
 _LOG_HEADER = "record_id,replay,example_id,action_bits,propensity,cost_raw,cost_scaled"
 
 
-def save_bandit_log(log: BanditLog, csv_path, meta_path) -> None:
+def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
     """CSV with one row per record plus a sidecar `key = value` metadata file
-    (clip constant, cost scaling, seed, replay count)."""
+    (clip constant, cost map, the generating seed, replay and record counts)."""
     n = log.n
     replay = log.replay_ids if log.replay_ids is not None else np.zeros(n, dtype=np.int64)
     example = log.example_ids
-    raw = log.cost_scaling.to_raw(log.costs)
+    scale = 1.0 / log.Y.shape[1]
+    raw = (log.costs - _COST_OFFSET) / scale
     p = np.exp(log.log_propensities)
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(_LOG_HEADER + "\n")
@@ -307,10 +307,10 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path) -> None:
                      f"{float(raw[i])!r},{float(log.costs[i])!r}\n")
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(f"clip_m = {log.clip_m!r}\n")
-        fh.write(f"cost_scale = {log.cost_scaling.scale!r}\n")
-        fh.write(f"cost_offset = {log.cost_scaling.offset!r}\n")
-        fh.write(f"seed = {log.seed if log.seed is not None else ''}\n")
-        fh.write(f"delta = {log.delta if log.delta is not None else ''}\n")
+        fh.write(f"cost_scale = {scale!r}\n")
+        fh.write(f"cost_offset = {_COST_OFFSET!r}\n")
+        fh.write(f"seed = {seed}\n")
+        fh.write(f"delta = {int(replay.max()) + 1}\n")
         fh.write(f"n_records = {n}\n")
 
 
@@ -318,7 +318,7 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
     """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X` and
     the stored example ids.  Every record is checked against the dataset:
     example ids in range, q-bit 0/1 actions, propensities in (0, 1] and
-    finite costs."""
+    finite costs; the sidecar's cost map and record count must match."""
     meta = {}
     for _, line in utf8_lines(meta_path):
         if "=" in line:
@@ -357,13 +357,18 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
         raise DataFormatError(f"{csv_path}: no records")
     try:
         clip_m = float(meta["clip_m"])
-        scaling = CostScaling(scale=float(meta["cost_scale"]),
-                              offset=float(meta["cost_offset"]))
-        seed = int(meta["seed"]) if meta.get("seed") else None
-        delta = int(meta["delta"]) if meta.get("delta") else None
+        cost_map = (float(meta["cost_scale"]), float(meta["cost_offset"]))
+        n_records = int(meta["n_records"])
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
-    return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs),
-                     clip_m, scaling, replay_ids=np.array(replay, dtype=np.int64),
-                     example_ids=np.array(example, dtype=np.int64),
-                     seed=seed, delta=delta)
+    if cost_map != (1.0 / q, _COST_OFFSET):
+        raise DataFormatError(f"{meta_path}: cost map {cost_map} is not hamming / {q} - 1")
+    if n_records != len(Y):
+        raise DataFormatError(
+            f"{meta_path}: n_records = {n_records}, but {csv_path} holds {len(Y)} records")
+    try:
+        return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs),
+                         clip_m, replay_ids=np.array(replay, dtype=np.int64),
+                         example_ids=np.array(example, dtype=np.int64))
+    except ContractViolation as exc:
+        raise DataFormatError(f"{meta_path}: {exc}") from exc

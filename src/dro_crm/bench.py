@@ -84,10 +84,12 @@ class ExperimentConfig:
                 raise ContractViolation(f"{name} must be at least 1, got {value}")
         for alg, grid in self.grids.items():
             # poem's penalty may be zero; a temperature or a radius may not
-            bad = [v for v in grid if not (v >= 0.0 if alg == "poem" else v > 0.0)]
+            bad = [v for v in grid
+                   if not (v >= 0.0 if alg == "poem" else v > 0.0) or v == math.inf]
             if bad:
-                sign = "non-negative" if alg == "poem" else "positive"
-                raise ContractViolation(f"{alg} grid values must be {sign}, got {bad[0]}")
+                need = ("finite" if bad[0] == math.inf
+                        else "non-negative" if alg == "poem" else "positive")
+                raise ContractViolation(f"{alg} grid values must be {need}, got {bad[0]}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ContractViolation(f"unknown algorithm {alg!r}")

@@ -190,7 +190,7 @@ def cmd_convert(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bandit_log.csv")
     meta_path = os.path.join(args.out, "bandit_log.meta")
-    save_bandit_log(log, csv_path, meta_path)
+    save_bandit_log(log, csv_path, meta_path, args.seed)
     print(csv_path)
     return 0
 

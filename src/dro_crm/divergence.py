@@ -1,7 +1,7 @@
 """Worst-case risk over a divergence ball around a finite loss sample.
 
-Given losses z_1..z_n carrying uniform base probabilities p_i = 1/n, the
-robust risk at radius eps is
+Given losses z_1..z_n, a 1-d array, and uniform base probabilities p_i = 1/n,
+the robust risk at radius eps is
 
     sup { sum_i q_i z_i : q in simplex, D(q || p) <= eps },
 
@@ -34,14 +34,11 @@ bit-identical across repeated calls regardless of caller threading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Tuple
 
 import numpy as np
 
 from .errors import ContractViolation
-
-_VAR_FLOOR = 1e-300
 
 
 def _effectively_constant(z: np.ndarray) -> bool:
@@ -49,84 +46,51 @@ def _effectively_constant(z: np.ndarray) -> bool:
     return float(z.max() - z.min()) <= 1e-14 * max(1.0, float(np.abs(z).max()))
 
 
-@dataclass(frozen=True)
-class LossSample:
-    """Finite loss sample with uniform base probabilities `base_weights`."""
-
-    values: np.ndarray
-    base_weights: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        z = np.asarray(self.values, dtype=np.float64)
-        if z.ndim != 1 or z.size < 1:
-            raise ContractViolation("losses must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(z)):
-            raise ContractViolation("losses must be finite")
-        w = np.full(z.size, 1.0, dtype=np.float64)
-        w /= w.sum()
-        object.__setattr__(self, "values", z)
-        object.__setattr__(self, "base_weights", w)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def mean(self) -> float:
-        return float(self.base_weights @ self.values)
-
-    def variance(self) -> float:
-        """Variance of the losses under the base weights (divisor n)."""
-        m = self.mean()
-        return float(self.base_weights @ (self.values - m) ** 2)
+def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
+    """The loss vector z as float64, checked non-empty, 1-d and finite, and
+    its uniform base weights p."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size < 1:
+        raise ContractViolation("losses must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(z)):
+        raise ContractViolation("losses must be finite")
+    return z, np.full(z.size, 1.0 / z.size)
 
 
-@dataclass(frozen=True)
-class DualSolution:
-    """Robust risk value together with the attaining weights.
-
-    `gamma` is the temperature of tilted weights (None for chi-square);
-    `degenerate` marks constant-loss samples where every radius yields the
-    plain mean.
-    """
-
-    robust_risk: float
-    gamma: Optional[float]
-    worst_case_weights: np.ndarray
-    degenerate: bool = False
-
-
-class GammaApprox(NamedTuple):
-    gamma: float
-    degenerate: bool
+def _mean_var(z: np.ndarray, p: np.ndarray) -> Tuple[float, float]:
+    """Mean and variance (divisor n) of z under the weights p."""
+    mean = float(p @ z)
+    return mean, float(p @ (z - mean) ** 2)
 
 
 # ---------------------------------------------------------------------------
 # Chi-square: closed form plus active-set fallback on the simplex boundary
 # ---------------------------------------------------------------------------
 
-def robust_risk_chi2(sample: LossSample, epsilon: float) -> DualSolution:
-    """Worst-case mean over the chi-square ball of radius epsilon.
+def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
+    """Worst-case mean of the losses z over the chi-square ball of radius
+    epsilon, and the weights q that attain it.
 
     Interior regime: risk = mean + sqrt(eps * var) with weights
     p_i * (1 + sqrt(eps/var) * (z_i - mean)).  When those weights would leave
     the simplex, coordinates are dropped one at a time (lowest implied weight
-    first) and the tangency problem is re-solved on the remaining face.
+    first) and the tangency problem is re-solved on the remaining face.  At
+    radius 0, and for constant losses, this is the mean with uniform weights.
     """
     if not epsilon >= 0.0:
         raise ContractViolation(f"epsilon must be nonnegative, got {epsilon}")
-    z = sample.values
-    p = sample.base_weights
-    mean = sample.mean()
-    var = sample.variance()
+    z, p = _losses(z)
+    mean, var = _mean_var(z, p)
+    n = z.size
     if epsilon == 0.0 or _effectively_constant(z):
-        return DualSolution(mean, None, p.copy(), degenerate=_effectively_constant(z))
+        return mean, p
 
     q = p * (1.0 + math.sqrt(epsilon / var) * (z - mean))
     if q.min() >= 0.0:
-        return DualSolution(mean + math.sqrt(epsilon * var), None, q)
+        return mean + math.sqrt(epsilon * var), q
 
-    active = np.ones(sample.n, dtype=bool)
-    for _ in range(sample.n):
+    active = np.ones(n, dtype=bool)
+    for _ in range(n):
         idx = np.flatnonzero(active)
         pa, za = p[idx], z[idx]
         mass = pa.sum()
@@ -136,18 +100,18 @@ def robust_risk_chi2(sample: LossSample, epsilon: float) -> DualSolution:
         if idx.size == 1 or _effectively_constant(za):
             # Remaining losses are equal: the max-loss face, reached only when
             # the radius covers it, so slack >= 0 here.
-            q = np.zeros(sample.n)
+            q = np.zeros(n)
             q[idx] = pa / mass
-            return DualSolution(mean_a, None, q)
+            return mean_a, q
         if slack <= 0.0:
             raise ArithmeticError("chi-square active-set solve left the feasible region")
         beta = math.sqrt(slack / scatter)
         qa = pa * (1.0 + (1.0 - mass) / mass + beta * (za - mean_a))
         worst = qa.min()
         if worst >= -1e-15:
-            q = np.zeros(sample.n)
+            q = np.zeros(n)
             q[idx] = np.maximum(qa, 0.0)
-            return DualSolution(mean_a + math.sqrt(slack * scatter), None, q)
+            return mean_a + math.sqrt(slack * scatter), q
         active[idx[int(np.argmin(qa))]] = False
     raise ArithmeticError("chi-square active-set solve failed to terminate")
 
@@ -156,23 +120,24 @@ def robust_risk_chi2(sample: LossSample, epsilon: float) -> DualSolution:
 # Kullback-Leibler: Boltzmann weights and the second-order temperature rule
 # ---------------------------------------------------------------------------
 
-def boltzmann_weights(sample: LossSample, gamma: float) -> np.ndarray:
+def boltzmann_weights(z, gamma: float) -> np.ndarray:
     """Exponentially tilted weights s_i = p_i exp(z_i/gamma) / sum_j p_j exp(z_j/gamma),
     computed with a max shift so the result is finite for any finite z/gamma."""
     if not 0.0 < gamma < math.inf:
         raise ContractViolation(f"gamma must be positive and finite, got {gamma}")
-    a = sample.values / gamma
+    z, p = _losses(z)
+    a = z / gamma
     a -= a.max()
-    w = sample.base_weights * np.exp(a)
+    w = p * np.exp(a)
     return w / w.sum()
 
 
-def gamma_star_approx(sample: LossSample, epsilon: float) -> GammaApprox:
-    """Second-order temperature rule sqrt(var / (2*eps)); degenerate (gamma 0)
-    for constant losses."""
+def gamma_star_approx(z, epsilon: float) -> float:
+    """Second-order temperature rule sqrt(var / (2*eps)); 0.0 for constant
+    losses, which have no worst case to tilt toward."""
     if not 0.0 < epsilon < math.inf:
         raise ContractViolation(f"epsilon must be positive and finite, got {epsilon}")
-    var = sample.variance()
-    if var <= _VAR_FLOOR:
-        return GammaApprox(0.0, True)
-    return GammaApprox(math.sqrt(var / (2.0 * epsilon)), False)
+    z, p = _losses(z)
+    if _effectively_constant(z):
+        return 0.0
+    return math.sqrt(_mean_var(z, p)[1] / (2.0 * epsilon))

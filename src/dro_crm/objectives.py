@@ -9,7 +9,7 @@ with the importance ratio computed in log space and clipped at M.  Every
 objective is the worst case of the mean of z over a divergence ball around the
 uniform weights, evaluated by one shared kernel and one rule per algorithm
 (`RULES`), and `evaluate(algorithm, params, log, hyper)` is the one entry point.
-A rule maps z to the risk and the weights q it puts on z:
+A rule maps z to the risk, the weights q it puts on z and its temperature:
 
 * cips: the plain clipped mean (poem at lam = 0, uniform q);
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
@@ -18,7 +18,7 @@ A rule maps z to the risk and the weights q it puts on z:
 * klcrm: Boltzmann weights q_i prop. to exp(z_i / gamma) at a fixed gamma;
 * aklcrm: the same at the temperature `divergence.gamma_star_approx` gives
   for radius eps / n, recomputed from z at every evaluation (constant z has
-  none: the uniform-weight risk is returned, flagged degenerate).
+  none: the uniform-weight risk is returned, with temperature 0).
 
 The gradient is sum_i q_i dz_i/dtheta for every rule, with the score-function
 identity dz_i/dtheta = c_i * ratio_i * dlog pi(y_i | x_i)/dtheta on unclipped
@@ -31,13 +31,12 @@ surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .divergence import (DualSolution, LossSample, boltzmann_weights,
-                         gamma_star_approx, robust_risk_chi2)
+from .divergence import boltzmann_weights, gamma_star_approx, robust_risk_chi2
 from .errors import ContractViolation
 # log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
 # the policy calls of this module by wrapping these names in place.
@@ -45,17 +44,6 @@ from .policy import (PolicyParams, clamp_logits, log_prob_matrix,
                      logits_matrix, sigmoid, softplus_sigmoid)
 
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
-
-
-@dataclass(frozen=True)
-class CostScaling:
-    """Affine map scaled = raw * scale + offset applied before logging."""
-
-    scale: float = 1.0
-    offset: float = 0.0
-
-    def to_raw(self, scaled):
-        return (np.asarray(scaled) - self.offset) / self.scale
 
 
 @dataclass
@@ -67,7 +55,7 @@ class BanditLog:
     example delta times stores its features once (defaults to arange(n) when
     X has one row per record); log_propensities: (n,) natural logs of the
     logger's action probabilities; costs: (n,) logged (already scaled) costs;
-    clip_m: ratio clipping constant M > 0.
+    clip_m: ratio clipping constant, finite M > 0.
     """
 
     X: np.ndarray
@@ -75,11 +63,8 @@ class BanditLog:
     log_propensities: np.ndarray
     costs: np.ndarray
     clip_m: float
-    cost_scaling: CostScaling = field(default_factory=CostScaling)
     replay_ids: Optional[np.ndarray] = None
     example_ids: Optional[np.ndarray] = None
-    seed: Optional[int] = None
-    delta: Optional[int] = None
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Y.ndim != 2:
@@ -102,8 +87,9 @@ class BanditLog:
         self.example_ids = ids
         if not np.all((self.Y == 0.0) | (self.Y == 1.0)):
             raise ContractViolation("actions must be 0/1 bit vectors")
-        if self.clip_m <= 0.0:
-            raise ContractViolation("clip constant must be positive")
+        if not 0.0 < self.clip_m < math.inf:
+            raise ContractViolation(
+                f"clip constant must be positive and finite, got {self.clip_m}")
         if not np.all(np.isfinite(self.log_propensities)) \
                 or np.any(self.log_propensities > 0.0):
             raise ContractViolation("propensities must lie in (0, 1]")
@@ -114,17 +100,13 @@ class BanditLog:
     def n(self) -> int:
         return self.Y.shape[0]
 
-    @property
-    def propensities(self) -> np.ndarray:
-        return np.exp(self.log_propensities)
-
 
 @dataclass
 class RiskReport:
     """Risk value with its ingredients: per-sample losses z, the mask of
     samples clipped at M (their dz_i/dtheta is zero), the weights q the rule
-    puts on z, the gradient sum_i q_i dz_i/dtheta, the temperature used when
-    one was, and whether the losses were constant."""
+    puts on z, the gradient sum_i q_i dz_i/dtheta, and the temperature used
+    when one was (aklcrm's is 0.0 when the losses were constant)."""
 
     risk: float
     losses: np.ndarray
@@ -132,7 +114,6 @@ class RiskReport:
     weights: np.ndarray
     gradient: np.ndarray
     gamma_used: Optional[float] = None
-    degenerate: bool = False
 
 
 class _LossPass:
@@ -157,44 +138,42 @@ class _LossPass:
         self.dz = np.where(self.clipped, 0.0, log.costs * self.ratio)
         self._log = log
 
-    def report(self, sol: DualSolution) -> RiskReport:
-        """Report of a rule's risk and weights q.  With c_i = q_i dz_i, the
-        gradient sum_i c_i (y_i - sigmoid(u_i)) x_i is summed into one row per
-        example, sum_i c_i y_i minus (sum_i c_i) sigmoid(u), before a single
-        product with the features."""
+    def report(self, risk: float, weights: np.ndarray, gamma: Optional[float]) -> RiskReport:
+        """Report of a rule's risk, weights q and temperature.  With
+        c_i = q_i dz_i, the gradient sum_i c_i (y_i - sigmoid(u_i)) x_i is
+        summed into one row per example, sum_i c_i y_i minus (sum_i c_i)
+        sigmoid(u), before a single product with the features."""
         log = self._log
         ids = log.example_ids
         n_ex, q = self._sigmoid.shape
-        c = sol.worst_case_weights * self.dz
+        c = weights * self.dz
         R = np.empty((n_ex, q))
         for label in range(q):
             R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
         R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
-        return RiskReport(sol.robust_risk, self.z, self.clipped, sol.worst_case_weights,
-                          R.T @ log.X, sol.gamma, sol.degenerate)
+        return RiskReport(risk, self.z, self.clipped, weights, R.T @ log.X, gamma)
 
 
-def _chi2_rule(z: np.ndarray, lam: float) -> DualSolution:
+def _chi2_rule(z: np.ndarray, lam: float):
     if lam < 0.0:
         raise ContractViolation("lambda must be nonnegative")
-    return robust_risk_chi2(LossSample(z), lam * lam / z.size)
+    return (*robust_risk_chi2(z, lam * lam / z.size), None)
 
 
-def _tilted_rule(z: np.ndarray, gamma: float) -> DualSolution:
-    s = boltzmann_weights(LossSample(z), gamma)
-    return DualSolution(float(s @ z), gamma, s)
+def _tilted_rule(z: np.ndarray, gamma: float):
+    s = boltzmann_weights(z, gamma)
+    return float(s @ z), s, gamma
 
 
-def _adaptive_tilted_rule(z: np.ndarray, epsilon: float) -> DualSolution:
-    sample = LossSample(z)
-    gamma, degenerate = gamma_star_approx(sample, epsilon / z.size)
-    if degenerate:
-        return DualSolution(sample.mean(), 0.0, sample.base_weights, degenerate=True)
+def _adaptive_tilted_rule(z: np.ndarray, epsilon: float):
+    gamma = gamma_star_approx(z, epsilon / z.size)
+    if gamma == 0.0:  # constant losses: the uniform-weight mean
+        return (*robust_risk_chi2(z, 0.0), 0.0)
     return _tilted_rule(z, gamma)
 
 
-# algorithm -> (name of its hyper-parameter, rule (z, hyper) -> risk and weights q)
-RULES: Dict[str, Tuple[str, Callable[..., DualSolution]]] = {
+# algorithm -> (name of its hyper-parameter, rule (z, hyper) -> (risk, q, gamma))
+RULES: Dict[str, Tuple[str, Callable[..., Tuple[float, np.ndarray, Optional[float]]]]] = {
     "cips": ("", lambda z, _: _chi2_rule(z, 0.0)),
     "poem": ("lambda", _chi2_rule),
     "klcrm": ("gamma", _tilted_rule),
@@ -220,7 +199,7 @@ def evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
     `hyper` is the parameter RULES names for it (none for cips)."""
     rule = _rule(algorithm, hyper)
     losses = _LossPass(params, log)
-    return losses.report(rule(losses.z, hyper))
+    return losses.report(*rule(losses.z, hyper))
 
 
 def ips_risk(params: PolicyParams, log: BanditLog) -> float:

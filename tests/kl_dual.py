@@ -9,22 +9,23 @@ check the dual against itself.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from dro_crm.divergence import (DualSolution, LossSample, _effectively_constant,
-                                boltzmann_weights)
+from dro_crm.divergence import _effectively_constant, _losses, boltzmann_weights
 from dro_crm.errors import ContractViolation
 
 
-@dataclass(frozen=True)
-class KlDualSolution(DualSolution):
-    """`DualSolution` of the KL dual.  `saturated` marks a radius large enough
-    that the solution sits at the max-loss vertex (or the temperature bracket
-    boundary)."""
+class KlDualResult(NamedTuple):
+    """Risk of the KL dual, its minimizing temperature (None for constant
+    losses) and the weights that attain the risk.  `saturated` marks a radius
+    large enough that the solution sits at the max-loss vertex (or the
+    temperature bracket boundary)."""
 
+    robust_risk: float
+    gamma: Optional[float]
+    worst_case_weights: np.ndarray
     saturated: bool = False
 
 
@@ -35,35 +36,35 @@ class FixedPointResult(NamedTuple):
     iterations: int
 
 
-def _kl_dual_value(sample: LossSample, epsilon: float, gamma: float) -> float:
-    a = sample.values / gamma
+def _kl_dual_value(z: np.ndarray, p: np.ndarray, epsilon: float, gamma: float) -> float:
+    a = z / gamma
     m = a.max()
-    lse = m + math.log(float(sample.base_weights @ np.exp(a - m)))
+    lse = m + math.log(float(p @ np.exp(a - m)))
     return gamma * epsilon + gamma * lse
 
 
-def _kl_dual_deriv(sample: LossSample, epsilon: float, gamma: float) -> float:
+def _kl_dual_deriv(z: np.ndarray, p: np.ndarray, epsilon: float, gamma: float) -> float:
     """Derivative in gamma of gamma*eps + gamma*log sum p exp(z/gamma)."""
-    a = sample.values / gamma
+    a = z / gamma
     m = a.max()
-    e = sample.base_weights * np.exp(a - m)
+    e = p * np.exp(a - m)
     total = float(e.sum())
     lse = m + math.log(total)
-    tilted_mean = float(e @ sample.values) / total
+    tilted_mean = float(e @ z) / total
     return epsilon + lse - tilted_mean / gamma
 
 
-def _argmax_limit_weights(sample: LossSample) -> np.ndarray:
+def _argmax_limit_weights(z: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Zero-temperature limit of the tilted weights: base mass renormalized on
     the set of maximal losses."""
-    z = sample.values
     top = z >= z.max() - 1e-15 * max(1.0, abs(z.max()))
-    q = np.where(top, sample.base_weights, 0.0)
+    q = np.where(top, p, 0.0)
     return q / q.sum()
 
 
-def robust_risk_kl_dual(sample: LossSample, epsilon: float) -> KlDualSolution:
-    """Worst-case mean over the KL ball of radius epsilon via the 1-d dual.
+def robust_risk_kl_dual(z, epsilon: float) -> KlDualResult:
+    """Worst-case mean of the losses z over the KL ball of radius epsilon
+    around the uniform weights, via the 1-d dual.
 
     The dual objective gamma*eps + gamma*log sum_i p_i exp(z_i/gamma) is convex
     in gamma; its minimizer is bracketed in [1e-6, 1e6] * range(z) and located
@@ -74,36 +75,34 @@ def robust_risk_kl_dual(sample: LossSample, epsilon: float) -> KlDualSolution:
     """
     if epsilon <= 0.0:
         raise ContractViolation("epsilon must be positive")
-    z = sample.values
-    p = sample.base_weights
+    z, p = _losses(z)
     spread = float(z.max() - z.min())
     if _effectively_constant(z):
-        return KlDualSolution(sample.mean(), None, p.copy(), degenerate=True)
+        return KlDualResult(float(p @ z), None, p)
 
     lo, hi = 1e-6 * spread, 1e6 * spread
-    if _kl_dual_deriv(sample, epsilon, lo) >= 0.0:
+    if _kl_dual_deriv(z, p, epsilon, lo) >= 0.0:
         # Increasing already at the floor: the ball covers the max-loss vertex.
-        return KlDualSolution(float(z.max()), lo, _argmax_limit_weights(sample),
+        return KlDualResult(float(z.max()), lo, _argmax_limit_weights(z, p),
                               saturated=True)
-    if _kl_dual_deriv(sample, epsilon, hi) <= 0.0:
-        risk = _kl_dual_value(sample, epsilon, hi)
-        return KlDualSolution(risk, hi, boltzmann_weights(sample, hi), saturated=True)
+    if _kl_dual_deriv(z, p, epsilon, hi) <= 0.0:
+        risk = _kl_dual_value(z, p, epsilon, hi)
+        return KlDualResult(risk, hi, boltzmann_weights(z, hi), saturated=True)
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _kl_dual_deriv(sample, epsilon, mid) < 0.0:
+        if _kl_dual_deriv(z, p, epsilon, mid) < 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-10 * hi:
             break
     gamma = 0.5 * (lo + hi)
-    risk = _kl_dual_value(sample, epsilon, gamma)
-    return KlDualSolution(risk, gamma, boltzmann_weights(sample, gamma))
+    risk = _kl_dual_value(z, p, epsilon, gamma)
+    return KlDualResult(risk, gamma, boltzmann_weights(z, gamma))
 
 
-def kl_gamma_fixed_point(sample: LossSample, epsilon: float,
-                         gamma0: float) -> FixedPointResult:
+def kl_gamma_fixed_point(z, epsilon: float, gamma0: float) -> FixedPointResult:
     """Temperature found by iterating gamma <- tilted_mean / (eps + log-mean-exp).
 
     The iteration's fixed points are the stationary temperatures of the KL
@@ -115,7 +114,7 @@ def kl_gamma_fixed_point(sample: LossSample, epsilon: float,
         raise ContractViolation("epsilon must be positive")
     if gamma0 <= 0.0:
         raise ContractViolation("gamma0 must be positive")
-    z = sample.values
+    z, p = _losses(z)
     spread = float(z.max() - z.min())
     if _effectively_constant(z):
         raise ContractViolation("losses must be non-constant")
@@ -125,7 +124,7 @@ def kl_gamma_fixed_point(sample: LossSample, epsilon: float,
     for k in range(1, 201):
         a = z / gamma
         m = a.max()
-        e = sample.base_weights * np.exp(a - m)
+        e = p * np.exp(a - m)
         total = float(e.sum())
         tilted_mean = float(e @ z) / total
         denom = epsilon + m + math.log(total)
@@ -137,5 +136,5 @@ def kl_gamma_fixed_point(sample: LossSample, epsilon: float,
         if abs(step - gamma) <= 1e-8 * abs(step):
             return FixedPointResult(step, True, False, k)
         gamma = step
-    fallback = robust_risk_kl_dual(sample, epsilon)
+    fallback = robust_risk_kl_dual(z, epsilon)
     return FixedPointResult(float(fallback.gamma), False, True, 200)

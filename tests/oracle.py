@@ -2,8 +2,8 @@
 chi-square closed form in `dro_crm.divergence` and the KL dual in
 `kl_dual.py` at small n.
 
-`dro_oracle` shares no code with what it checks: it imports only the sample
-type and the error class from the package, and computes divergences
+`dro_oracle` shares no code with what it checks: it imports only the error
+class from the package, and computes the uniform base weights, divergences
 (`divergence_rows`), projections and ascent steps itself.
 `enumerate_actions` lists every action of a small label space for
 exhaustive checks of the policy.
@@ -16,7 +16,6 @@ from typing import Iterator
 
 import numpy as np
 
-from dro_crm.divergence import LossSample
 from dro_crm.errors import ContractViolation
 
 
@@ -258,8 +257,9 @@ def _tangent_walk(kind: DivergenceKind, Q: np.ndarray, z: np.ndarray,
     return Q
 
 
-def dro_oracle(sample: LossSample, kind: DivergenceKind, epsilon: float) -> float:
-    """Brute-force sup of sum_i q_i z_i over the divergence ball, for n <= 12.
+def dro_oracle(z, kind: DivergenceKind, epsilon: float) -> float:
+    """Brute-force sup of sum_i q_i z_i over the divergence ball around the
+    uniform weights, for a loss vector z of n <= 12 finite values.
 
     Candidates come from a dense Dirichlet grid (rays shrunk to the ball
     boundary) plus the simplex vertices; the best 64 seed a projected-gradient
@@ -269,13 +269,15 @@ def dro_oracle(sample: LossSample, kind: DivergenceKind, epsilon: float) -> floa
     """
     if epsilon < 0.0:
         raise ContractViolation("epsilon must be nonnegative")
-    z = sample.values
-    p = sample.base_weights
-    n = sample.n
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size < 1 or not np.all(np.isfinite(z)):
+        raise ContractViolation("losses must be a non-empty finite 1-d vector")
+    n = z.size
+    p = np.full(n, 1.0 / n)
     if n > 12:
         raise ContractViolation("dro_oracle is limited to n <= 12")
     if epsilon == 0.0 or n == 1:
-        return sample.mean()
+        return float(p @ z)
 
     rng = np.random.default_rng(20240901)
     grids = [np.eye(n), p[None, :]]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from dro_crm import (ExperimentConfig, LossSample, PolicyParams, evaluate,
+from dro_crm import (ExperimentConfig, PolicyParams, evaluate,
                      gamma_star_approx, paired_t_test_one_tailed,
                      robust_risk_chi2, run_experiment,
                      save_multilabel_svmlight, synthetic_multilabel)
@@ -40,7 +40,7 @@ def report(criterion, ok, detail=""):
 
 
 def shared_instances(count=500, seed=2024):
-    """The loss samples used by criteria 1 and 2: n in 2..8, uniform base
+    """The loss vectors used by criteria 1 and 2: n in 2..8, uniform base
     weights, radii kept inside the chi-square interior regime."""
     rng = np.random.default_rng(seed)
     out = []
@@ -49,10 +49,9 @@ def shared_instances(count=500, seed=2024):
         z = rng.uniform(0.0, 1.0, size=n)
         while z.max() - z.min() < 1e-3:
             z = rng.uniform(0.0, 1.0, size=n)
-        s = LossSample(z)
-        thr = s.variance() / (s.mean() - z.min()) ** 2
+        thr = z.var() / (z.mean() - z.min()) ** 2
         eps = float(rng.uniform(0.05, 0.9)) * thr
-        out.append((s, eps))
+        out.append((z, eps))
     return out
 
 
@@ -83,11 +82,11 @@ def test_criterion_1_chi2_identity_and_oracle():
     t0 = time.perf_counter()
     instances = shared_instances()
     worst_formula, worst_oracle = 0.0, 0.0
-    for s, eps in instances:
-        sol = robust_risk_chi2(s, eps)
-        formula = s.mean() + math.sqrt(eps * s.variance())
-        worst_formula = max(worst_formula, abs(sol.robust_risk - formula))
-        worst_oracle = max(worst_oracle, abs(sol.robust_risk - dro_oracle(s, CHI, eps)))
+    for z, eps in instances:
+        risk, _ = robust_risk_chi2(z, eps)
+        formula = z.mean() + math.sqrt(eps * z.var())
+        worst_formula = max(worst_formula, abs(risk - formula))
+        worst_oracle = max(worst_oracle, abs(risk - dro_oracle(z, CHI, eps)))
     elapsed = time.perf_counter() - t0
     ok = worst_formula <= 1e-12 and worst_oracle <= 1e-4 and elapsed < 10.0
     report(1, ok, f"formula gap {worst_formula:.2e} (<=1e-12), "
@@ -102,12 +101,12 @@ def test_criterion_2_kl_dual_and_fixed_point():
     instances = shared_instances()
     worst_oracle, worst_gamma = 0.0, 0.0
     native = attempted = 0
-    for s, eps in instances:
-        dual = robust_risk_kl_dual(s, eps)
-        worst_oracle = max(worst_oracle, abs(dual.robust_risk - dro_oracle(s, KL, eps)))
+    for z, eps in instances:
+        dual = robust_risk_kl_dual(z, eps)
+        worst_oracle = max(worst_oracle, abs(dual.robust_risk - dro_oracle(z, KL, eps)))
         if not dual.saturated:
             attempted += 1
-            fp = kl_gamma_fixed_point(s, eps, 1.0)
+            fp = kl_gamma_fixed_point(z, eps, 1.0)
             native += fp.converged
             worst_gamma = max(worst_gamma, abs(fp.gamma - dual.gamma) / dual.gamma)
     elapsed = time.perf_counter() - t0
@@ -127,10 +126,9 @@ def test_criterion_3_temperature_approximation():
     hits = 0
     for _ in range(200):
         z = rng.uniform(-1.0, 0.0, size=100)
-        s = LossSample(z)
         eps = float(10.0 ** rng.uniform(-4.0, math.log10(0.01)))
-        approx = gamma_star_approx(s, eps).gamma
-        exact = robust_risk_kl_dual(s, eps).gamma
+        approx = gamma_star_approx(z, eps)
+        exact = robust_risk_kl_dual(z, eps).gamma
         if abs(approx - exact) / exact <= 0.1:
             hits += 1
     ok = hits >= 180
@@ -144,11 +142,11 @@ def test_criterion_4_remainder_decay():
     for n in (100, 1000, 10000):
         vals = []
         for _ in range(50):
-            s = LossSample(rng.random(n) ** 4)  # bounded, right-skewed
+            z = rng.random(n) ** 4  # bounded, right-skewed
             eps_n = 1.0 / n
-            r = robust_risk_kl_dual(s, eps_n).robust_risk
+            r = robust_risk_kl_dual(z, eps_n).robust_risk
             vals.append(math.sqrt(n) * abs(
-                r - s.mean() - math.sqrt(eps_n * s.variance())))
+                r - z.mean() - math.sqrt(eps_n * z.var())))
         medians.append(float(np.median(vals)))
     ok = medians[0] > medians[1] > medians[2]
     report(4, ok, "medians " + " > ".join(f"{m:.5f}" for m in medians))
@@ -195,11 +193,10 @@ def test_criterion_6_objective_equivalences():
         log, _ = sample_log(rng, n=10)
         params = PolicyParams(0.3 * rng.normal(size=(2, 3)))
         z = evaluate("cips", params, log).losses
-        s = LossSample(z)
-        thr = s.variance() / max((s.mean() - z.min()) ** 2, 1e-300)
+        thr = z.var() / max((z.mean() - z.min()) ** 2, 1e-300)
         lam = 0.5 * math.sqrt(log.n * thr) * float(rng.uniform(0.1, 1.0))
         gap = abs(evaluate("poem", params, log, lam).risk
-                  - robust_risk_chi2(s, lam * lam / log.n).robust_risk)
+                  - robust_risk_chi2(z, lam * lam / log.n)[0])
         worst_poem = max(worst_poem, gap)
         worst_kl = max(worst_kl, abs(evaluate("klcrm", params, log, 1e9).risk
                                      - evaluate("cips", params, log).risk))

@@ -14,6 +14,11 @@ from dro_crm.bandit import SupervisedDataset
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
 
 
+def raw_costs(log):
+    """Hamming distances behind the logged costs, cost = hamming / q - 1."""
+    return (log.costs + 1.0) * log.Y.shape[1]
+
+
 class TestSvmlightFormat:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "toy.svm"
@@ -148,7 +153,7 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(50, 3, 2, seed=6)
         logger = PolicyParams(np.full((2, 3), 0.0))
         log = generate_bandit_log(logger, ds, delta=1, seed=2)
-        raw = log.cost_scaling.to_raw(log.costs)
+        raw = raw_costs(log)
         perfect = raw == 0.0
         assert perfect.any()
         assert np.allclose(log.costs[perfect], -1.0)
@@ -156,7 +161,7 @@ class TestBanditGeneration:
     def test_raw_cost_is_hamming_distance(self):
         ds = synthetic_multilabel(20, 3, 4, seed=6)
         log = generate_bandit_log(PolicyParams.zeros(4, 3), ds, delta=2, seed=2)
-        raw = log.cost_scaling.to_raw(log.costs)
+        raw = raw_costs(log)
         for i, example in enumerate(log.example_ids):
             differing = sum(int(a != b) for a, b in zip(log.Y[i], ds.Y[example]))
             assert raw[i] == pytest.approx(differing, abs=1e-12)
@@ -183,7 +188,7 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(300, 3, 2, seed=9)
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=8, seed=4)
-        raw = log.cost_scaling.to_raw(log.costs)
+        raw = raw_costs(log)
         expected = evaluate_policy(logger, ds, "expected")
         # hamming per record is bounded by q = 2: conservative 3 sigma
         sigma = 2.0 / math.sqrt(log.n)
@@ -321,13 +326,14 @@ class TestLogSerialization:
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=8)
         csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
-        save_bandit_log(log, csv_path, meta_path)
+        save_bandit_log(log, csv_path, meta_path, seed=8)
         back = load_bandit_log(csv_path, meta_path, ds)
         assert np.array_equal(back.Y, log.Y)
         assert np.allclose(back.log_propensities, log.log_propensities, atol=1e-14)
         assert np.allclose(back.costs, log.costs, atol=0.0)
         assert back.clip_m == log.clip_m
-        assert back.delta == 2 and back.seed == 8
+        meta = meta_path.read_text().splitlines()
+        assert "delta = 2" in meta and "seed = 8" in meta
         assert np.array_equal(back.X, log.X)
 
     def test_header_checked(self, tmp_path):
@@ -344,8 +350,14 @@ class TestLogValidation:
         ds = synthetic_multilabel(6, 3, 2, seed=20)
         log = generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=2, seed=9)
         csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
-        save_bandit_log(log, csv_path, meta_path)
+        save_bandit_log(log, csv_path, meta_path, seed=9)
         return ds, log, csv_path, meta_path
+
+    @staticmethod
+    def _set_meta(meta_path, key, value):
+        lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
+                 for line in meta_path.read_text().splitlines()]
+        meta_path.write_text("\n".join(lines) + "\n")
 
     @staticmethod
     def _corrupt(csv_path, field, value):
@@ -378,6 +390,30 @@ class TestLogValidation:
         ds, _, csv_path, meta_path = self._saved(tmp_path)
         meta_path.write_text("clip_m = 2.0\n")
         with pytest.raises(DataFormatError, match="cost_scale"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    @pytest.mark.parametrize("key,value", [
+        ("cost_scale", "1.0"), ("cost_scale", "0.25"), ("cost_offset", "0.0")])
+    def test_loader_rejects_other_cost_map(self, tmp_path, key, value):
+        # q = 2 labels: the package's map is scale 0.5, offset -1.0
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        self._set_meta(meta_path, key, value)
+        with pytest.raises(DataFormatError, match="log.meta: cost map"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    def test_loader_rejects_truncated_log(self, tmp_path):
+        ds, log, csv_path, meta_path = self._saved(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=f"n_records = {log.n}, but .*log.csv holds {log.n - 1}"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.0"])
+    def test_loader_rejects_bad_clip_constant(self, tmp_path, value):
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        self._set_meta(meta_path, "clip_m", value)
+        with pytest.raises(DataFormatError, match="log.meta: clip constant"):
             load_bandit_log(csv_path, meta_path, ds)
 
     @pytest.mark.parametrize("which", ["csv", "meta"])
@@ -413,6 +449,9 @@ class TestLogValidation:
             dict(log_propensities=np.array([np.nan, np.log(0.5)])),
             dict(costs=np.array([np.inf, 0.0])),
             dict(costs=np.array([np.nan, 0.0])),
+            dict(clip_m=0.0),
+            dict(clip_m=math.nan),
+            dict(clip_m=math.inf),
         ]
         for override in bad:
             args = dict(X=X, Y=Y, log_propensities=logp, costs=costs, clip_m=2.0,

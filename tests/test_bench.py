@@ -44,6 +44,12 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             small_config(synth_path, algorithms=("poem",), grids={"poem": []})
 
+    @pytest.mark.parametrize("alg", ["poem", "klcrm", "aklcrm"])
+    def test_infinite_grid_value_rejected(self, synth_path, alg):
+        with pytest.raises(ContractViolation,
+                           match=f"{alg} grid values must be finite, got inf"):
+            small_config(synth_path, algorithms=(alg,), grids={alg: [1.0, math.inf]})
+
     def test_unknown_algorithm_rejected(self, synth_path):
         with pytest.raises(ContractViolation):
             small_config(synth_path, algorithms=("sgd",))

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (BanditLog, ContractViolation, LossSample,
-                     PolicyParams, evaluate, gamma_star_approx,
+from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
+                     gamma_star_approx,
                      generate_bandit_log, ips_risk, make_objective,
                      robust_risk_chi2, synthetic_multilabel, train_logger)
 from dro_crm.bandit import SupervisedDataset
@@ -135,8 +135,8 @@ class TestPoem:
             lam = float(rng.uniform(0.01, 0.5))
             report = evaluate("poem", params, log, lam)
             z = evaluate("cips", params, log).losses
-            sol = robust_risk_chi2(LossSample(z), lam * lam / log.n)
-            assert abs(report.risk - sol.robust_risk) <= 1e-10
+            risk, _ = robust_risk_chi2(z, lam * lam / log.n)
+            assert abs(report.risk - risk) <= 1e-10
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -195,9 +195,22 @@ class TestAklCrm:
     def test_constant_losses_degenerate(self):
         log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.25] * 4, 2.0)
         report = evaluate("aklcrm", PolicyParams.zeros(1, 1), log, 0.1)
-        assert report.degenerate
+        assert report.gamma_used == 0.0
         assert report.risk == pytest.approx(-0.25, abs=1e-14)
         assert np.allclose(report.weights, 0.25)
+
+    def test_roundoff_spread_is_constant(self):
+        # Losses that differ at roundoff scale count as constant for every
+        # rule: the uniform-weight mean, and no temperature for aklcrm.
+        z = np.array([1.0, 1.0 + 2.2e-16, 1.0])
+        log = one_feature_log([0.0] * 3, [[1]] * 3, [0.5] * 3, z, 2.0)
+        uniform = np.full(3, 1.0 / 3.0)
+        for alg, hyper in (("cips", None), ("poem", 3.0), ("aklcrm", 0.1)):
+            report = evaluate(alg, PolicyParams.zeros(1, 1), log, hyper)
+            assert np.array_equal(report.losses, z), alg
+            assert report.risk == float(uniform @ z), alg
+            assert np.array_equal(report.weights, uniform), alg
+        assert report.gamma_used == 0.0
 
     def test_huge_radius_hardest_example(self):
         rng = np.random.default_rng(12)
@@ -226,7 +239,7 @@ class TestAklCrm:
             z = evaluate("cips", params, log).losses
             report = evaluate("aklcrm", params, log, log.n * eps)
             assert report.gamma_used == pytest.approx(
-                gamma_star_approx(LossSample(z), eps).gamma, rel=1e-12)
+                gamma_star_approx(z, eps), rel=1e-12)
         # variance of [1,0] is 0.25: gamma = sqrt(0.25/0.5)
         report = evaluate("aklcrm", PolicyParams.zeros(1, 1), two_point_log(), 2 * 0.25)
         assert report.gamma_used == pytest.approx(math.sqrt(0.5), rel=1e-12)
@@ -283,8 +296,8 @@ class TestWorstCaseWeights:
 
                     assert rel_err(g, fd_gradient(value, theta)) < 1e-5, alg
                 if alg == "poem":
-                    sol = robust_risk_chi2(LossSample(z), hyper * hyper / log.n)
-                    assert np.array_equal(q, sol.worst_case_weights)
+                    _, worst_case_weights = robust_risk_chi2(z, hyper * hyper / log.n)
+                    assert np.array_equal(q, worst_case_weights)
                     assert q.sum() == pytest.approx(1.0, abs=1e-12)
                     poem_on_face += bool(np.any(q == 0.0))
         assert 0 < poem_on_face < 20  # both chi-square regimes were exercised
@@ -297,7 +310,7 @@ class TestObjectiveProperties:
         params = PolicyParams(0.2 * rng.normal(size=(2, 3)))
         perm = rng.permutation(log.n)
         shuffled = BanditLog(log.X[perm], log.Y[perm], log.log_propensities[perm],
-                             log.costs[perm], log.clip_m, log.cost_scaling)
+                             log.costs[perm], log.clip_m)
         hypers = {"cips": None, "poem": 0.3, "klcrm": 0.7, "aklcrm": 0.2}
         for alg in RULES:
             hyper = hypers[alg]

@@ -121,14 +121,14 @@ class TestSampling:
         params = PolicyParams(np.full((4, 1), 50.0))
         log = generate_bandit_log(params, one_row([1.0], [1, 1, 1, 1]), delta=1, seed=0)
         assert np.all(log.Y == 1)
-        assert log.propensities[0] == pytest.approx(1.0, abs=1e-10)
+        assert math.exp(log.log_propensities[0]) == pytest.approx(1.0, abs=1e-10)
 
     def test_propensity_matches_log_prob(self):
         rng = np.random.default_rng(8)
         for seed in range(50):
             params, x, y = random_instance(rng)
             log = generate_bandit_log(params, one_row(x, y), delta=1, seed=seed)
-            prop = log.propensities[0]
+            prop = math.exp(log.log_propensities[0])
             assert prop == pytest.approx(math.exp(row_log_prob(params, x, log.Y[0])),
                                          rel=1e-12)
             assert 0.0 < prop <= 1.0
