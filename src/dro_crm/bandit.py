@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +34,10 @@ from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
 
 @dataclass
 class SupervisedDataset:
-    """Dense multilabel dataset: X (N, D) features, Y (N, q) 0/1 labels.
-    `label_base` records the label-id convention of the source file (0 or 1)."""
+    """Dense multilabel dataset: X (N, D) features, Y (N, q) 0/1 labels."""
 
     X: np.ndarray
     Y: np.ndarray
-    has_bias: bool = False
-    label_base: int = 0
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Y.ndim != 2 or self.X.shape[0] != self.Y.shape[0]:
@@ -61,7 +58,7 @@ class SupervisedDataset:
         return self.Y.shape[1]
 
     def subset(self, idx: np.ndarray) -> "SupervisedDataset":
-        return SupervisedDataset(self.X[idx], self.Y[idx], self.has_bias, self.label_base)
+        return SupervisedDataset(self.X[idx], self.Y[idx])
 
 
 # The protocol: train/validation split, the share of train the logging policy
@@ -78,17 +75,8 @@ _COST_OFFSET = -1.0        # logged cost = hamming / q + _COST_OFFSET
 # svmlight-style multilabel text format
 # ---------------------------------------------------------------------------
 
-def load_multilabel_svmlight(path, n_features: Optional[int] = None,
-                             n_labels: Optional[int] = None,
-                             zero_based: Optional[bool] = None) -> SupervisedDataset:
-    """Parse lines of the form "l1,l2,... idx:val idx:val ...".
-
-    Feature indices are 1-based.  Label ids may be 0- or 1-based; the
-    convention is auto-detected (a 0 anywhere means 0-based) unless forced by
-    `zero_based`, and labels are remapped to 0..q-1.  Empty label lists yield
-    all-zero rows.  Dimensions are inferred from the global maxima unless
-    given explicitly.
-    """
+def _parse_svmlight(path) -> List[tuple]:
+    """(label ids, [(feature index - 1, value), ...]) for each example line."""
     rows = []
     for lineno, raw in utf8_lines(path):
         line = raw.split("#", 1)[0].strip()
@@ -118,40 +106,56 @@ def load_multilabel_svmlight(path, n_features: Optional[int] = None,
         rows.append((labels, feats))
     if not rows:
         raise DataFormatError(f"{path}: no examples")
+    return rows
 
-    all_labels = [l for labels, _ in rows for l in labels]
-    if zero_based is None:
-        zero_based = (min(all_labels) == 0) if all_labels else True
-    shift = 0 if zero_based else 1
-    max_label = max(all_labels) - shift if all_labels else -1
-    q = n_labels if n_labels is not None else max_label + 1
-    max_feat = max((i for _, feats in rows for i, _ in feats), default=-1)
-    d = n_features if n_features is not None else max_feat + 1
 
-    X = np.zeros((len(rows), d))
-    Y = np.zeros((len(rows), q))
-    for r, (labels, feats) in enumerate(rows):
-        for lab in labels:
-            lab -= shift
-            if not 0 <= lab < q:
-                raise DataFormatError(f"{path}: label {lab + shift} outside 0..{q - 1 + shift}")
-            Y[r, lab] = 1.0
-        for i, v in feats:
-            if i >= d:
-                raise DataFormatError(f"{path}: feature index {i + 1} exceeds declared dim")
-            X[r, i] = v
-    return SupervisedDataset(X, Y, label_base=shift)
+def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
+                             ) -> List[SupervisedDataset]:
+    """One dataset per file, read from lines "l1,l2,... idx:val idx:val ...".
+
+    The files are read as one collection, such as a train and a test split.
+    Feature indices are 1-based.  Label ids may be 0- or 1-based: the first
+    file decides for all of them (a 0 anywhere in it means 0-based), and
+    labels are remapped to 0..q-1.  Empty label lists yield all-zero rows.
+    Every dataset gets the label count and the feature width of the whole
+    collection, zero-padded where a file never uses the top ids;
+    `n_features` sets the width instead, and a larger index is an error.
+    """
+    shift, arrays = None, []
+    for path in paths:
+        rows = _parse_svmlight(path)
+        ids = [l for labels, _ in rows for l in labels]
+        if shift is None:  # the first file decides
+            shift = 1 if min(ids, default=0) > 0 else 0
+        q = max(ids, default=shift - 1) - shift + 1
+        d = n_features if n_features is not None else 1 + max(
+            (i for _, feats in rows for i, _ in feats), default=-1)
+        X, Y = np.zeros((len(rows), d)), np.zeros((len(rows), q))
+        for r, (labels, feats) in enumerate(rows):
+            for lab in labels:
+                if lab < shift:
+                    raise DataFormatError(f"{path}: label {lab} below the first id {shift}")
+                Y[r, lab - shift] = 1.0
+            for i, v in feats:
+                if i >= d:
+                    raise DataFormatError(f"{path}: feature index {i + 1} exceeds the width {d}")
+                X[r, i] = v
+        arrays.append((X, Y))
+        del rows  # one file's tokens at a time bounds the parse's memory
+    d = max(X.shape[1] for X, _ in arrays)
+    q = max(Y.shape[1] for _, Y in arrays)
+    return [SupervisedDataset(np.pad(X, [(0, 0), (0, d - X.shape[1])]),
+                              np.pad(Y, [(0, 0), (0, q - Y.shape[1])]))
+            for X, Y in arrays]
 
 
 def save_multilabel_svmlight(ds: SupervisedDataset, path) -> None:
-    """Write the dataset back out (0-based labels, 1-based feature indices).
-    The bias column, when present, is not written."""
-    d = ds.n_features - (1 if ds.has_bias else 0)
+    """Write the dataset back out (0-based labels, 1-based feature indices)."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in range(ds.n_examples):
             labels = ",".join(str(l) for l in np.flatnonzero(ds.Y[r]))
             feats = " ".join(f"{i + 1}:{float(ds.X[r, i])!r}"
-                             for i in range(d) if ds.X[r, i] != 0.0)
+                             for i in range(ds.n_features) if ds.X[r, i] != 0.0)
             fh.write(f"{labels} {feats}".rstrip() + "\n")
 
 
@@ -167,14 +171,12 @@ def synthetic_multilabel(n_examples: int, n_features: int, n_labels: int,
     if label_noise > 0.0:
         flips = rng.random(Y.shape) < label_noise
         Y = np.where(flips, 1.0 - Y, Y)
-    return SupervisedDataset(X, Y, has_bias=False)
+    return SupervisedDataset(X, Y)
 
 
 def append_bias(ds: SupervisedDataset) -> SupervisedDataset:
-    if ds.has_bias:
-        return ds
     X = np.hstack([ds.X, np.ones((ds.n_examples, 1))])
-    return SupervisedDataset(X, ds.Y.copy(), has_bias=True, label_base=ds.label_base)
+    return SupervisedDataset(X, ds.Y.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +318,29 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
 
 def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLog:
     """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X` and
-    the stored example ids.  Every record is checked against the dataset:
-    example ids in range, q-bit 0/1 actions, propensities in (0, 1] and
-    finite costs; the sidecar's cost map and record count must match."""
+    the stored example ids.  Every record is checked against the dataset and
+    the sidecar: replay ids in 0..delta-1, example ids in range, q-bit 0/1
+    actions, propensities in (0, 1] and finite costs; the sidecar's cost map
+    and record count must match."""
     meta = {}
     for _, line in utf8_lines(meta_path):
         if "=" in line:
             k, v = line.split("=", 1)
             meta[k.strip()] = v.strip()
     n_ex, q = dataset.n_examples, dataset.n_labels
-    replay, example, Y, p, costs = [], [], [], [], []
     lines = utf8_lines(csv_path)
     header = next(lines, (1, ""))[1].strip()
     if header != _LOG_HEADER:
         raise DataFormatError(f"{csv_path}: unexpected header {header!r}")
+    try:
+        clip_m = float(meta["clip_m"])
+        cost_map = (float(meta["cost_scale"]), float(meta["cost_offset"]))
+        n_records, delta = int(meta["n_records"]), int(meta["delta"])
+    except (KeyError, ValueError) as exc:
+        raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
+    if cost_map != (1.0 / q, _COST_OFFSET):
+        raise DataFormatError(f"{meta_path}: cost map {cost_map} is not hamming / {q} - 1")
+    replay, example, Y, p, costs = [], [], [], [], []
     for lineno, line in lines:
         where = f"{csv_path}:{lineno}"
         parts = line.strip().split(",")
@@ -340,6 +351,8 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
         except ValueError as exc:
             raise DataFormatError(f"{where}: bad number ({exc})") from exc
         bits = parts[3]
+        if not 0 <= r < delta:
+            raise DataFormatError(f"{where}: replay id {r} outside 0..{delta - 1}")
         if not 0 <= e < n_ex:
             raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
         if len(bits) != q or set(bits) - {"0", "1"}:
@@ -355,14 +368,6 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
         costs.append(cost)
     if not Y:
         raise DataFormatError(f"{csv_path}: no records")
-    try:
-        clip_m = float(meta["clip_m"])
-        cost_map = (float(meta["cost_scale"]), float(meta["cost_offset"]))
-        n_records = int(meta["n_records"])
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
-    if cost_map != (1.0 / q, _COST_OFFSET):
-        raise DataFormatError(f"{meta_path}: cost map {cost_map} is not hamming / {q} - 1")
     if n_records != len(Y):
         raise DataFormatError(
             f"{meta_path}: n_records = {n_records}, but {csv_path} holds {len(Y)} records")

@@ -125,27 +125,16 @@ class ResultRow:
 _HYPER_NAME = {alg: name for alg, (name, _) in RULES.items()} | {"baseline": ""}
 
 
-def _pad_columns(ds: SupervisedDataset, d: int, q: int) -> SupervisedDataset:
-    X = ds.X if ds.n_features == d else np.hstack(
-        [ds.X, np.zeros((ds.n_examples, d - ds.n_features))])
-    Y = ds.Y if ds.n_labels == q else np.hstack(
-        [ds.Y, np.zeros((ds.n_examples, q - ds.n_labels))])
-    return SupervisedDataset(X, Y, has_bias=ds.has_bias, label_base=ds.label_base)
-
-
 def _load_pools(cfg: ExperimentConfig, seed: int
                 ) -> Tuple[SupervisedDataset, SupervisedDataset]:
-    """(non-test pool, test set), both with a bias column.  Without a test file,
-    _TEST_FRAC of the file is carved out deterministically per seed.  A test
-    file is parsed with the pool's label convention and both are padded to
-    common feature/label dimensions."""
-    full = load_multilabel_svmlight(cfg.dataset)
+    """(non-test pool, test set), both with a bias column.  A test file is
+    read with the dataset, so it takes the dataset's label ids and width.
+    Without one, _TEST_FRAC of the file is carved out deterministically per
+    seed."""
     if cfg.test_dataset is not None:
-        test = load_multilabel_svmlight(cfg.test_dataset, zero_based=full.label_base == 0)
-        d = max(full.n_features, test.n_features)
-        q = max(full.n_labels, test.n_labels)
-        full, test = _pad_columns(full, d, q), _pad_columns(test, d, q)
+        full, test = load_multilabel_svmlight(cfg.dataset, cfg.test_dataset)
     else:
+        full = load_multilabel_svmlight(cfg.dataset)[0]
         perm = np.random.default_rng((seed, 0xD5)).permutation(full.n_examples)
         n_test = int(_TEST_FRAC * full.n_examples)
         full, test = full.subset(perm[n_test:]), full.subset(perm[:n_test])
@@ -438,12 +427,11 @@ SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
 
 
 def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int],
-                 seeds: Optional[Sequence[int]] = None) -> List[Tuple]:
-    """Run every (algorithm, delta, seed) cell (default 10 seeds) and return
-    plot-ready tuples matching SWEEP_HEADER."""
+                 seeds: Sequence[int]) -> List[Tuple]:
+    """Run every (algorithm, delta, seed) cell and return plot-ready tuples
+    matching SWEEP_HEADER."""
     if any(d < 1 for d in deltas):
         raise ContractViolation("replay counts must be at least 1")
-    seeds = tuple(seeds) if seeds is not None else tuple(range(10))
     cells = [(replace(cfg, delta=int(d), seeds=(seed,)), alg, seed)
              for d in deltas for alg in cfg.algorithms for seed in seeds]
     rows = _run_cells(cells, cfg.worker_count())
@@ -457,15 +445,3 @@ def write_sweep_csv(rows: List[Tuple], path) -> None:
         fh.write(SWEEP_HEADER + "\n")
         for dataset, alg, delta, seed, exp_l, gr_l in rows:
             fh.write(f"{dataset},{alg},{delta},{seed},{_fmt(exp_l)},{_fmt(gr_l)}\n")
-
-
-def read_sweep_csv(path) -> List[Tuple]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SWEEP_HEADER:
-            raise ContractViolation(f"unexpected sweep header {header!r}")
-        for line in fh:
-            d, alg, delta, seed, e, g = line.strip().split(",")
-            rows.append((d, alg, int(delta), int(seed), float(e), float(g)))
-    return rows

@@ -183,7 +183,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ds = append_bias(load_multilabel_svmlight(args.input))
+    ds = append_bias(load_multilabel_svmlight(args.input)[0])
     train, _valid, logger_subset = split_dataset(ds, args.seed)
     logger = train_logger(logger_subset)
     log = generate_bandit_log(logger, train, args.delta, args.seed)
@@ -211,11 +211,13 @@ def _load_params(path) -> PolicyParams:
 
 def cmd_eval(args) -> int:
     params = _load_params(args.params)
-    test = append_bias(load_multilabel_svmlight(args.test))
-    if test.n_features != params.n_features:
-        raise ContractViolation(
-            f"test features ({test.n_features}, with the bias column) do not "
-            f"match params ({params.n_features})")
+    if params.n_features < 1:
+        raise ContractViolation("params have no bias column")
+    # Read at the params' width less the bias column, so a file that never
+    # uses the top feature indices is padded as `run` pads it.  Labels are not:
+    # the params do not record which label-id convention they were fitted on.
+    test = append_bias(load_multilabel_svmlight(
+        args.test, n_features=params.n_features - 1)[0])
     if test.n_labels != params.n_labels:
         raise ContractViolation(
             f"test labels ({test.n_labels}) do not match params ({params.n_labels})")

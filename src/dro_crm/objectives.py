@@ -217,7 +217,7 @@ def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
 
     def fun(theta_flat: np.ndarray):
         report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
-        fun.last_gamma = report.gamma_used  # minimizer traces show it
+        fun.last_gamma = report.gamma_used  # read only by perfbench/spans.py
         return report.risk, report.gradient.ravel()
     fun.last_gamma = None
     return fun, (q, d)

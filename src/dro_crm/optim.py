@@ -42,7 +42,6 @@ class IterRecord:
     f: float
     grad_norm: float
     step: float
-    gamma: Optional[float] = None
 
 
 @dataclass
@@ -196,8 +195,7 @@ def minimize(fun: Objective, x0: np.ndarray,
                 rho_hist.pop(0)
 
         decrease = f - f_new
-        trace.iterations.append(IterRecord(f_new, float(np.abs(g_new).max()), alpha,
-                                           gamma=getattr(fun, "last_gamma", None)))
+        trace.iterations.append(IterRecord(f_new, float(np.abs(g_new).max()), alpha))
         x, f, g = x_new, f_new, g_new
         if decrease <= cfg.f_tol * max(1.0, abs(f)):
             trace.termination = "f_tol"

@@ -23,29 +23,30 @@ class TestSvmlightFormat:
     def test_basic_line(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0,2 1:0.5 4:1.0\n")
-        ds = load_multilabel_svmlight(path, n_labels=3, n_features=4)
+        [ds] = load_multilabel_svmlight(path)
         assert ds.Y.tolist() == [[1.0, 0.0, 1.0]]
         assert ds.X.tolist() == [[0.5, 0.0, 0.0, 1.0]]
 
     def test_one_based_labels_detected(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("1,3 1:1.0\n2 2:1.0\n")
-        ds = load_multilabel_svmlight(path)
+        [ds] = load_multilabel_svmlight(path)
         assert ds.n_labels == 3
         assert ds.Y.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        assert ds.label_base == 1
 
     def test_empty_label_list(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:1.0\n 2:0.5\n")
-        ds = load_multilabel_svmlight(path)
+        [ds] = load_multilabel_svmlight(path)
         assert ds.Y[1].sum() == 0.0
 
     def test_empty_file_errors(self, tmp_path):
-        path = tmp_path / "empty.svm"
-        path.write_text("\n\n")
-        with pytest.raises(DataFormatError, match="no examples"):
-            load_multilabel_svmlight(path)
+        path, first = tmp_path / "empty.svm", tmp_path / "first.svm"
+        path.write_text("\n# only a comment\n")
+        first.write_text("0 1:1.0\n")
+        for paths in ([path], [first, path]):
+            with pytest.raises(DataFormatError, match="empty.svm: no examples"):
+                load_multilabel_svmlight(*paths)
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.svm"
@@ -56,20 +57,53 @@ class TestSvmlightFormat:
     def test_bias_column_appended(self, tmp_path):
         path = tmp_path / "toy.svm"
         path.write_text("0 1:2.0\n")
-        loaded = load_multilabel_svmlight(path)
-        assert not loaded.has_bias
+        [loaded] = load_multilabel_svmlight(path)
         assert loaded.X.tolist() == [[2.0]]
         ds = append_bias(loaded)
-        assert ds.has_bias
         assert ds.X.tolist() == [[2.0, 1.0]]
 
     def test_round_trip_identity(self, tmp_path):
         ds = synthetic_multilabel(10, 6, 3, seed=5)
         path = tmp_path / "rt.svm"
         save_multilabel_svmlight(ds, path)
-        back = load_multilabel_svmlight(path, n_features=6, n_labels=3)
+        [back] = load_multilabel_svmlight(path)
         assert np.allclose(back.X, ds.X, atol=0.0)
         assert np.array_equal(back.Y, ds.Y)
+
+    def test_files_share_label_ids_and_width(self, tmp_path):
+        # the first file is 1-based; the second never uses label 3 or feature 3
+        first, second = tmp_path / "a.svm", tmp_path / "b.svm"
+        first.write_text("1,3 1:1.0\n2 3:2.0\n")
+        second.write_text("1 2:0.5\n2,1 1:4.0\n")
+        a, b = load_multilabel_svmlight(first, second)
+        assert a.Y.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert a.X.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+        assert b.Y.tolist() == [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]
+        assert b.X.tolist() == [[0.0, 0.5, 0.0], [4.0, 0.0, 0.0]]
+        # read alone, the second file is narrower
+        [alone] = load_multilabel_svmlight(second)
+        assert alone.Y.shape == (2, 2) and alone.X.shape == (2, 2)
+
+    def test_first_file_decides_label_base(self, tmp_path):
+        first, second = tmp_path / "a.svm", tmp_path / "b.svm"
+        first.write_text("0 1:1.0\n1 1:2.0\n")
+        second.write_text("1,2 1:3.0\n")  # no 0: 1-based if read alone
+        a, b = load_multilabel_svmlight(first, second)
+        assert a.Y.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert b.Y.tolist() == [[0.0, 1.0, 1.0]]
+        first.write_text("1 1:1.0\n")  # 1-based: a 0 in a later file is an error
+        second.write_text("0 1:1.0\n")
+        with pytest.raises(DataFormatError, match="b.svm: label 0 below the first id 1"):
+            load_multilabel_svmlight(first, second)
+
+    def test_given_width_pads_and_bounds(self, tmp_path):
+        path = tmp_path / "toy.svm"
+        path.write_text("0 1:1.0 3:2.0\n")
+        [ds] = load_multilabel_svmlight(path, n_features=5)
+        assert ds.X.tolist() == [[1.0, 0.0, 2.0, 0.0, 0.0]]
+        with pytest.raises(DataFormatError,
+                           match="toy.svm: feature index 3 exceeds the width 2"):
+            load_multilabel_svmlight(path, n_features=2)
 
 
 class TestSplit:
@@ -368,6 +402,8 @@ class TestLogValidation:
         csv_path.write_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("field,value,message", [
+        (1, "-5", "replay id -5 outside 0..1"),
+        (1, "2", "replay id 2 outside 0..1"),
         (2, "-1", "example id -1"),
         (2, "6", "example id 6"),
         (2, "x", "bad number"),
@@ -399,6 +435,13 @@ class TestLogValidation:
         ds, _, csv_path, meta_path = self._saved(tmp_path)
         self._set_meta(meta_path, key, value)
         with pytest.raises(DataFormatError, match="log.meta: cost map"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    def test_loader_rejects_replay_beyond_delta(self, tmp_path):
+        # 6 examples, delta 2: the first record of replay 1 is on line 8
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        self._set_meta(meta_path, "delta", "1")
+        with pytest.raises(DataFormatError, match="log.csv:8: replay id 1 outside 0..0"):
             load_bandit_log(csv_path, meta_path, ds)
 
     def test_loader_rejects_truncated_log(self, tmp_path):

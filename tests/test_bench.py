@@ -10,7 +10,7 @@ from dro_crm import (ContractViolation, ExperimentConfig, default_grids,
                      run_experiment, run_single, synthetic_multilabel,
                      save_multilabel_svmlight)
 from dro_crm import bench
-from dro_crm.bench import ResultRow, read_sweep_csv, write_sweep_csv
+from dro_crm.bench import SWEEP_HEADER, ResultRow, write_sweep_csv
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,16 @@ def synth_path(tmp_path_factory):
 def read_lines(path):
     with open(path) as fh:
         return fh.read().splitlines()
+
+
+def read_sweep_csv(path):
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.readline().strip() == SWEEP_HEADER
+        for line in fh:
+            d, alg, delta, seed, e, g = line.strip().split(",")
+            rows.append((d, alg, int(delta), int(seed), float(e), float(g)))
+    return rows
 
 
 def small_config(synth_path, **kw):
@@ -266,7 +276,7 @@ class TestReplaySweep:
 
     def test_validates_deltas(self, synth_path):
         with pytest.raises(ContractViolation):
-            replay_sweep(small_config(synth_path), deltas=[0])
+            replay_sweep(small_config(synth_path), deltas=[0], seeds=(0,))
 
 
 def assert_same_rows(got, want):
@@ -312,8 +322,25 @@ class TestSharedSetup:
         cfg = small_config(train, test_dataset=test, seeds=(0, 1), optim_max_iters=5)
         rows = run_experiment(cfg)
         assert len(rows) == 8 and all(r.status == "ok" for r in rows)
-        # train and test file, logger and skyline, train and validation log
-        assert counts == dict.fromkeys(counts, 2 * 2)
+        # per seed: one read of both files, logger and skyline, train and
+        # validation log
+        assert counts == {"load_multilabel_svmlight": 2, "train_logger": 2 * 2,
+                          "generate_bandit_log": 2 * 2}
+
+    def test_test_file_takes_dataset_label_ids_and_width(self, tmp_path):
+        # the dataset is 0-based with 8 features; the test file has no label 0
+        # and never uses feature 8, so read alone it would be 1-based and narrower
+        train, test = tmp_path / "train.svm", tmp_path / "test.svm"
+        save_multilabel_svmlight(synthetic_multilabel(150, 8, 3, seed=4), train)
+        test.write_text("1 1:0.5 7:2.0\n2,1 3:-1.0\n")
+        cfg = small_config(str(train), test_dataset=str(test),
+                           algorithms=("cips",), optim_max_iters=5)
+        _, got = bench._load_pools(cfg, 0)
+        assert got.Y.tolist() == [[0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        want_x = np.zeros((2, 9))
+        want_x[0, [0, 6]], want_x[1, 2], want_x[:, 8] = (0.5, 2.0), -1.0, 1.0
+        np.testing.assert_array_equal(got.X, want_x)
+        assert [r.status for r in run_experiment(cfg)] == ["ok"]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_rows_equal_standalone_cells(self, split_paths, threads):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import dro_crm
-from dro_crm import (DataFormatError, save_multilabel_svmlight,
+from dro_crm import (DataFormatError, PolicyParams, SupervisedDataset,
+                     evaluate_policy, save_multilabel_svmlight,
                      synthetic_multilabel)
 from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
                          read_config_file)
@@ -188,10 +189,12 @@ class TestCommands:
         assert len(lines) == 1 + 2 * 2
 
     @pytest.mark.parametrize("shape, message", [
-        ((2, 3), "test features (7, with the bias column) do not match params (3)"),
+        # the test file is wider than the params' 2 features and bias
+        ((2, 3), "synth.svm: feature index 3 exceeds the width 2"),
         # the test file never uses the params' third label
         ((3, 7), "test labels (2) do not match params (3)"),
-    ], ids=["features", "labels"])
+        ((2, 0), "params have no bias column"),
+    ], ids=["features", "labels", "no_bias"])
     def test_eval_dimension_mismatch_fails(self, tmp_path, synth_path, capsys,
                                            shape, message):
         params_path = tmp_path / "bad.npz"
@@ -200,6 +203,19 @@ class TestCommands:
                      "--test", synth_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_eval_pads_missing_top_features(self, tmp_path, capsys):
+        # the file never uses feature 3 of the params' 3 features and bias
+        test = tmp_path / "test.svm"
+        test.write_text("0 1:0.5 2:-1.0\n1 2:2.0\n")
+        weights = np.arange(8.0).reshape(2, 4) / 10.0
+        params_path = tmp_path / "p.npz"
+        np.savez(params_path, weights=weights)
+        assert main(["eval", "--params", str(params_path), "--test", str(test)]) == 0
+        X = np.array([[0.5, -1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0]])
+        want = evaluate_policy(PolicyParams(weights),
+                               SupervisedDataset(X, np.eye(2)), "expected")
+        assert capsys.readouterr().out == f"{want:.6g}\n"
 
     @pytest.mark.parametrize("command", ["run", "eval", "convert"])
     def test_non_utf8_file_rejected(self, tmp_path, synth_path, capsys, command):
