@@ -18,7 +18,9 @@ pass, bit for bit; a test checks it against numpy's `default_rng`.
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -75,38 +77,137 @@ _COST_OFFSET = -1.0        # logged cost = hamming / q + _COST_OFFSET
 # svmlight-style multilabel text format
 # ---------------------------------------------------------------------------
 
-def _parse_svmlight(path) -> List[tuple]:
-    """(label ids, [(feature index - 1, value), ...]) for each example line."""
-    rows = []
-    for lineno, raw in utf8_lines(path):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+# A file is parsed this many lines at a time, so that no more than one
+# block's joined tokens are held at once.
+_BLOCK_LINES = 256
+# What the fast path lets a feature value hold besides digits; a block with
+# any other byte in a token goes to the line grammar.
+_VALUE_BYTES = b"+-.eE"
+# Larger feature indices go to the line grammar, so the fast path's row keys
+# (row * _MAX_INDEX + index) are exact.
+_MAX_INDEX = 2 ** 31
+
+
+def _split_line(raw: str):
+    """A line's label token ("" when it has none) and the text of its feature
+    tokens, or None for a blank or comment-only line."""
+    parts = raw.split("#", 1)[0].strip().split(None, 1)
+    if not parts:
+        return None
+    if ":" in parts[0]:
+        parts.insert(0, "")
+    return parts[0], " ".join(parts[1:])
+
+
+def _label_ids(label_tok: str) -> List[int]:
+    return [int(t) for t in label_tok.split(",") if t != ""]
+
+
+def _parse_line(path, lineno: int, raw: str):
+    """The grammar of one line: None for a blank or comment-only line, else
+    (label ids, feature indices - 1, values); an index given twice keeps its
+    last value."""
+    split = _split_line(raw)
+    if split is None:
+        return None
+    label_tok, feats_text = split
+    try:
+        labels = _label_ids(label_tok)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{lineno}: bad label list {label_tok!r}") from exc
+    feats = {}
+    for tok in feats_text.split():
+        try:
+            idx_s, val_s = tok.split(":")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
+        if idx < 1:
+            raise DataFormatError(f"{path}:{lineno}: feature indices are 1-based")
+        if not math.isfinite(val):
+            raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
+        feats[idx - 1] = val
+    return labels, list(feats), list(feats.values())
+
+
+def _parse_lines(path, block):
+    """A block of (line number, line) pairs read by the line grammar:
+    (label ids per example, rows, feature indices - 1, values)."""
+    labels, rows, cols, vals = [], [], [], []
+    for lineno, raw in block:
+        parsed = _parse_line(path, lineno, raw)
+        if parsed is not None:
+            rows += [len(labels)] * len(parsed[1])
+            labels.append(parsed[0])
+            cols += parsed[1]
+            vals += parsed[2]
+    try:
+        cols = np.array(cols, dtype=np.intp)
+    except OverflowError:  # kept exact, for the loader's width error
+        cols = np.array(cols, dtype=object)
+    return labels, np.array(rows, dtype=np.intp), cols, np.array(vals, dtype=np.float64)
+
+
+def _parse_block(block):
+    """The same as `_parse_lines`, read with bytes operations and one
+    np.fromstring, or None when a line needs the line grammar: a label list
+    that is not integers, a feature token that is not ASCII digits, ":" and a
+    plain decimal number, whitespace other than one space between tokens, an
+    index below 1 or above _MAX_INDEX, a non-finite value, or indices that do
+    not strictly ascend within a line."""
+    labels, counts, texts = [], [], []
+    for _, raw in block:
+        split = _split_line(raw)
+        if split is None:
             continue
-        tokens = line.split()
-        if ":" in tokens[0]:
-            labels, feat_tokens = [], tokens
-        else:
-            label_tok, feat_tokens = tokens[0], tokens[1:]
-            try:
-                labels = [int(t) for t in label_tok.split(",") if t != ""]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad label list {label_tok!r}") from exc
-        feats = []
-        for tok in feat_tokens:
-            try:
-                idx_s, val_s = tok.split(":")
-                idx, val = int(idx_s), float(val_s)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad feature token {tok!r}") from exc
-            if idx < 1:
-                raise DataFormatError(f"{path}:{lineno}: feature indices are 1-based")
-            if not math.isfinite(val):
-                raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
-            feats.append((idx - 1, val))
-        rows.append((labels, feats))
-    if not rows:
+        try:
+            labels.append(_label_ids(split[0]))
+        except ValueError:
+            return None
+        counts.append(split[1].count(":"))
+        if split[1]:
+            texts.append(split[1])
+    body = " ".join(texts).encode()
+    n = sum(counts)
+    # With the digits gone, the separators must read ": : ... :" (every
+    # token holds one ":" and only digits and _VALUE_BYTES, one space apart),
+    # and every ":" must follow a space or the start (every index is digits).
+    # An empty index or value shows as a short count below.
+    seps = body.translate(None, b"0123456789")
+    if (seps.translate(None, _VALUE_BYTES) != (b": " * n)[:-1]
+            or seps.count(b" :") + seps.startswith(b":") != n):
+        return None
+    with warnings.catch_warnings():
+        # numpy < 2 warns and returns a short array where numpy 2 raises
+        warnings.simplefilter("error")
+        try:
+            nums = np.fromstring(body.replace(b":", b" "), sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if nums.size != 2 * n:
+        return None
+    idx, vals = nums[0::2], nums[1::2]
+    if not (np.all(np.isfinite(vals)) and np.all((idx >= 1) & (idx <= _MAX_INDEX))):
+        return None
+    rows = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    cols = idx.astype(np.intp) - 1
+    if np.any(np.diff(rows * _MAX_INDEX + cols) <= 0):
+        return None
+    return labels, rows, cols, vals
+
+
+def _read_svmlight(path):
+    """One file's label ids per example and its (rows, feature indices - 1,
+    values) per block of lines."""
+    labels, feats = [], []
+    lines = utf8_lines(path)
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        block_labels, rows, cols, vals = _parse_block(block) or _parse_lines(path, block)
+        feats.append((rows + len(labels), cols, vals))
+        labels += block_labels
+    if not labels:
         raise DataFormatError(f"{path}: no examples")
-    return rows
+    return labels, feats
 
 
 def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
@@ -120,28 +221,37 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
     Every dataset gets the label count and the feature width of the whole
     collection, zero-padded where a file never uses the top ids;
     `n_features` sets the width instead, and a larger index is an error.
+
+    Each file is read a block of lines at a time by `_parse_block`; a block it
+    does not take is read by the line grammar, `_parse_line`, which gives
+    the same arrays or the line-numbered error.
     """
     shift, arrays = None, []
     for path in paths:
-        rows = _parse_svmlight(path)
-        ids = [l for labels, _ in rows for l in labels]
+        labels, feats = _read_svmlight(path)
+        ids = [l for ls in labels for l in ls]
         if shift is None:  # the first file decides
             shift = 1 if min(ids, default=0) > 0 else 0
         q = max(ids, default=shift - 1) - shift + 1
         d = n_features if n_features is not None else 1 + max(
-            (i for _, feats in rows for i, _ in feats), default=-1)
-        X, Y = np.zeros((len(rows), d)), np.zeros((len(rows), q))
-        for r, (labels, feats) in enumerate(rows):
-            for lab in labels:
-                if lab < shift:
-                    raise DataFormatError(f"{path}: label {lab} below the first id {shift}")
+            (int(cols.max()) for _, cols, _ in feats if cols.size), default=-1)
+        X, Y = np.zeros((len(labels), d)), np.zeros((len(labels), q))
+        # the first bad row is reported, its labels before its features
+        low = next(((r, lab) for r, ls in enumerate(labels) for lab in ls if lab < shift),
+                   None)
+        wide = next(((int(rows[k]), int(cols[k]) + 1) for rows, cols, _ in feats
+                     for k in np.flatnonzero(cols >= d)[:1]), None)
+        if low and not (wide and wide[0] < low[0]):
+            raise DataFormatError(f"{path}: label {low[1]} below the first id {shift}")
+        if wide:
+            raise DataFormatError(f"{path}: feature index {wide[1]} exceeds the width {d}")
+        for r, ls in enumerate(labels):
+            for lab in ls:
                 Y[r, lab - shift] = 1.0
-            for i, v in feats:
-                if i >= d:
-                    raise DataFormatError(f"{path}: feature index {i + 1} exceeds the width {d}")
-                X[r, i] = v
+        for rows, cols, vals in feats:
+            X[rows, cols] = vals
         arrays.append((X, Y))
-        del rows  # one file's tokens at a time bounds the parse's memory
+        del feats  # one file's arrays at a time bounds the parse's memory
     d = max(X.shape[1] for X, _ in arrays)
     q = max(Y.shape[1] for _, Y in arrays)
     return [SupervisedDataset(np.pad(X, [(0, 0), (0, d - X.shape[1])]),
@@ -150,13 +260,17 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
 
 
 def save_multilabel_svmlight(ds: SupervisedDataset, path) -> None:
-    """Write the dataset back out (0-based labels, 1-based feature indices)."""
+    """Write the dataset back out with 1-based feature indices and 0-based
+    label ids, and a row with no label and no nonzero feature as "1:0.0",
+    since the loader skips blank lines.  Label ids are always 0-based, so
+    that splits saved apart read back together; a lone file whose label 0 is
+    never set reads back as 1-based, one label short."""
+    keys = [f"{i}:" for i in range(1, ds.n_features + 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        for r in range(ds.n_examples):
-            labels = ",".join(str(l) for l in np.flatnonzero(ds.Y[r]))
-            feats = " ".join(f"{i + 1}:{float(ds.X[r, i])!r}"
-                             for i in range(ds.n_features) if ds.X[r, i] != 0.0)
-            fh.write(f"{labels} {feats}".rstrip() + "\n")
+        for x, y in zip(ds.X.tolist(), ds.Y.tolist()):
+            labels = ",".join([str(j) for j, v in enumerate(y) if v])
+            feats = " ".join([k + repr(v) for k, v in zip(keys, x) if v != 0.0])
+            fh.write((f"{labels} {feats}".rstrip() or "1:0.0") + "\n")
 
 
 def synthetic_multilabel(n_examples: int, n_features: int, n_labels: int,
@@ -301,12 +415,14 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
     scale = 1.0 / log.Y.shape[1]
     raw = (log.costs - _COST_OFFSET) / scale
     p = np.exp(log.log_propensities)
+    # the actions are 0/1 (BanditLog checks), so a row's ASCII digits are its bits
+    bits = (log.Y.astype(np.uint8) + ord("0")).view(f"S{log.Y.shape[1]}")
+    records = zip(range(n), replay.tolist(), example.tolist(), bits.ravel().tolist(),
+                  p.tolist(), raw.tolist(), log.costs.tolist())
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(_LOG_HEADER + "\n")
-        for i in range(n):
-            bits = "".join(str(int(b)) for b in log.Y[i])
-            fh.write(f"{i},{replay[i]},{example[i]},{bits},{float(p[i])!r},"
-                     f"{float(raw[i])!r},{float(log.costs[i])!r}\n")
+        fh.writelines(f"{i},{r},{e},{b.decode()},{pi!r},{ri!r},{c!r}\n"
+                      for i, r, e, b, pi, ri, c in records)
     with open(meta_path, "w", encoding="utf-8") as fh:
         fh.write(f"clip_m = {log.clip_m!r}\n")
         fh.write(f"cost_scale = {scale!r}\n")

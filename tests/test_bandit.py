@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from dro_crm import (BanditLog, ContractViolation, DataFormatError,
                      load_bandit_log, load_multilabel_svmlight,
                      save_bandit_log, save_multilabel_svmlight,
                      split_dataset, synthetic_multilabel, train_logger)
+from dro_crm import bandit
 from dro_crm._streams import record_uniforms
 from dro_crm.bandit import SupervisedDataset
+from dro_crm.errors import utf8_lines
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
 
 
@@ -70,6 +73,50 @@ class TestSvmlightFormat:
         assert np.allclose(back.X, ds.X, atol=0.0)
         assert np.array_equal(back.Y, ds.Y)
 
+    def test_writer_output_is_unchanged(self, tmp_path):
+        # the per-element writer the package used, as the reference
+        def reference(ds, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                for r in range(ds.n_examples):
+                    labels = ",".join(str(l) for l in np.flatnonzero(ds.Y[r]))
+                    feats = " ".join(f"{i + 1}:{float(ds.X[r, i])!r}"
+                                     for i in range(ds.n_features) if ds.X[r, i] != 0.0)
+                    fh.write(f"{labels} {feats}".rstrip() + "\n")
+
+        ds = synthetic_multilabel(40, 6, 3, seed=7)
+        ds.X[ds.X < 0.0] = 0.0
+        ds.X[3] = -0.0
+        ds.Y[5] = 0.0
+        ds.Y[:2, 0] = 1.0
+        save_multilabel_svmlight(ds, tmp_path / "new.svm")
+        reference(ds, tmp_path / "old.svm")
+        assert (tmp_path / "new.svm").read_bytes() == (tmp_path / "old.svm").read_bytes()
+
+    def test_round_trip_with_an_empty_row(self, tmp_path):
+        ds = SupervisedDataset(np.array([[0.0, 1.5], [0.0, 0.0], [2.0, 0.0]]),
+                               np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        path = tmp_path / "rt.svm"
+        save_multilabel_svmlight(ds, path)
+        assert path.read_text() == "0,2 2:1.5\n1:0.0\n2 1:2.0\n"
+        [back] = load_multilabel_svmlight(path)
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
+
+    def test_splits_saved_apart_read_back_together(self, tmp_path):
+        # the test split never sets label 0; ids stay 0-based in both files
+        ds = SupervisedDataset(np.arange(1.0, 9.0).reshape(4, 2),
+                               np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                         [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+        train, test = ds.subset(np.arange(2)), ds.subset(np.arange(2, 4))
+        save_multilabel_svmlight(train, tmp_path / "train.svm")
+        save_multilabel_svmlight(test, tmp_path / "test.svm")
+        assert (tmp_path / "test.svm").read_text() == "1,2 1:5.0 2:6.0\n2 1:7.0 2:8.0\n"
+        a, b = load_multilabel_svmlight(tmp_path / "train.svm", tmp_path / "test.svm")
+        assert np.array_equal(a.Y, train.Y) and np.array_equal(b.Y, test.Y)
+        assert np.array_equal(a.X, train.X) and np.array_equal(b.X, test.X)
+        # read alone, the test file has no 0 and reads as 1-based
+        [alone] = load_multilabel_svmlight(tmp_path / "test.svm")
+        assert np.array_equal(alone.Y, test.Y[:, 1:])
+
     def test_files_share_label_ids_and_width(self, tmp_path):
         # the first file is 1-based; the second never uses label 3 or feature 3
         first, second = tmp_path / "a.svm", tmp_path / "b.svm"
@@ -104,6 +151,120 @@ class TestSvmlightFormat:
         with pytest.raises(DataFormatError,
                            match="toy.svm: feature index 3 exceeds the width 2"):
             load_multilabel_svmlight(path, n_features=2)
+        path.write_text(f"0 1:1.0 {2 ** 64}:2.0\n")
+        with pytest.raises(DataFormatError,
+                           match=f"toy.svm: feature index {2 ** 64} exceeds the width 2"):
+            load_multilabel_svmlight(path, n_features=2)
+
+    @pytest.mark.parametrize("first", ["label", "index"])
+    def test_first_bad_row_is_reported(self, tmp_path, first):
+        # a label below the first id and an index past the width: the earlier
+        # row's error wins, and within one row the label's
+        lines = ["1 1:1.0", "0 1:1.0", "1 4:1.0"]
+        if first == "index":
+            lines[1:] = lines[:0:-1]
+        (tmp_path / "a.svm").write_text("1 1:1.0\n")
+        (tmp_path / "b.svm").write_text("\n".join(lines) + "\n")
+        message = {"label": "b.svm: label 0 below the first id 1",
+                   "index": "b.svm: feature index 4 exceeds the width 2"}[first]
+        with pytest.raises(DataFormatError, match=message):
+            load_multilabel_svmlight(tmp_path / "a.svm", tmp_path / "b.svm", n_features=2)
+        (tmp_path / "b.svm").write_text("0 4:1.0\n")
+        with pytest.raises(DataFormatError, match="b.svm: label 0 below the first id 1"):
+            load_multilabel_svmlight(tmp_path / "a.svm", tmp_path / "b.svm", n_features=2)
+
+
+# One line of each malformed class, then valid forms the line grammar reads
+# with int()/float() or skips.  Each sits on line 2 of a small file.
+_MALFORMED = ["1:2:3", "5 1:2:3", ":3", "3:", "1.0:2", "1e0:2", "a:1", "1:x",
+              "1:nan", "1:4e400", "0:1", "0,x 1:1", "1,,2 3:1 1", "1 2:1 3:1e", "1 2:1-3",
+              "1 2:1..5", "1 2:+-1", "1 2:.", "1 2:1e5.5", "1 3: :4", "1 2:5 7 3:",
+              "1 2:\t3", "1 2:\x0c3"]
+_VALID = ["+3:1", "1:1_0", "1\t2:1.5\t3:-2", "1  2:1.5   3:0.25", "1 2:1 # note",
+          "# only a comment", "", "   ", "2,1", "1:0.5 2:1e-3", "1 2:1.0 2:3.0",
+          "1 3:1 2:2", "1 2:-0.0 3:.5 4:5. 5:-1.5E+2 6:007", "1 2:\uff11",
+          "1 2:1e-400 3:1\x1c4:2"]
+
+
+def _svmlight_file(tmp_path, line, crlf=False):
+    path = tmp_path / "case.svm"
+    text = f"0,2 1:0.5 4:1.0\n{line}\n1 2:-0.25\n"
+    path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
+    return path
+
+
+def _load_or_error(paths, **kwargs):
+    try:
+        return [(ds.X.tobytes(), ds.X.shape, ds.Y.tobytes(), ds.Y.shape)
+                for ds in load_multilabel_svmlight(*paths, **kwargs)]
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def _both_paths(monkeypatch, paths, **kwargs):
+    """What the loader gives with its block path, then with every block
+    read by the line grammar; numpy's warnings are errors throughout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _load_or_error(paths, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(bandit, "_parse_block", lambda block: None)
+            slow = _load_or_error(paths, **kwargs)
+    return fast, slow
+
+
+class TestSvmlightBlockPath:
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("line", _MALFORMED + _VALID)
+    def test_matches_line_grammar(self, tmp_path, monkeypatch, line, crlf):
+        fast, slow = _both_paths(monkeypatch, [_svmlight_file(tmp_path, line, crlf)])
+        assert fast == slow
+        assert isinstance(fast, str) == (line in _MALFORMED)
+        if isinstance(fast, str):
+            assert "case.svm:2: " in fast
+
+    def test_label_free_first_line_and_last_value_wins(self, tmp_path, monkeypatch):
+        path = tmp_path / "case.svm"
+        path.write_text("1:0.5 3:2\n\n2,0\n0 2:1 2:4 3:1\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow
+        [ds] = load_multilabel_svmlight(path)
+        assert ds.X.tolist() == [[0.5, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 4.0, 1.0]]
+        assert ds.Y.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+
+    def test_error_in_a_later_block_keeps_its_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.svm"
+        lines = [f"{i % 3} 1:{i}.5 2:-1e-3" for i in range(700)]
+        lines[599] = "1 1:2.5 2:oops"
+        path.write_text("\n".join(lines) + "\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow == f"{path}:600: bad feature token '2:oops'"
+
+    def test_non_utf8_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "latin.svm"
+        path.write_bytes(b"0 1:1.0\n1 2:\xe9\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow and "latin.svm: not UTF-8 text" in fast
+
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_collection_and_width(self, tmp_path, monkeypatch, width):
+        first, second = tmp_path / "a.svm", tmp_path / "b.svm"
+        first.write_text("1,3 1:1.0\n2 3:2.0\n")
+        second.write_text("1 2:0.5 5:1 3000000000:0\n0 1:4.0\n")
+        fast, slow = _both_paths(monkeypatch, [first, second], n_features=width)
+        assert fast == slow
+
+    def test_takes_the_writer_output(self, tmp_path):
+        # the fast path, not the line grammar, reads what the package writes
+        ds = synthetic_multilabel(300, 7, 3, seed=2)
+        ds.X[ds.X < -1.0] = 0.0
+        path = tmp_path / "w.svm"
+        save_multilabel_svmlight(ds, path)
+        blocks = list(utf8_lines(path))
+        assert bandit._parse_block(blocks[:256]) is not None
+        assert bandit._parse_block(blocks[256:]) is not None
+        [back] = load_multilabel_svmlight(path)
+        assert back.X.tobytes() == ds.X.tobytes() and np.array_equal(back.Y, ds.Y)
 
 
 class TestSplit:
@@ -369,6 +530,25 @@ class TestLogSerialization:
         meta = meta_path.read_text().splitlines()
         assert "delta = 2" in meta and "seed = 8" in meta
         assert np.array_equal(back.X, log.X)
+
+    def test_csv_is_unchanged(self, tmp_path):
+        # the per-record writer the package used, as the reference
+        def reference(log, path):
+            raw = (log.costs + 1.0) / (1.0 / log.Y.shape[1])
+            p = np.exp(log.log_propensities)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("record_id,replay,example_id,action_bits,propensity,"
+                         "cost_raw,cost_scaled\n")
+                for i in range(log.n):
+                    bits = "".join(str(int(b)) for b in log.Y[i])
+                    fh.write(f"{i},{log.replay_ids[i]},{log.example_ids[i]},{bits},"
+                             f"{float(p[i])!r},{float(raw[i])!r},{float(log.costs[i])!r}\n")
+
+        ds = synthetic_multilabel(25, 4, 5, seed=3)
+        log = generate_bandit_log(train_logger(ds), ds, delta=3, seed=4)
+        save_bandit_log(log, tmp_path / "log.csv", tmp_path / "log.meta", seed=4)
+        reference(log, tmp_path / "old.csv")
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_header_checked(self, tmp_path):
         (tmp_path / "bad.csv").write_text("wrong,header\n")
