@@ -235,7 +235,15 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
         q = max(ids, default=shift - 1) - shift + 1
         d = n_features if n_features is not None else 1 + max(
             (int(cols.max()) for _, cols, _ in feats if cols.size), default=-1)
-        X, Y = np.zeros((len(labels), d)), np.zeros((len(labels), q))
+        try:
+            X = np.zeros((len(labels), d))
+        except (MemoryError, ValueError) as exc:  # numpy's refusals of such a width
+            if n_features is not None:
+                raise
+            raise DataFormatError(
+                f"{path}: feature index {d} is too large for a dense feature matrix"
+            ) from exc
+        Y = np.zeros((len(labels), q))
         # the first bad row is reported, its labels before its features
         low = next(((r, lab) for r, ls in enumerate(labels) for lab in ls if lab < shift),
                    None)
@@ -326,8 +334,7 @@ def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> Poli
         W = theta_flat.reshape(q, d)
         U = X @ W.T
         f = float(np.sum(log1p_exp(U) - Y * U)) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
-        G = (sigmoid(U) - Y).T @ X / m + _LOGGER_L2 * W
-        return f, G.ravel()
+        return f, lambda: ((sigmoid(U) - Y).T @ X / m + _LOGGER_L2 * W).ravel()
 
     cfg = OptimConfig(max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
     theta, _ = minimize(fun, np.zeros(q * d), cfg)

@@ -121,9 +121,9 @@ class _LossPass:
 
     Logits, softplus and sigmoid are computed once per example (row of
     log.X) and gathered per record through log.example_ids, giving
-    log pi(y_i | x_i), the importance ratios, the clipped losses z and
-    dz_i = c_i * ratio_i (zero where the clip binds), so that
-    d z_i / d theta = dz_i * d log pi(y_i | x_i) / d theta.
+    log pi(y_i | x_i), the importance ratios and the clipped losses z: the
+    value path ends there.  `gradient` adds dz_i = c_i * ratio_i (zero where
+    the clip binds), so that d z_i / d theta = dz_i * d log pi(y_i | x_i) / d theta.
     """
 
     def __init__(self, params: PolicyParams, log: BanditLog):
@@ -135,23 +135,26 @@ class _LossPass:
         self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
         self.clipped = self.ratio >= log.clip_m
         self.z = log.costs * np.minimum(self.ratio, log.clip_m)
-        self.dz = np.where(self.clipped, 0.0, log.costs * self.ratio)
         self._log = log
 
-    def report(self, risk: float, weights: np.ndarray, gamma: Optional[float]) -> RiskReport:
-        """Report of a rule's risk, weights q and temperature.  With
-        c_i = q_i dz_i, the gradient sum_i c_i (y_i - sigmoid(u_i)) x_i is
-        summed into one row per example, sum_i c_i y_i minus (sum_i c_i)
-        sigmoid(u), before a single product with the features."""
+    def gradient(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i q_i dz_i/dtheta for the weights q, as a (q, D) matrix.  With
+        c_i = q_i dz_i, the sum of c_i (y_i - sigmoid(u_i)) x_i is taken into
+        one row per example, sum_i c_i y_i minus (sum_i c_i) sigmoid(u),
+        before a single product with the features."""
         log = self._log
         ids = log.example_ids
         n_ex, q = self._sigmoid.shape
-        c = weights * self.dz
+        c = weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
         R = np.empty((n_ex, q))
         for label in range(q):
             R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
         R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
-        return RiskReport(risk, self.z, self.clipped, weights, R.T @ log.X, gamma)
+        return R.T @ log.X
+
+    def report(self, risk: float, weights: np.ndarray, gamma: Optional[float]) -> RiskReport:
+        """Report of a rule's risk, weights q and temperature."""
+        return RiskReport(risk, self.z, self.clipped, weights, self.gradient(weights), gamma)
 
 
 def _chi2_rule(z: np.ndarray, lam: float):
@@ -210,14 +213,17 @@ def ips_risk(params: PolicyParams, log: BanditLog) -> float:
 
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
-    (risk, grad_flat) for the named algorithm, plus the matrix shape."""
-    _rule(algorithm, hyper)
+    (risk, grad), the objective `evaluate` gives for the named algorithm, plus
+    the matrix shape.  fun runs the kernel's value path and the rule; grad()
+    returns the flat gradient at theta_flat, computed only when it is called."""
+    rule = _rule(algorithm, hyper)
     q = log.Y.shape[1]
     d = log.X.shape[1]
 
     def fun(theta_flat: np.ndarray):
-        report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
-        fun.last_gamma = report.gamma_used  # read only by perfbench/spans.py
-        return report.risk, report.gradient.ravel()
+        losses = _LossPass(PolicyParams(theta_flat.reshape(q, d)), log)
+        risk, weights, gamma = rule(losses.z, hyper)
+        fun.last_gamma = gamma  # read only by perfbench/spans.py
+        return risk, lambda: losses.gradient(weights).ravel()
     fun.last_gamma = None
     return fun, (q, d)

@@ -4,6 +4,12 @@ Deterministic, dense-vector minimizer: two-loop recursion over a bounded
 history of curvature pairs, bracketing line search with bisection zoom, and
 explicit termination reasons.  Curvature pairs with s'y <= 1e-10 ||s|| ||y||
 are discarded so the implicit Hessian approximation stays positive definite.
+
+An objective is `fun(x) -> (f, grad)`, where `grad` is a zero-argument
+callable returning the gradient at x.  It is called only at x0 and at the
+trial points that pass the line search's sufficient-decrease test and improve
+on the bracket's lower end, since only there is the gradient read; any other
+trial point costs the value alone.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .errors import ContractViolation
 
-Objective = Callable[[np.ndarray], Tuple[float, np.ndarray]]
+Objective = Callable[[np.ndarray], Tuple[float, Callable[[], np.ndarray]]]
 
 _C1 = 1e-4                    # Armijo (sufficient decrease) constant
 _C2 = 0.9                     # curvature constant, 0 < _C1 < _C2 < 1
@@ -48,7 +54,8 @@ class IterRecord:
 class OptimTrace:
     iterations: List[IterRecord] = field(default_factory=list)
     termination: str = ""
-    n_evals: int = 0
+    n_evals: int = 0              # objective values
+    n_grads: int = 0              # gradients, at most one per value
 
 
 class _NanObjective(Exception):
@@ -58,7 +65,8 @@ class _NanObjective(Exception):
 def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarray):
     """Strong-Wolfe search along direction p starting from unit step.
 
-    `evaluate(x) -> (f, g)` raises _NanObjective on NaN.  Returns
+    `evaluate(x, rejects) -> (f, g)` gives g = None, without computing it,
+    when rejects(f), and raises _NanObjective on NaN.  Returns
     (alpha, f, g, x_new) or None when no acceptable step was found within the
     evaluation budget.
     """
@@ -67,17 +75,20 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarr
         return None
     budget = [_MAX_LINE_SEARCH_STEPS]
 
-    def phi(alpha: float):
+    def phi(alpha: float, f_ref: Optional[float]):
+        """f, g and x at step alpha; g is None where f fails sufficient
+        decrease or does not fall below f_ref (when one is given)."""
         budget[0] -= 1
         xa = x + alpha * p
-        fa, ga = evaluate(xa)
+        fa, ga = evaluate(xa, lambda f: f > f0 + _C1 * alpha * d0
+                          or (f_ref is not None and f >= f_ref))
         return fa, ga, xa
 
     def zoom(a_lo, f_lo, a_hi, best=None):
         while budget[0] > 0:
             a = 0.5 * (a_lo + a_hi)
-            fa, ga, xa = phi(a)
-            if fa > f0 + _C1 * a * d0 or fa >= f_lo:
+            fa, ga, xa = phi(a, f_lo)
+            if ga is None:
                 a_hi = a
             else:
                 da = float(ga @ p)
@@ -95,8 +106,8 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarr
     a = 1.0
     first = True
     while budget[0] > 0:
-        fa, ga, xa = phi(a)
-        if fa > f0 + _C1 * a * d0 or (not first and fa >= f_prev):
+        fa, ga, xa = phi(a, None if first else f_prev)
+        if ga is None:
             return zoom(a_prev, f_prev, a, best=prev)
         da = float(ga @ p)
         if abs(da) <= -_C2 * d0:
@@ -111,12 +122,14 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarr
 
 def minimize(fun: Objective, x0: np.ndarray,
              config: Optional[OptimConfig] = None) -> Tuple[np.ndarray, OptimTrace]:
-    """Minimize a smooth objective returning (value, gradient).
+    """Minimize a smooth objective `fun(x) -> (value, grad)`, where grad()
+    returns the gradient at x and is called only where it is used.
 
     Terminates on the gradient infinity norm, on relative objective decrease,
     or at the iteration cap.  A failed line search restarts once along steepest
     descent; if that also fails the run ends with reason "line_search_failed".
-    NaN from the objective aborts with reason "nan_objective".  The returned
+    NaN from the objective, in a value or in a gradient it was asked for,
+    aborts with reason "nan_objective".  The returned
     point never has a larger objective than x0.
     """
     cfg = config or OptimConfig()
@@ -125,14 +138,19 @@ def minimize(fun: Objective, x0: np.ndarray,
         raise ContractViolation("x0 must be finite")
 
     trace = OptimTrace()
-    n_evals = [0]
 
-    def evaluate(xv):
-        n_evals[0] += 1
-        f, g = fun(xv)
+    def evaluate(xv, rejects=lambda f: False):
+        # grad is called here or never, so no objective's state outlives its point
+        trace.n_evals += 1
+        f, grad = fun(xv)
         f = float(f)
-        g = np.asarray(g, dtype=np.float64)
-        if math.isnan(f) or np.isnan(g).any():
+        if math.isnan(f):
+            raise _NanObjective
+        if rejects(f):
+            return f, None
+        trace.n_grads += 1
+        g = np.asarray(grad(), dtype=np.float64)
+        if np.isnan(g).any():
             raise _NanObjective
         return f, g
 
@@ -140,7 +158,6 @@ def minimize(fun: Objective, x0: np.ndarray,
         f, g = evaluate(x)
     except _NanObjective:
         trace.termination = "nan_objective"
-        trace.n_evals = n_evals[0]
         return x, trace
 
     s_hist: List[np.ndarray] = []
@@ -203,5 +220,4 @@ def minimize(fun: Objective, x0: np.ndarray,
     else:
         trace.termination = "max_iters"
 
-    trace.n_evals = n_evals[0]
     return x, trace

@@ -156,6 +156,16 @@ class TestSvmlightFormat:
                            match=f"toy.svm: feature index {2 ** 64} exceeds the width 2"):
             load_multilabel_svmlight(path, n_features=2)
 
+    # numpy refuses both widths without allocating: 10^17 doubles exceed any
+    # address space, and 2^64 exceeds the largest dimension
+    @pytest.mark.parametrize("index", [10 ** 17, 2 ** 64])
+    def test_huge_index_without_width(self, tmp_path, index):
+        path = tmp_path / "toy.svm"
+        path.write_text(f"0 1:1.0 {index}:2.0\n")
+        with pytest.raises(DataFormatError,
+                           match=f"toy.svm: feature index {index} is too large"):
+            load_multilabel_svmlight(path)
+
     @pytest.mark.parametrize("first", ["label", "index"])
     def test_first_bad_row_is_reported(self, tmp_path, first):
         # a label below the first id and an index past the width: the earlier

@@ -245,6 +245,24 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
 
+    @pytest.mark.parametrize("index", [10 ** 17, 2 ** 64])
+    def test_huge_feature_index(self, tmp_path, capsys, index):
+        path = tmp_path / "huge.svm"
+        path.write_text(f"0 1:1.0 {index}:2.0\n1 2:1.0\n")
+        assert main(["convert", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"huge.svm: feature index {index}" in err
+        params_path = tmp_path / "p.npz"
+        np.savez(params_path, weights=np.zeros((2, 3)))
+        assert main(["eval", "--params", str(params_path), "--test", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"huge.svm: feature index {index}" in err
+        # bench run records the failed cell and exits 1
+        assert main(["run", "--dataset", str(path), "--algorithms", "cips",
+                     "--seeds", "0", "--out-dir", str(tmp_path / "run")]) == 1
+        message = f"DataFormatError: {path}: feature index {index} is too large"
+        assert message in capsys.readouterr().err
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error:")

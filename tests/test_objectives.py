@@ -333,13 +333,16 @@ class TestObjectiveProperties:
     def test_make_objective_adapter(self):
         rng = np.random.default_rng(16)
         log, _ = sample_log(rng)
-        fun, shape = make_objective("poem", log, 0.1)
-        assert shape == (2, 3)
         theta = 0.1 * rng.normal(size=6)
-        f, g = fun(theta)
-        report = evaluate("poem", PolicyParams(theta.reshape(2, 3)), log, 0.1)
-        assert f == report.risk
-        assert np.array_equal(g, report.gradient.ravel())
+        for algorithm, hyper in (("cips", None), ("poem", 0.1), ("klcrm", 0.5),
+                                 ("aklcrm", 0.1)):
+            fun, shape = make_objective(algorithm, log, hyper)
+            assert shape == (2, 3)
+            f, grad = fun(theta)
+            report = evaluate(algorithm, PolicyParams(theta.reshape(2, 3)), log, hyper)
+            assert f == report.risk
+            assert fun.last_gamma == report.gamma_used
+            assert grad().tobytes() == report.gradient.ravel().tobytes()
         with pytest.raises(ContractViolation):
             make_objective("poem", log, None)
         with pytest.raises(ContractViolation):

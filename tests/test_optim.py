@@ -3,22 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import ContractViolation, OptimConfig, minimize
+from dro_crm import (ContractViolation, OptimConfig, PolicyParams, evaluate,
+                     make_objective, minimize)
+from dro_crm.objectives import RULES
+from toy_logs import sample_log
 
 
 def quadratic(center):
     def fun(x):
         d = x - center
-        return 0.5 * float(d @ d), d
+        return 0.5 * float(d @ d), lambda: d
     return fun
 
 
 def rosenbrock(x):
     a, b = x
     f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-    g = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
-                  200.0 * (b - a * a)])
-    return f, g
+    return f, lambda: np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                                200.0 * (b - a * a)])
+
+
+def counting(fun):
+    """fun, counting the values and the gradients it hands out."""
+    def counted(x):
+        counted.values += 1
+        f, grad = fun(x)
+
+        def gradient():
+            counted.grads += 1
+            return grad()
+        return f, gradient
+    counted.values = counted.grads = 0
+    return counted
+
+
+def stiff_quadratic(x):
+    """5 x^2, whose gradient is NaN below x = -5: from x = 1 the unit step
+    lands at -9, which fails sufficient decrease."""
+    return 5.0 * float(x @ x), lambda: np.where(x < -5.0, np.nan, 10.0 * x)
 
 
 class TestMinimize:
@@ -64,14 +86,49 @@ class TestMinimize:
     def test_nan_objective_aborts(self):
         def fun(x):
             if x[0] < -2.0:
-                return np.nan, np.zeros(1)
-            return float(x[0] ** 2), np.array([2.0 * x[0]])
+                return np.nan, lambda: np.zeros(1)
+            return float(x[0] ** 2), lambda: np.array([2.0 * x[0]])
 
         def bad(x):
-            return np.nan, np.zeros(1)
+            return np.nan, lambda: np.zeros(1)
 
         _, trace = minimize(bad, np.array([1.0]))
         assert trace.termination == "nan_objective"
+        # from 3 the unit step's trial point, -3, has a NaN value
+        x, trace = minimize(fun, np.array([3.0]))
+        assert trace.termination == "nan_objective"
+        assert x.tolist() == [3.0] and trace.n_evals == 2
+
+    def test_nan_gradient_at_kept_point_aborts(self):
+        # the unit step from 1 lands on 0, which is kept, and its gradient is NaN
+        def fun(x):
+            return 0.5 * float(x @ x), lambda: np.where(x < 0.5, np.nan, x)
+
+        x, trace = minimize(fun, np.array([1.0]))
+        assert trace.termination == "nan_objective"
+        assert x.tolist() == [1.0]
+        assert (trace.n_evals, trace.n_grads) == (2, 2)
+
+    def test_nan_gradient_never_asked_for(self):
+        x, trace = minimize(stiff_quadratic, np.array([1.0]))
+        assert trace.termination in ("grad_tol", "f_tol")
+        assert abs(x[0]) < 1e-6
+        assert trace.n_grads < trace.n_evals
+
+    @pytest.mark.parametrize("fun, x0", [
+        (rosenbrock, [-1.2, 1.0]), (stiff_quadratic, [1.0]),
+        (quadratic(np.array([1.0, -2.0, 3.0])), [0.0, 0.0, 0.0])],
+        ids=["rosenbrock", "stiff", "quadratic"])
+    def test_gradient_count(self, fun, x0):
+        counted = counting(fun)
+        _, trace = minimize(counted, np.array(x0))
+        assert trace.n_evals == counted.values
+        assert trace.n_grads == counted.grads
+        assert 1 <= trace.n_grads <= trace.n_evals
+
+    def test_rejected_trial_points_skip_the_gradient(self):
+        _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]))
+        assert trace.n_grads < trace.n_evals
 
     def test_max_iters_termination(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
@@ -82,8 +139,8 @@ class TestMinimize:
     def test_gradient_at_solution_small(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
                             OptimConfig(max_iters=2000, grad_tol=1e-8))
-        _, g = rosenbrock(x)
-        assert np.abs(g).max() < 1e-6
+        _, grad = rosenbrock(x)
+        assert np.abs(grad()).max() < 1e-6
 
     def test_random_quadratics_reach_floating_point_floor(self):
         rng = np.random.default_rng(7)
@@ -96,7 +153,7 @@ class TestMinimize:
             f_star = 0.5 * float(x_star @ hess @ x_star) - float(b @ x_star)
 
             def fun(x, hess=hess, b=b):
-                return 0.5 * float(x @ hess @ x) - float(b @ x), hess @ x - b
+                return 0.5 * float(x @ hess @ x) - float(b @ x), lambda: hess @ x - b
 
             x, _ = minimize(fun, rng.normal(size=dim) * 5.0,
                             OptimConfig(max_iters=2000, grad_tol=1e-9,
@@ -113,3 +170,26 @@ class TestMinimize:
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ContractViolation):
             minimize(rosenbrock, np.array([np.inf, 0.0]))
+
+
+HYPER = {"cips": None, "poem": 0.1, "klcrm": 1.0, "aklcrm": 0.1}
+
+
+@pytest.mark.parametrize("algorithm", list(RULES))
+def test_lazy_objective_follows_the_eager_path(algorithm):
+    # the lazy gradient changes which gradients are computed, not the path
+    log, _ = sample_log(np.random.default_rng(21), n=40, clip_m=3.0)
+    hyper = HYPER[algorithm]
+    lazy, shape = make_objective(algorithm, log, hyper)
+
+    def eager(theta):
+        report = evaluate(algorithm, PolicyParams(theta.reshape(shape)), log, hyper)
+        gradient = report.gradient.ravel()
+        return report.risk, lambda: gradient
+
+    x0 = np.zeros(shape[0] * shape[1])
+    x_lazy, t_lazy = minimize(lazy, x0)
+    x_eager, t_eager = minimize(eager, x0)
+    assert x_lazy.tobytes() == x_eager.tobytes()
+    assert t_lazy.iterations == t_eager.iterations
+    assert (t_lazy.n_evals, t_lazy.n_grads) == (t_eager.n_evals, t_eager.n_grads)
