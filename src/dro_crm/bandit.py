@@ -243,7 +243,12 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
             raise DataFormatError(
                 f"{path}: feature index {d} is too large for a dense feature matrix"
             ) from exc
-        Y = np.zeros((len(labels), q))
+        try:
+            Y = np.zeros((len(labels), q))
+        except (MemoryError, ValueError) as exc:
+            raise DataFormatError(
+                f"{path}: label id {max(ids)} is too large for a dense label matrix"
+            ) from exc
         # the first bad row is reported, its labels before its features
         low = next(((r, lab) for r, ls in enumerate(labels) for lab in ls if lab < shift),
                    None)

@@ -196,7 +196,7 @@ def cmd_convert(args) -> int:
 
 
 def _load_params(path) -> PolicyParams:
-    """Policy parameters from the 'weights' array of an .npz archive."""
+    """Policy parameters from the real numeric 'weights' array of an .npz archive."""
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -206,7 +206,13 @@ def _load_params(path) -> PolicyParams:
     with data:
         if "weights" not in data.files:
             raise DataFormatError(f"{path}: no 'weights' array")
-        return PolicyParams(data["weights"])
+        try:
+            weights = data["weights"]
+        except ValueError:  # an object array, which only pickle could load
+            weights = None
+    if weights is None or weights.dtype.kind not in "iuf":
+        raise DataFormatError(f"{path}: 'weights' is not a real numeric array")
+    return PolicyParams(weights)
 
 
 def cmd_eval(args) -> int:

@@ -8,8 +8,8 @@ per-sample counterfactual loss under a candidate policy is
 with the importance ratio computed in log space and clipped at M.  Every
 objective is the worst case of the mean of z over a divergence ball around the
 uniform weights, evaluated by one shared kernel and one rule per algorithm
-(`RULES`), and `evaluate(algorithm, params, log, hyper)` is the one entry point.
-A rule maps z to the risk, the weights q it puts on z and its temperature:
+(`RULES`).  A rule maps z to the risk, the weights q it puts on z and its
+temperature:
 
 * cips: the plain clipped mean (poem at lam = 0, uniform q);
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
@@ -26,6 +26,11 @@ samples and zero on clipped ones.  For cips and poem this is the exact
 gradient of the risk (Danskin's theorem: q is the maximizer over the ball).
 For klcrm and aklcrm it treats q as constant, so it is the gradient of the
 surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
+
+`evaluate(algorithm, params, log, hyper)` is the one place the kernel and a
+rule run: the `RiskReport` it returns holds the value path's results, and its
+`gradient()` is computed only when called.  `make_objective` (for the
+minimizer) and `ips_risk` are callers of `evaluate`.
 """
 
 from __future__ import annotations
@@ -101,32 +106,15 @@ class BanditLog:
         return self.Y.shape[0]
 
 
-@dataclass
 class RiskReport:
-    """Risk value with its ingredients: per-sample losses z, the mask of
-    samples clipped at M (their dz_i/dtheta is zero), the weights q the rule
-    puts on z, the gradient sum_i q_i dz_i/dtheta, and the temperature used
-    when one was (aklcrm's is 0.0 when the losses were constant)."""
+    """The kernel's value path and a rule at one parameter value: logits,
+    softplus and sigmoid once per example (row of log.X), gathered per record
+    through log.example_ids into the importance ratios `ratio`, the mask
+    `clipped` of samples clipped at M and the losses z (`losses`); then the
+    rule's `risk`, weights q (`weights`) and temperature (`gamma_used`, None
+    without one, aklcrm's 0.0 when the losses were constant)."""
 
-    risk: float
-    losses: np.ndarray
-    clipped: np.ndarray
-    weights: np.ndarray
-    gradient: np.ndarray
-    gamma_used: Optional[float] = None
-
-
-class _LossPass:
-    """The kernel every objective shares, at one parameter value.
-
-    Logits, softplus and sigmoid are computed once per example (row of
-    log.X) and gathered per record through log.example_ids, giving
-    log pi(y_i | x_i), the importance ratios and the clipped losses z: the
-    value path ends there.  `gradient` adds dz_i = c_i * ratio_i (zero where
-    the clip binds), so that d z_i / d theta = dz_i * d log pi(y_i | x_i) / d theta.
-    """
-
-    def __init__(self, params: PolicyParams, log: BanditLog):
+    def __init__(self, params: PolicyParams, log: BanditLog, rule, hyper: Optional[float]):
         U = clamp_logits(logits_matrix(params, log.X))
         softplus, self._sigmoid = softplus_sigmoid(U)
         ids = log.example_ids
@@ -134,27 +122,25 @@ class _LossPass:
                   - np.take(softplus.sum(axis=1), ids))
         self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
         self.clipped = self.ratio >= log.clip_m
-        self.z = log.costs * np.minimum(self.ratio, log.clip_m)
+        self.losses = log.costs * np.minimum(self.ratio, log.clip_m)
+        self.risk, self.weights, self.gamma_used = rule(self.losses, hyper)
         self._log = log
 
-    def gradient(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i q_i dz_i/dtheta for the weights q, as a (q, D) matrix.  With
-        c_i = q_i dz_i, the sum of c_i (y_i - sigmoid(u_i)) x_i is taken into
-        one row per example, sum_i c_i y_i minus (sum_i c_i) sigmoid(u),
-        before a single product with the features."""
+    def gradient(self) -> np.ndarray:
+        """sum_i q_i dz_i/dtheta as a (q, D) matrix, where dz_i/dtheta =
+        cost_i ratio_i d log pi(y_i | x_i)/dtheta, zero where the clip binds.
+        With a_i = q_i cost_i ratio_i, the sum of a_i (y_i - sigmoid(u_i)) x_i
+        is taken into one row per example, sum_i a_i y_i minus (sum_i a_i)
+        sigmoid(u), before a single product with the features."""
         log = self._log
         ids = log.example_ids
         n_ex, q = self._sigmoid.shape
-        c = weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
+        c = self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
         R = np.empty((n_ex, q))
         for label in range(q):
             R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
         R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
         return R.T @ log.X
-
-    def report(self, risk: float, weights: np.ndarray, gamma: Optional[float]) -> RiskReport:
-        """Report of a rule's risk, weights q and temperature."""
-        return RiskReport(risk, self.z, self.clipped, weights, self.gradient(weights), gamma)
 
 
 def _chi2_rule(z: np.ndarray, lam: float):
@@ -200,30 +186,26 @@ def evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
              hyper: Optional[float] = None) -> RiskReport:
     """The objective of `algorithm`, a name in RULES, at `params` on `log`.
     `hyper` is the parameter RULES names for it (none for cips)."""
-    rule = _rule(algorithm, hyper)
-    losses = _LossPass(params, log)
-    return losses.report(*rule(losses.z, hyper))
+    return RiskReport(params, log, _rule(algorithm, hyper), hyper)
 
 
 def ips_risk(params: PolicyParams, log: BanditLog) -> float:
     """Unclipped importance-weighted mean cost (the unbiased estimator used
     for validation-time model selection, never as a training objective)."""
-    return float(np.mean(log.costs * _LossPass(params, log).ratio))
+    return float(np.mean(log.costs * evaluate("cips", params, log).ratio))
 
 
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
-    (risk, grad), the objective `evaluate` gives for the named algorithm, plus
-    the matrix shape.  fun runs the kernel's value path and the rule; grad()
-    returns the flat gradient at theta_flat, computed only when it is called."""
-    rule = _rule(algorithm, hyper)
+    (risk, grad), the `evaluate` of the named algorithm at theta_flat with
+    grad() its flat gradient, plus the matrix shape."""
+    _rule(algorithm, hyper)  # a bad name or hyper-parameter fails here, not in minimize
     q = log.Y.shape[1]
     d = log.X.shape[1]
 
     def fun(theta_flat: np.ndarray):
-        losses = _LossPass(PolicyParams(theta_flat.reshape(q, d)), log)
-        risk, weights, gamma = rule(losses.z, hyper)
-        fun.last_gamma = gamma  # read only by perfbench/spans.py
-        return risk, lambda: losses.gradient(weights).ravel()
+        report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
+        fun.last_gamma = report.gamma_used  # read only by perfbench/spans.py
+        return report.risk, lambda: report.gradient().ravel()
     fun.last_gamma = None
     return fun, (q, d)

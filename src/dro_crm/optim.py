@@ -27,11 +27,11 @@ Objective = Callable[[np.ndarray], Tuple[float, Callable[[], np.ndarray]]]
 _C1 = 1e-4                    # Armijo (sufficient decrease) constant
 _C2 = 0.9                     # curvature constant, 0 < _C1 < _C2 < 1
 _MAX_LINE_SEARCH_STEPS = 40   # evaluations per line search
+_MEMORY = 10                  # curvature pairs the two-loop recursion keeps
 
 
 @dataclass
 class OptimConfig:
-    memory: int = 10
     max_iters: int = 500
     grad_tol: float = 1e-6          # infinity norm of the gradient
     f_tol: float = 1e-9             # relative decrease between accepted iterates
@@ -39,8 +39,8 @@ class OptimConfig:
     def __post_init__(self):
         if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
             raise ContractViolation("tolerances must be positive and finite")
-        if self.memory < 1 or self.max_iters < 1:
-            raise ContractViolation("memory and max_iters must be positive")
+        if self.max_iters < 1:
+            raise ContractViolation("max_iters must be positive")
 
 
 @dataclass
@@ -206,7 +206,7 @@ def minimize(fun: Objective, x0: np.ndarray,
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.memory:
+            if len(s_hist) > _MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)

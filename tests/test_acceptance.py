@@ -178,7 +178,7 @@ def test_criterion_5_gradient_suite():
                                     hypers[name]).risk
 
                 fd = fd_gradient(value, theta)
-            err = np.abs(report_obj.gradient.ravel() - fd).max() / \
+            err = np.abs(report_obj.gradient().ravel() - fd).max() / \
                 max(np.abs(fd).max(), 1e-12)
             worst[name] = max(worst[name], err)
     ok = all(v <= 1e-5 for v in worst.values())

@@ -166,6 +166,15 @@ class TestSvmlightFormat:
                            match=f"toy.svm: feature index {index} is too large"):
             load_multilabel_svmlight(path)
 
+    # as for feature indices, numpy refuses both label counts without allocating
+    @pytest.mark.parametrize("label", [10 ** 17, 2 ** 63])
+    def test_huge_label_id(self, tmp_path, label):
+        path = tmp_path / "toy.svm"
+        path.write_text(f"0,{label} 1:1.0\n")
+        with pytest.raises(DataFormatError,
+                           match=f"toy.svm: label id {label} is too large"):
+            load_multilabel_svmlight(path)
+
     @pytest.mark.parametrize("first", ["label", "index"])
     def test_first_bad_row_is_reported(self, tmp_path, first):
         # a label below the first id and an index past the width: the earlier

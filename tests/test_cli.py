@@ -231,16 +231,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
 
-    @pytest.mark.parametrize("kind", ["no_weights", "text", "npy"])
+    @pytest.mark.parametrize("kind", ["no_weights", "text", "npy", "object", "str",
+                                      "complex"])
     def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
         path = tmp_path / "p.npz"
         if kind == "no_weights":
             np.savez(path, other=np.zeros((2, 7)))
         elif kind == "text":
             path.write_text("weights = 0\n")
-        else:
+        elif kind == "npy":
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros((2, 7)))
+        else:  # weights that are not real numbers
+            weights = {"object": np.full((2, 7), None, dtype=object),
+                       "str": np.full((2, 7), "0.5"),
+                       "complex": np.full((2, 7), 0.5 + 1j)}[kind]
+            np.savez(path, weights=weights)
         assert main(["eval", "--params", str(path), "--test", synth_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
@@ -262,6 +268,14 @@ class TestCommands:
                      "--seeds", "0", "--out-dir", str(tmp_path / "run")]) == 1
         message = f"DataFormatError: {path}: feature index {index} is too large"
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [10 ** 17, 2 ** 63])
+    def test_huge_label_id(self, tmp_path, capsys, label):
+        path = tmp_path / "huge.svm"
+        path.write_text(f"0,{label} 1:1.0\n1 2:1.0\n")
+        assert main(["convert", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"huge.svm: label id {label} is too large" in err
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2

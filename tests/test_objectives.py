@@ -91,7 +91,7 @@ class TestCips:
         u = math.log(9.0)
         log = one_feature_log([1.0] * 3, [[1]] * 3, [0.1] * 3, [-1.0] * 3, clip_m=2.0)
         report = evaluate("cips", PolicyParams(np.array([[u]])), log)
-        assert np.all(report.gradient == 0.0)
+        assert np.all(report.gradient() == 0.0)
 
     def test_two_record_mean(self):
         log = two_point_log()
@@ -108,7 +108,7 @@ class TestCips:
             def value(t):
                 return evaluate("cips", PolicyParams(t.reshape(2, 3)), log).risk
 
-            g = evaluate("cips", PolicyParams(theta.reshape(2, 3)), log).gradient.ravel()
+            g = evaluate("cips", PolicyParams(theta.reshape(2, 3)), log).gradient().ravel()
             assert rel_err(g, fd_gradient(value, theta)) < 1e-5
 
 
@@ -120,7 +120,7 @@ class TestPoem:
         a = evaluate("poem", params, log, 0.0)
         b = evaluate("cips", params, log)
         assert a.risk == b.risk
-        assert np.array_equal(a.gradient, b.gradient)
+        assert np.array_equal(a.gradient(), b.gradient())
 
     def test_constant_losses_no_penalty(self):
         log = one_feature_log([0.0] * 4, [[1]] * 4, [0.5] * 4, [-0.5] * 4, 2.0)
@@ -148,7 +148,7 @@ class TestPoem:
             def value(t):
                 return evaluate("poem", PolicyParams(t.reshape(2, 3)), log, lam).risk
 
-            g = evaluate("poem", PolicyParams(theta.reshape(2, 3)), log, lam).gradient.ravel()
+            g = evaluate("poem", PolicyParams(theta.reshape(2, 3)), log, lam).gradient().ravel()
             assert rel_err(g, fd_gradient(value, theta)) < 1e-5
 
 
@@ -183,7 +183,7 @@ class TestKlCrm:
                 z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                 return float(s0 @ z)
 
-            assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
+            assert rel_err(report.gradient().ravel(), fd_gradient(surrogate, theta)) < 1e-5
 
     def test_requires_positive_temperature(self):
         log = two_point_log()
@@ -257,7 +257,7 @@ class TestAklCrm:
                 z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                 return float(s0 @ z)
 
-            assert rel_err(report.gradient.ravel(), fd_gradient(surrogate, theta)) < 1e-5
+            assert rel_err(report.gradient().ravel(), fd_gradient(surrogate, theta)) < 1e-5
 
 
 class TestWorstCaseWeights:
@@ -288,7 +288,7 @@ class TestWorstCaseWeights:
                     z = evaluate("cips", PolicyParams(t.reshape(2, 3)), log).losses
                     return float(q @ z)
 
-                g = report.gradient.ravel()
+                g = report.gradient().ravel()
                 assert rel_err(g, fd_gradient(weighted, theta)) < 1e-5, alg
                 if alg in ("cips", "poem"):
                     def value(t, alg=alg, hyper=hyper):
@@ -342,7 +342,7 @@ class TestObjectiveProperties:
             report = evaluate(algorithm, PolicyParams(theta.reshape(2, 3)), log, hyper)
             assert f == report.risk
             assert fun.last_gamma == report.gamma_used
-            assert grad().tobytes() == report.gradient.ravel().tobytes()
+            assert grad().tobytes() == report.gradient().ravel().tobytes()
         with pytest.raises(ContractViolation):
             make_objective("poem", log, None)
         with pytest.raises(ContractViolation):
@@ -430,7 +430,7 @@ class TestReplayLayoutEquivalence:
                 report = evaluate(rule, params, log, hypers[rule])
                 risk, grad = self._reference(params, log, X_tiled, rule)
                 assert report.risk == pytest.approx(risk, rel=1e-12, abs=0.0), rule
-                assert rel_err(report.gradient, grad) < 1e-12, rule
+                assert rel_err(report.gradient(), grad) < 1e-12, rule
             ips, _ = self._reference(params, log, X_tiled, "ips")
             assert ips_risk(params, log) == pytest.approx(ips, rel=1e-12, abs=0.0)
 

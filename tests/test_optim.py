@@ -166,6 +166,8 @@ class TestMinimize:
                        {"grad_tol": math.nan}, {"f_tol": math.inf}, {"f_tol": -1e-9}):
             with pytest.raises(ContractViolation):
                 OptimConfig(**fields)
+        with pytest.raises(ContractViolation, match="max_iters must be positive"):
+            OptimConfig(max_iters=0)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ContractViolation):
@@ -184,7 +186,7 @@ def test_lazy_objective_follows_the_eager_path(algorithm):
 
     def eager(theta):
         report = evaluate(algorithm, PolicyParams(theta.reshape(shape)), log, hyper)
-        gradient = report.gradient.ravel()
+        gradient = report.gradient().ravel()
         return report.risk, lambda: gradient
 
     x0 = np.zeros(shape[0] * shape[1])
