@@ -368,7 +368,8 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
                         delta: int, seed: int, stream: int = 0) -> BanditLog:
     """Replay the logger `delta` times over the dataset, sampling one action
     per example per pass and logging (action, propensity, scaled cost).  The
-    log keeps `train.X` once; records point into it by example id.
+    log keeps `train.X` once, in `BanditLog`'s replay-major layout: pass d
+    holds records d * n_examples to (d + 1) * n_examples - 1.
 
     Record (replay d, example i) draws its q uniforms from its own stream,
     ``default_rng(SeedSequence((seed, stream, d, i))).random(q)``, so a record
@@ -389,12 +390,13 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
         ids = example_ids[block]
         Y[block] = record_uniforms(seed, stream, replay_ids[block], ids, q) < probs[ids]
 
-    log_p = (Y * U[example_ids] - log1p_exp(U)[example_ids]).sum(axis=1)
-    raw_cost = np.abs(Y - train.Y[example_ids]).sum(axis=1)
+    # passes[d, i] is the action of record (replay d, example i)
+    passes = Y.reshape(delta, n_ex, q)
+    log_p = (passes * U - log1p_exp(U)).sum(axis=2).ravel()
+    raw_cost = np.abs(passes - train.Y).sum(axis=2).ravel()
     costs = raw_cost * (1.0 / q) + _COST_OFFSET
     clip_m = compute_clip_constant(np.exp(log_p))
-    return BanditLog(train.X, Y, log_p, costs, clip_m,
-                     replay_ids=replay_ids, example_ids=example_ids)
+    return BanditLog(train.X, Y, log_p, costs, clip_m)
 
 
 def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) -> float:
@@ -422,15 +424,13 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
     """CSV with one row per record plus a sidecar `key = value` metadata file
     (clip constant, cost map, the generating seed, replay and record counts)."""
     n = log.n
-    replay = log.replay_ids if log.replay_ids is not None else np.zeros(n, dtype=np.int64)
-    example = log.example_ids
     scale = 1.0 / log.Y.shape[1]
     raw = (log.costs - _COST_OFFSET) / scale
     p = np.exp(log.log_propensities)
     # the actions are 0/1 (BanditLog checks), so a row's ASCII digits are its bits
     bits = (log.Y.astype(np.uint8) + ord("0")).view(f"S{log.Y.shape[1]}")
-    records = zip(range(n), replay.tolist(), example.tolist(), bits.ravel().tolist(),
-                  p.tolist(), raw.tolist(), log.costs.tolist())
+    records = zip(range(n), log.replay_ids.tolist(), log.example_ids.tolist(),
+                  bits.ravel().tolist(), p.tolist(), raw.tolist(), log.costs.tolist())
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(_LOG_HEADER + "\n")
         fh.writelines(f"{i},{r},{e},{b.decode()},{pi!r},{ri!r},{c!r}\n"
@@ -440,16 +440,17 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
         fh.write(f"cost_scale = {scale!r}\n")
         fh.write(f"cost_offset = {_COST_OFFSET!r}\n")
         fh.write(f"seed = {seed}\n")
-        fh.write(f"delta = {int(replay.max()) + 1}\n")
+        fh.write(f"delta = {log.delta}\n")
         fh.write(f"n_records = {n}\n")
 
 
 def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLog:
-    """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X` and
-    the stored example ids.  Every record is checked against the dataset and
-    the sidecar: replay ids in 0..delta-1, example ids in range, q-bit 0/1
-    actions, propensities in (0, 1] and finite costs; the sidecar's cost map
-    and record count must match."""
+    """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X`.
+    Every record is checked against the dataset and the sidecar: replay ids
+    in 0..delta-1, example ids in range, in the replay-major order a
+    `BanditLog` holds (record k is example k % n_examples of replay
+    k // n_examples), q-bit 0/1 actions, propensities in (0, 1] and finite
+    costs; the sidecar's cost map, record count and delta must match."""
     meta = {}
     for _, line in utf8_lines(meta_path):
         if "=" in line:
@@ -468,7 +469,7 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
         raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
     if cost_map != (1.0 / q, _COST_OFFSET):
         raise DataFormatError(f"{meta_path}: cost map {cost_map} is not hamming / {q} - 1")
-    replay, example, Y, p, costs = [], [], [], [], []
+    Y, p, costs = [], [], []
     for lineno, line in lines:
         where = f"{csv_path}:{lineno}"
         parts = line.strip().split(",")
@@ -483,14 +484,17 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
             raise DataFormatError(f"{where}: replay id {r} outside 0..{delta - 1}")
         if not 0 <= e < n_ex:
             raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
+        k = len(Y)
+        if (r, e) != divmod(k, n_ex):
+            raise DataFormatError(
+                f"{where}: record {k} is replay {r}, example {e}; the replay-major "
+                f"order puts replay {k // n_ex}, example {k % n_ex} there")
         if len(bits) != q or set(bits) - {"0", "1"}:
             raise DataFormatError(f"{where}: action {bits!r} is not {q} bits of 0/1")
         if not 0.0 < prop <= 1.0:
             raise DataFormatError(f"{where}: propensity {prop!r} outside (0, 1]")
         if not math.isfinite(cost):
             raise DataFormatError(f"{where}: non-finite cost {cost!r}")
-        replay.append(r)
-        example.append(e)
         Y.append([float(c) for c in bits])
         p.append(prop)
         costs.append(cost)
@@ -499,9 +503,11 @@ def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLo
     if n_records != len(Y):
         raise DataFormatError(
             f"{meta_path}: n_records = {n_records}, but {csv_path} holds {len(Y)} records")
+    if len(Y) != delta * n_ex:
+        raise DataFormatError(
+            f"{meta_path}: delta = {delta} replays of {n_ex} examples, but {csv_path} "
+            f"holds {len(Y)} records")
     try:
-        return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs),
-                         clip_m, replay_ids=np.array(replay, dtype=np.int64),
-                         example_ids=np.array(example, dtype=np.int64))
+        return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs), clip_m)
     except ContractViolation as exc:
         raise DataFormatError(f"{meta_path}: {exc}") from exc

@@ -80,9 +80,11 @@ def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     if not epsilon >= 0.0:
         raise ContractViolation(f"epsilon must be nonnegative, got {epsilon}")
     z, p = _losses(z)
+    if epsilon == 0.0:  # cips: the mean, with no variance to compute
+        return float(p @ z), p
     mean, var = _mean_var(z, p)
     n = z.size
-    if epsilon == 0.0 or _effectively_constant(z):
+    if _effectively_constant(z):
         return mean, p
 
     q = p * (1.0 + math.sqrt(epsilon / var) * (z - mean))

@@ -31,6 +31,16 @@ surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 rule run: the `RiskReport` it returns holds the value path's results, and its
 `gradient()` is computed only when called.  `make_objective` (for the
 minimizer) and `ips_risk` are callers of `evaluate`.
+
+The kernel is written against the log's replay-major layout (`BanditLog`):
+replay pass d holds every example once, in order, so the (n, q) actions
+reshaped to (delta, n_examples, q) line each record up with its example's
+row of logits.  log pi is one einsum over that fold, with no per-record
+gather, and the gradient folds the passes back onto one row per example with
+another, with no per-label bincount.  Both sum in record order, so they give
+the same bits as gathering by example id (`tests/gather_kernel.py` pins
+this).  The value path keeps the clamped logits and exp(-|u|), and the
+sigmoid is formed from them only in `gradient()`.
 """
 
 from __future__ import annotations
@@ -45,22 +55,23 @@ from .divergence import boltzmann_weights, gamma_star_approx, robust_risk_chi2
 from .errors import ContractViolation
 # log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
 # the policy calls of this module by wrapping these names in place.
-from .policy import (PolicyParams, clamp_logits, log_prob_matrix,
-                     logits_matrix, sigmoid, softplus_sigmoid)
+from .policy import (PolicyParams, _sigmoid_from, clamp_logits,
+                     log_prob_matrix, logits_matrix, sigmoid)
 
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
 
 
 @dataclass
 class BanditLog:
-    """Dense logged-feedback dataset, features stored once per example.
+    """Dense logged-feedback dataset in replay-major layout, features stored
+    once per example.
 
-    X: (n_examples, D) features; Y: (n, q) 0/1 actions of the n records;
-    example_ids: (n,) row of X each record was logged on, so replaying an
-    example delta times stores its features once (defaults to arange(n) when
-    X has one row per record); log_propensities: (n,) natural logs of the
-    logger's action probabilities; costs: (n,) logged (already scaled) costs;
-    clip_m: ratio clipping constant, finite M > 0.
+    X: (n_examples, D) features; Y: (n, q) 0/1 actions of the n records,
+    where n is a positive multiple delta * n_examples and record k was logged
+    on example k % n_examples in replay pass k // n_examples (a log with one
+    row of X per record is the delta = 1 case); log_propensities: (n,)
+    natural logs of the logger's action probabilities; costs: (n,) logged
+    (already scaled) costs; clip_m: ratio clipping constant, finite M > 0.
     """
 
     X: np.ndarray
@@ -68,8 +79,6 @@ class BanditLog:
     log_propensities: np.ndarray
     costs: np.ndarray
     clip_m: float
-    replay_ids: Optional[np.ndarray] = None
-    example_ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Y.ndim != 2:
@@ -79,17 +88,9 @@ class BanditLog:
             raise ContractViolation("bandit log must be non-empty")
         if self.log_propensities.shape != (n,) or self.costs.shape != (n,):
             raise ContractViolation("bandit log arrays must agree on length")
-        if self.example_ids is None:
-            if self.X.shape[0] != n:
-                raise ContractViolation("without example ids X needs one row per record")
-            self.example_ids = np.arange(n)
-        ids = np.asarray(self.example_ids)
-        if ids.shape != (n,) or not np.issubdtype(ids.dtype, np.integer):
-            raise ContractViolation("example ids must be one integer per record")
-        if ids.min() < 0 or ids.max() >= self.X.shape[0]:
+        if self.X.shape[0] < 1 or n % self.X.shape[0]:
             raise ContractViolation(
-                f"example ids must lie in [0, {self.X.shape[0]})")
-        self.example_ids = ids
+                f"{n} records are not whole replays of {self.X.shape[0]} examples")
         if not np.all((self.Y == 0.0) | (self.Y == 1.0)):
             raise ContractViolation("actions must be 0/1 bit vectors")
         if not 0.0 < self.clip_m < math.inf:
@@ -105,41 +106,59 @@ class BanditLog:
     def n(self) -> int:
         return self.Y.shape[0]
 
+    @property
+    def delta(self) -> int:
+        return self.n // self.X.shape[0]
+
+    @property
+    def replay_ids(self) -> np.ndarray:
+        """(n,) replay pass of each record, k // n_examples."""
+        return np.repeat(np.arange(self.delta, dtype=np.int64), self.X.shape[0])
+
+    @property
+    def example_ids(self) -> np.ndarray:
+        """(n,) row of X each record was logged on, k % n_examples."""
+        return np.tile(np.arange(self.X.shape[0], dtype=np.int64), self.delta)
+
 
 class RiskReport:
-    """The kernel's value path and a rule at one parameter value: logits,
-    softplus and sigmoid once per example (row of log.X), gathered per record
-    through log.example_ids into the importance ratios `ratio`, the mask
-    `clipped` of samples clipped at M and the losses z (`losses`); then the
-    rule's `risk`, weights q (`weights`) and temperature (`gamma_used`, None
-    without one, aklcrm's 0.0 when the losses were constant)."""
+    """The kernel's value path and a rule at one parameter value.
+
+    The logits U are clamped and e = exp(-|U|) and the softplus are taken
+    once per example (row of log.X); the replay passes are folded onto the
+    examples by reshaping the records to (delta, n_examples, q), so log pi
+    needs no per-record gather.  From it come the importance ratios `ratio`,
+    the mask `clipped` of samples clipped at M and the losses z (`losses`);
+    then the rule's `risk`, weights q (`weights`) and temperature
+    (`gamma_used`, None without one, aklcrm's 0.0 when the losses were
+    constant).  U and e are kept, so the sigmoid is formed only in
+    `gradient()`."""
 
     def __init__(self, params: PolicyParams, log: BanditLog, rule, hyper: Optional[float]):
         U = clamp_logits(logits_matrix(params, log.X))
-        softplus, self._sigmoid = softplus_sigmoid(U)
-        ids = log.example_ids
-        log_pi = (np.einsum("ij,ij->i", log.Y, np.take(U, ids, axis=0))
-                  - np.take(softplus.sum(axis=1), ids))
+        e = np.exp(-np.abs(U))
+        softplus = np.maximum(U, 0.0) + np.log1p(e)  # log(1 + e^u), to a few ulp
+        Y = log.Y.reshape(log.delta, *U.shape)
+        log_pi = (np.einsum("dij,ij->di", Y, U) - softplus.sum(axis=1)).ravel()
         self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
         self.clipped = self.ratio >= log.clip_m
         self.losses = log.costs * np.minimum(self.ratio, log.clip_m)
         self.risk, self.weights, self.gamma_used = rule(self.losses, hyper)
-        self._log = log
+        self._log, self._U, self._e = log, U, e
 
     def gradient(self) -> np.ndarray:
         """sum_i q_i dz_i/dtheta as a (q, D) matrix, where dz_i/dtheta =
         cost_i ratio_i d log pi(y_i | x_i)/dtheta, zero where the clip binds.
         With a_i = q_i cost_i ratio_i, the sum of a_i (y_i - sigmoid(u_i)) x_i
-        is taken into one row per example, sum_i a_i y_i minus (sum_i a_i)
-        sigmoid(u), before a single product with the features."""
+        is folded over the replay passes into one row per example, sum_i a_i
+        y_i minus (sum_i a_i) sigmoid(u), before a single product with the
+        features."""
         log = self._log
-        ids = log.example_ids
-        n_ex, q = self._sigmoid.shape
-        c = self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
-        R = np.empty((n_ex, q))
-        for label in range(q):
-            R[:, label] = np.bincount(ids, weights=c * log.Y[:, label], minlength=n_ex)
-        R -= np.bincount(ids, weights=c, minlength=n_ex)[:, None] * self._sigmoid
+        delta, (n_ex, q) = log.delta, self._U.shape
+        c = (self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
+             ).reshape(delta, n_ex)
+        R = np.einsum("di,dij->ij", c, log.Y.reshape(delta, n_ex, q))
+        R -= c.sum(axis=0)[:, None] * _sigmoid_from(self._U, self._e)
         return R.T @ log.X
 
 

@@ -14,7 +14,6 @@ factorization; no normalizer enumeration is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -68,14 +67,6 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
 def log1p_exp(u: np.ndarray) -> np.ndarray:
     """log(1 + e^u), branchless stable form."""
     return np.logaddexp(0.0, clamp_logits(u))
-
-
-def softplus_sigmoid(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(log(1 + e^u), sigmoid(u)) of the clamped logits from a single exp.
-    The softplus agrees with `log1p_exp` to a few ulp, not bit for bit."""
-    u = clamp_logits(u)
-    e = np.exp(-np.abs(u))
-    return np.maximum(u, 0.0) + np.log1p(e), _sigmoid_from(u, e)
 
 
 def logits_matrix(params: PolicyParams, X: np.ndarray) -> np.ndarray:

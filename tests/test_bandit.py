@@ -673,31 +673,57 @@ class TestLogValidation:
         assert np.array_equal(back.example_ids, log.example_ids)
         assert np.array_equal(back.replay_ids, log.replay_ids)
 
+    def test_loader_rejects_swapped_records(self, tmp_path):
+        # 6 examples, delta 2: records 1 and 7 (lines 3 and 9) trade places,
+        # so every id stays in range but line 3 holds replay 1, example 1
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        lines[2], lines[8] = lines[8], lines[2]
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError,
+                           match="log.csv:3: record 1 is replay 1, example 1; the "
+                                 "replay-major order puts replay 0, example 1 there"):
+            load_bandit_log(csv_path, meta_path, ds)
+
+    @pytest.mark.parametrize("kept", [6, 9])
+    def test_loader_rejects_missing_replays(self, tmp_path, kept):
+        # 6 examples, delta 2: one pass or one and a half, with n_records to match
+        ds, _, csv_path, meta_path = self._saved(tmp_path)
+        lines = csv_path.read_text().splitlines()[:1 + kept]
+        csv_path.write_text("\n".join(lines) + "\n")
+        self._set_meta(meta_path, "n_records", str(kept))
+        with pytest.raises(DataFormatError,
+                           match=f"log.meta: delta = 2 replays of 6 examples, but "
+                                 f".*log.csv holds {kept} records"):
+            load_bandit_log(csv_path, meta_path, ds)
+
     def test_constructor_checks(self):
-        X = np.zeros((3, 2))
-        Y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        logp = np.log(np.array([0.5, 0.25]))
-        costs = np.array([-1.0, 0.0])
-        BanditLog(X, Y, logp, costs, 2.0, example_ids=np.array([0, 2]))
+        X = np.zeros((2, 2))
+        Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        logp = np.log(np.array([0.5, 0.25, 0.125, 0.5]))
+        costs = np.array([-1.0, 0.0, -0.5, -1.0])
+        log = BanditLog(X, Y, logp, costs, 2.0)
+        assert log.delta == 2
+        assert log.replay_ids.tolist() == [0, 0, 1, 1]
+        assert log.example_ids.tolist() == [0, 1, 0, 1]
         bad = [
-            dict(example_ids=np.array([0, -1])),
-            dict(example_ids=np.array([0, 3])),
-            dict(example_ids=np.array([0.0, 1.0])),
-            dict(example_ids=np.array([0, 1, 2])),
-            dict(example_ids=None),  # X has 3 rows for 2 records
-            dict(Y=np.array([[1.0, 0.0], [2.0, 1.0]])),
-            dict(log_propensities=np.array([0.1, np.log(0.5)])),
-            dict(log_propensities=np.array([-np.inf, np.log(0.5)])),
-            dict(log_propensities=np.array([np.nan, np.log(0.5)])),
-            dict(costs=np.array([np.inf, 0.0])),
-            dict(costs=np.array([np.nan, 0.0])),
+            dict(X=np.zeros((3, 2))),  # 4 records are not whole replays of 3 examples
+            dict(X=np.zeros((0, 2))),
+            dict(Y=Y[:3], log_propensities=logp[:3], costs=costs[:3]),
+            dict(Y=np.array([[1.0, 0.0], [2.0, 1.0], [1.0, 1.0], [0.0, 0.0]])),
+            dict(log_propensities=np.array([0.1, *logp[1:]])),
+            dict(log_propensities=np.array([-np.inf, *logp[1:]])),
+            dict(log_propensities=np.array([np.nan, *logp[1:]])),
+            dict(costs=np.array([np.inf, *costs[1:]])),
+            dict(costs=np.array([np.nan, *costs[1:]])),
             dict(clip_m=0.0),
             dict(clip_m=math.nan),
             dict(clip_m=math.inf),
         ]
         for override in bad:
-            args = dict(X=X, Y=Y, log_propensities=logp, costs=costs, clip_m=2.0,
-                        example_ids=np.array([0, 2]))
+            args = dict(X=X, Y=Y, log_propensities=logp, costs=costs, clip_m=2.0)
             args.update(override)
             with pytest.raises(ContractViolation):
                 BanditLog(**args)
+        with pytest.raises(ContractViolation, match="4 records are not whole replays of 3"):
+            BanditLog(np.zeros((3, 2)), Y, logp, costs, 2.0)

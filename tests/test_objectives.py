@@ -9,7 +9,8 @@ from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
                      generate_bandit_log, ips_risk, make_objective,
                      robust_risk_chi2, synthetic_multilabel, train_logger)
 from dro_crm.bandit import SupervisedDataset
-from dro_crm.objectives import RULES
+from dro_crm.objectives import RULES, _rule
+from gather_kernel import gather_report
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
 
@@ -368,8 +369,38 @@ class TestObjectiveProperties:
             BanditLog(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 1.0)
 
 
+class TestFoldedKernelPin:
+    """The replay-major kernel against the per-record gather and bincount
+    kernel it replaced (`gather_kernel.py`), bit for bit."""
+
+    HYPERS = {"cips": None, "poem": 0.4, "klcrm": 0.3, "aklcrm": 0.05}
+
+    @pytest.mark.parametrize("delta", [1, 3, 4])
+    @pytest.mark.parametrize("q", [3, 14])
+    def test_bit_equal_to_gather_kernel(self, delta, q):
+        ds = synthetic_multilabel(37, 6, q, seed=30 + q)
+        rng = np.random.default_rng(delta * q)
+        logger = PolicyParams(0.3 * rng.normal(size=(q, 6)))
+        log = generate_bandit_log(logger, ds, delta=delta, seed=delta)
+        assert log.n == delta * ds.n_examples
+        n_clipped = 0
+        for weights in (np.zeros((q, 6)), 0.3 * rng.normal(size=(q, 6)),
+                        1.5 * rng.normal(size=(q, 6)), 4.0 * logger.weights):
+            params = PolicyParams(weights)
+            for alg, hyper in self.HYPERS.items():
+                got = evaluate(alg, params, log, hyper)
+                want = gather_report(params, log, _rule(alg, hyper), hyper)
+                for name in ("ratio", "clipped", "losses", "weights"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (alg, name)
+                assert got.risk == want.risk, alg
+                assert got.gamma_used == want.gamma_used, alg
+                assert np.array_equal(got.gradient(), want.gradient()), alg
+            n_clipped += int(got.clipped.sum())
+        assert 0 < n_clipped < 4 * log.n  # both sides of the clip were pinned
+
+
 class TestReplayLayoutEquivalence:
-    """The per-example log (features once, records pointing in by example id)
+    """The replay-major log (features once, passes folded onto the examples)
     against a reference written here over a log whose features are tiled once
     per record, with the per-record formulas: log pi from logaddexp, three-exp
     sigmoid, gradient as one (records x features) product."""
