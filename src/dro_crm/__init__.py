@@ -10,7 +10,7 @@ from .objectives import (BanditLog, RiskReport, evaluate, ips_risk,
 from .optim import IterRecord, OptimConfig, OptimTrace, minimize
 from .policy import PolicyParams
 from .bandit import (SupervisedDataset, append_bias, compute_clip_constant,
-                     evaluate_policy, generate_bandit_log, load_bandit_log,
+                     evaluate_policy, generate_bandit_log,
                      load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, split_dataset,
                      synthetic_multilabel, train_logger)

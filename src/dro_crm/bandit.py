@@ -10,10 +10,9 @@ a saved log writes this one fixed map to its sidecar beside the raw costs.  The
 ratio clipping constant is set from the logged propensities as the ratio of
 their 90th to 10th percentile.
 
-Each record (replay d, example i) samples its action from one SeedSequence
-stream of its own, keyed by (seed, stream, d, i).  `record_uniforms`
-reproduces those streams for a whole block of records in one vectorized
-pass, bit for bit; a test checks it against numpy's `default_rng`.
+Each replay pass d draws the uniforms of all its records from one numpy
+stream, keyed by (seed, stream, d), so a pass does not depend on how many
+passes the log holds.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._streams import record_uniforms
 from .errors import ContractViolation, DataFormatError, utf8_lines
 from .objectives import BanditLog
 from .optim import OptimConfig, minimize
@@ -359,11 +357,6 @@ def compute_clip_constant(propensities: np.ndarray) -> float:
     return max(1.0, hi / lo)
 
 
-# Records drawn per block: bounds the stream helper's temporaries (a few
-# uint64 columns of this length) so generation does not raise peak memory.
-_BLOCK_RECORDS = 4096
-
-
 def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
                         delta: int, seed: int, stream: int = 0) -> BanditLog:
     """Replay the logger `delta` times over the dataset, sampling one action
@@ -371,32 +364,26 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     log keeps `train.X` once, in `BanditLog`'s replay-major layout: pass d
     holds records d * n_examples to (d + 1) * n_examples - 1.
 
-    Record (replay d, example i) draws its q uniforms from its own stream,
-    ``default_rng(SeedSequence((seed, stream, d, i))).random(q)``, so a record
-    does not depend on how generation is ordered or partitioned across
-    workers."""
+    Pass d draws its (n_examples, q) uniforms as
+    ``default_rng((seed, stream, d)).random((n_examples, q))``, so a log of
+    delta passes begins with the log of fewer, and the train and validation
+    logs (streams 0 and 1) draw apart."""
     if delta < 1:
         raise ContractViolation("replay count must be at least 1")
+    if seed < 0 or stream < 0:
+        raise ContractViolation(
+            f"seed and stream must be non-negative, got {seed} and {stream}")
     n_ex, q = train.n_examples, train.n_labels
-    n = delta * n_ex
     U = clamp_logits(logits_matrix(logger, train.X))
     probs = sigmoid(U)
-
-    replay_ids = np.repeat(np.arange(delta, dtype=np.int64), n_ex)
-    example_ids = np.tile(np.arange(n_ex, dtype=np.int64), delta)
-    Y = np.empty((n, q))
-    for start in range(0, n, _BLOCK_RECORDS):
-        block = slice(start, start + _BLOCK_RECORDS)
-        ids = example_ids[block]
-        Y[block] = record_uniforms(seed, stream, replay_ids[block], ids, q) < probs[ids]
-
     # passes[d, i] is the action of record (replay d, example i)
-    passes = Y.reshape(delta, n_ex, q)
+    passes = np.stack([np.random.default_rng((seed, stream, d)).random((n_ex, q)) < probs
+                       for d in range(delta)]).astype(np.float64)
     log_p = (passes * U - log1p_exp(U)).sum(axis=2).ravel()
     raw_cost = np.abs(passes - train.Y).sum(axis=2).ravel()
     costs = raw_cost * (1.0 / q) + _COST_OFFSET
     clip_m = compute_clip_constant(np.exp(log_p))
-    return BanditLog(train.X, Y, log_p, costs, clip_m)
+    return BanditLog(train.X, passes.reshape(-1, q), log_p, costs, clip_m)
 
 
 def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) -> float:
@@ -442,72 +429,3 @@ def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
         fh.write(f"seed = {seed}\n")
         fh.write(f"delta = {log.delta}\n")
         fh.write(f"n_records = {n}\n")
-
-
-def load_bandit_log(csv_path, meta_path, dataset: SupervisedDataset) -> BanditLog:
-    """Rebuild a log from its CSV and sidecar; the log keeps `dataset.X`.
-    Every record is checked against the dataset and the sidecar: replay ids
-    in 0..delta-1, example ids in range, in the replay-major order a
-    `BanditLog` holds (record k is example k % n_examples of replay
-    k // n_examples), q-bit 0/1 actions, propensities in (0, 1] and finite
-    costs; the sidecar's cost map, record count and delta must match."""
-    meta = {}
-    for _, line in utf8_lines(meta_path):
-        if "=" in line:
-            k, v = line.split("=", 1)
-            meta[k.strip()] = v.strip()
-    n_ex, q = dataset.n_examples, dataset.n_labels
-    lines = utf8_lines(csv_path)
-    header = next(lines, (1, ""))[1].strip()
-    if header != _LOG_HEADER:
-        raise DataFormatError(f"{csv_path}: unexpected header {header!r}")
-    try:
-        clip_m = float(meta["clip_m"])
-        cost_map = (float(meta["cost_scale"]), float(meta["cost_offset"]))
-        n_records, delta = int(meta["n_records"]), int(meta["delta"])
-    except (KeyError, ValueError) as exc:
-        raise DataFormatError(f"{meta_path}: missing or malformed entry ({exc})") from exc
-    if cost_map != (1.0 / q, _COST_OFFSET):
-        raise DataFormatError(f"{meta_path}: cost map {cost_map} is not hamming / {q} - 1")
-    Y, p, costs = [], [], []
-    for lineno, line in lines:
-        where = f"{csv_path}:{lineno}"
-        parts = line.strip().split(",")
-        if len(parts) != 7:
-            raise DataFormatError(f"{where}: expected 7 fields")
-        try:
-            r, e, prop, cost = int(parts[1]), int(parts[2]), float(parts[4]), float(parts[6])
-        except ValueError as exc:
-            raise DataFormatError(f"{where}: bad number ({exc})") from exc
-        bits = parts[3]
-        if not 0 <= r < delta:
-            raise DataFormatError(f"{where}: replay id {r} outside 0..{delta - 1}")
-        if not 0 <= e < n_ex:
-            raise DataFormatError(f"{where}: example id {e} outside 0..{n_ex - 1}")
-        k = len(Y)
-        if (r, e) != divmod(k, n_ex):
-            raise DataFormatError(
-                f"{where}: record {k} is replay {r}, example {e}; the replay-major "
-                f"order puts replay {k // n_ex}, example {k % n_ex} there")
-        if len(bits) != q or set(bits) - {"0", "1"}:
-            raise DataFormatError(f"{where}: action {bits!r} is not {q} bits of 0/1")
-        if not 0.0 < prop <= 1.0:
-            raise DataFormatError(f"{where}: propensity {prop!r} outside (0, 1]")
-        if not math.isfinite(cost):
-            raise DataFormatError(f"{where}: non-finite cost {cost!r}")
-        Y.append([float(c) for c in bits])
-        p.append(prop)
-        costs.append(cost)
-    if not Y:
-        raise DataFormatError(f"{csv_path}: no records")
-    if n_records != len(Y):
-        raise DataFormatError(
-            f"{meta_path}: n_records = {n_records}, but {csv_path} holds {len(Y)} records")
-    if len(Y) != delta * n_ex:
-        raise DataFormatError(
-            f"{meta_path}: delta = {delta} replays of {n_ex} examples, but {csv_path} "
-            f"holds {len(Y)} records")
-    try:
-        return BanditLog(dataset.X, np.array(Y), np.log(np.array(p)), np.array(costs), clip_m)
-    except ContractViolation as exc:
-        raise DataFormatError(f"{meta_path}: {exc}") from exc

@@ -400,12 +400,14 @@ def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
     """One row per (config, algorithm, seed) cell, in (delta, seed) order, so
     that the cells of a seed run one after another and share its set-up: in
     this process for one worker or one cell, else on a process pool that hands
-    a seed's cells to one worker while every worker gets some."""
+    a seed's cells to one worker while every worker gets some.  The pool has
+    no more workers than cells, since it may start them all at once."""
     global _shared
     cells = sorted(cells, key=lambda c: (c[0].delta, c[2]))
+    workers = min(workers, len(cells))
     _share_setups()
     try:
-        if workers <= 1 or len(cells) <= 1:
+        if workers <= 1:
             return [_cell(c) for c in cells]
         per_seed = len(cells[0][0].algorithms) or 1  # baseline cells: one per seed
         chunk = min(per_seed, math.ceil(len(cells) / workers))

@@ -28,17 +28,17 @@ _C1 = 1e-4                    # Armijo (sufficient decrease) constant
 _C2 = 0.9                     # curvature constant, 0 < _C1 < _C2 < 1
 _MAX_LINE_SEARCH_STEPS = 40   # evaluations per line search
 _MEMORY = 10                  # curvature pairs the two-loop recursion keeps
+_F_TOL = 1e-9                 # relative decrease between accepted iterates
 
 
 @dataclass
 class OptimConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6          # infinity norm of the gradient
-    f_tol: float = 1e-9             # relative decrease between accepted iterates
 
     def __post_init__(self):
-        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
-            raise ContractViolation("tolerances must be positive and finite")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ContractViolation("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ContractViolation("max_iters must be positive")
 
@@ -214,7 +214,7 @@ def minimize(fun: Objective, x0: np.ndarray,
         decrease = f - f_new
         trace.iterations.append(IterRecord(f_new, float(np.abs(g_new).max()), alpha))
         x, f, g = x_new, f_new, g_new
-        if decrease <= cfg.f_tol * max(1.0, abs(f)):
+        if decrease <= _F_TOL * max(1.0, abs(f)):
             trace.termination = "f_tol"
             break
     else:

@@ -7,11 +7,10 @@ import pytest
 from dro_crm import (BanditLog, ContractViolation, DataFormatError,
                      PolicyParams, append_bias, compute_clip_constant,
                      evaluate_policy, generate_bandit_log, ips_risk,
-                     load_bandit_log, load_multilabel_svmlight,
-                     save_bandit_log, save_multilabel_svmlight,
-                     split_dataset, synthetic_multilabel, train_logger)
+                     load_multilabel_svmlight, save_bandit_log,
+                     save_multilabel_svmlight, split_dataset,
+                     synthetic_multilabel, train_logger)
 from dro_crm import bandit
-from dro_crm._streams import record_uniforms
 from dro_crm.bandit import SupervisedDataset
 from dro_crm.errors import utf8_lines
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
@@ -421,35 +420,17 @@ class TestBanditGeneration:
 
 
 class TestRecordStreams:
-    """Each record's draws equal numpy's per-record SeedSequence stream."""
+    """Each replay pass draws its records' uniforms from one numpy stream."""
 
-    @staticmethod
-    def _numpy_draws(seed, stream, replay_ids, example_ids, q):
-        return np.array([
-            np.random.default_rng(np.random.SeedSequence(
-                (seed, stream, int(r), int(e)))).random(q)
-            for r, e in zip(replay_ids, example_ids)])
-
-    # seeds of 1, 2 and 4 words: the longer keys overflow the 4-word pool
-    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7, 2**100 + 3])
-    @pytest.mark.parametrize("stream", [0, 1, 2**33])
-    @pytest.mark.parametrize("q", [1, 14])
-    def test_matches_numpy_seed_sequence(self, seed, stream, q):
-        rng = np.random.default_rng(seed % 1000 + 31 * q)
-        replay_ids = rng.integers(0, 100, size=24)
-        example_ids = rng.integers(0, 5000, size=24)
-        replay_ids[0], example_ids[1] = 2**32 - 1, 2**32 - 1
-        got = record_uniforms(seed, stream, replay_ids, example_ids, q)
-        want = self._numpy_draws(seed, stream, replay_ids, example_ids, q)
-        assert got.tobytes() == want.tobytes()
-
-    def test_log_records_use_their_own_stream(self):
+    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**40 + 7, 2), (5, 2**33)])
+    def test_pass_draws_match_numpy(self, seed, stream):
         ds = synthetic_multilabel(7, 3, 4, seed=21)
         logger = PolicyParams(np.full((4, 3), 0.3))
-        log = generate_bandit_log(logger, ds, delta=3, seed=2**40 + 7, stream=2)
+        log = generate_bandit_log(logger, ds, delta=3, seed=seed, stream=stream)
         probs = sigmoid(logits_matrix(logger, ds.X))
-        u = self._numpy_draws(2**40 + 7, 2, log.replay_ids, log.example_ids, 4)
-        assert np.array_equal(log.Y, (u < probs[log.example_ids]).astype(np.float64))
+        for d in range(3):
+            u = np.random.default_rng((seed, stream, d)).random((7, 4))
+            assert np.array_equal(log.Y[7 * d:7 * (d + 1)], (u < probs).astype(np.float64))
 
     def test_more_replays_extend_the_log(self):
         ds = synthetic_multilabel(25, 3, 2, seed=22)
@@ -461,17 +442,21 @@ class TestRecordStreams:
         assert three.log_propensities[:n_ex].tobytes() == one.log_propensities.tobytes()
         assert three.costs[:n_ex].tobytes() == one.costs.tobytes()
 
+    def test_streams_draw_apart(self):
+        # a uniform logger on the same examples: only the stream differs
+        ds = synthetic_multilabel(50, 3, 4, seed=24)
+        logger = PolicyParams.zeros(4, 3)
+        train = generate_bandit_log(logger, ds, delta=2, seed=3, stream=0)
+        valid = generate_bandit_log(logger, ds, delta=2, seed=3, stream=1)
+        assert not np.array_equal(train.Y, valid.Y)
+        assert not np.array_equal(train.Y[:50], train.Y[50:])
+
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (0, -1)])
     def test_negative_key_rejected(self, seed, stream):
         ds = synthetic_multilabel(5, 3, 2, seed=23)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="must be non-negative"):
             generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=1, seed=seed,
                                 stream=stream)
-
-    @pytest.mark.parametrize("replay, example", [(2**32, 0), (0, 2**32), (-1, 0)])
-    def test_ids_outside_32_bits_rejected(self, replay, example):
-        with pytest.raises(ContractViolation):
-            record_uniforms(0, 0, np.array([replay]), np.array([example]), 2)
 
 
 class TestHammingAndClip:
@@ -541,14 +526,18 @@ class TestLogSerialization:
         log = generate_bandit_log(logger, ds, delta=2, seed=8)
         csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
         save_bandit_log(log, csv_path, meta_path, seed=8)
-        back = load_bandit_log(csv_path, meta_path, ds)
-        assert np.array_equal(back.Y, log.Y)
-        assert np.allclose(back.log_propensities, log.log_propensities, atol=1e-14)
-        assert np.allclose(back.costs, log.costs, atol=0.0)
-        assert back.clip_m == log.clip_m
-        meta = meta_path.read_text().splitlines()
-        assert "delta = 2" in meta and "seed = 8" in meta
-        assert np.array_equal(back.X, log.X)
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, dtype=str)
+        ids = rows[:, :3].astype(int)
+        assert np.array_equal(ids, np.column_stack(
+            [np.arange(log.n), log.replay_ids, log.example_ids]))
+        assert np.array_equal([[float(b) for b in bits] for bits in rows[:, 3]], log.Y)
+        assert np.allclose(np.log(rows[:, 4].astype(float)), log.log_propensities,
+                           atol=1e-14)
+        assert np.array_equal(rows[:, 5].astype(float), raw_costs(log))
+        assert np.array_equal(rows[:, 6].astype(float), log.costs)
+        meta = dict(line.split(" = ") for line in meta_path.read_text().splitlines())
+        assert float(meta["clip_m"]) == log.clip_m
+        assert (meta["seed"], meta["delta"], meta["n_records"]) == ("8", "2", str(log.n))
 
     def test_csv_is_unchanged(self, tmp_path):
         # the per-record writer the package used, as the reference
@@ -569,134 +558,8 @@ class TestLogSerialization:
         reference(log, tmp_path / "old.csv")
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_header_checked(self, tmp_path):
-        (tmp_path / "bad.csv").write_text("wrong,header\n")
-        (tmp_path / "bad.meta").write_text("clip_m = 1.0\ncost_scale = 1.0\ncost_offset = 0.0\n")
-        ds = synthetic_multilabel(5, 3, 2, seed=19)
-        with pytest.raises(DataFormatError):
-            load_bandit_log(tmp_path / "bad.csv", tmp_path / "bad.meta", ds)
-
 
 class TestLogValidation:
-    @staticmethod
-    def _saved(tmp_path):
-        ds = synthetic_multilabel(6, 3, 2, seed=20)
-        log = generate_bandit_log(PolicyParams.zeros(2, 3), ds, delta=2, seed=9)
-        csv_path, meta_path = tmp_path / "log.csv", tmp_path / "log.meta"
-        save_bandit_log(log, csv_path, meta_path, seed=9)
-        return ds, log, csv_path, meta_path
-
-    @staticmethod
-    def _set_meta(meta_path, key, value):
-        lines = [f"{key} = {value}" if line.split(" = ")[0] == key else line
-                 for line in meta_path.read_text().splitlines()]
-        meta_path.write_text("\n".join(lines) + "\n")
-
-    @staticmethod
-    def _corrupt(csv_path, field, value):
-        lines = csv_path.read_text().splitlines()
-        parts = lines[2].split(",")  # second record, line 3 of the file
-        parts[field] = value
-        lines[2] = ",".join(parts)
-        csv_path.write_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize("field,value,message", [
-        (1, "-5", "replay id -5 outside 0..1"),
-        (1, "2", "replay id 2 outside 0..1"),
-        (2, "-1", "example id -1"),
-        (2, "6", "example id 6"),
-        (2, "x", "bad number"),
-        (3, "12", "action '12'"),
-        (3, "1", "action '1'"),
-        (3, "101", "action '101'"),
-        (4, "0.0", "propensity"),
-        (4, "1.5", "propensity"),
-        (4, "nan", "propensity"),
-        (6, "inf", "non-finite cost"),
-        (6, "nan", "non-finite cost"),
-    ])
-    def test_loader_rejects_bad_record(self, tmp_path, field, value, message):
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        self._corrupt(csv_path, field, value)
-        with pytest.raises(DataFormatError, match=f"log.csv:3: {message}"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    def test_loader_rejects_missing_meta_entry(self, tmp_path):
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        meta_path.write_text("clip_m = 2.0\n")
-        with pytest.raises(DataFormatError, match="cost_scale"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    @pytest.mark.parametrize("key,value", [
-        ("cost_scale", "1.0"), ("cost_scale", "0.25"), ("cost_offset", "0.0")])
-    def test_loader_rejects_other_cost_map(self, tmp_path, key, value):
-        # q = 2 labels: the package's map is scale 0.5, offset -1.0
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        self._set_meta(meta_path, key, value)
-        with pytest.raises(DataFormatError, match="log.meta: cost map"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    def test_loader_rejects_replay_beyond_delta(self, tmp_path):
-        # 6 examples, delta 2: the first record of replay 1 is on line 8
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        self._set_meta(meta_path, "delta", "1")
-        with pytest.raises(DataFormatError, match="log.csv:8: replay id 1 outside 0..0"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    def test_loader_rejects_truncated_log(self, tmp_path):
-        ds, log, csv_path, meta_path = self._saved(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        csv_path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(DataFormatError,
-                           match=f"n_records = {log.n}, but .*log.csv holds {log.n - 1}"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "0.0"])
-    def test_loader_rejects_bad_clip_constant(self, tmp_path, value):
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        self._set_meta(meta_path, "clip_m", value)
-        with pytest.raises(DataFormatError, match="log.meta: clip constant"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    @pytest.mark.parametrize("which", ["csv", "meta"])
-    def test_loader_rejects_non_utf8_file(self, tmp_path, which):
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        bad = csv_path if which == "csv" else meta_path
-        bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
-        with pytest.raises(DataFormatError, match=f"{bad.name}: not UTF-8 text"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    def test_loader_keeps_features_once(self, tmp_path):
-        ds, log, csv_path, meta_path = self._saved(tmp_path)
-        back = load_bandit_log(csv_path, meta_path, ds)
-        assert back.X is ds.X
-        assert np.array_equal(back.example_ids, log.example_ids)
-        assert np.array_equal(back.replay_ids, log.replay_ids)
-
-    def test_loader_rejects_swapped_records(self, tmp_path):
-        # 6 examples, delta 2: records 1 and 7 (lines 3 and 9) trade places,
-        # so every id stays in range but line 3 holds replay 1, example 1
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        lines[2], lines[8] = lines[8], lines[2]
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError,
-                           match="log.csv:3: record 1 is replay 1, example 1; the "
-                                 "replay-major order puts replay 0, example 1 there"):
-            load_bandit_log(csv_path, meta_path, ds)
-
-    @pytest.mark.parametrize("kept", [6, 9])
-    def test_loader_rejects_missing_replays(self, tmp_path, kept):
-        # 6 examples, delta 2: one pass or one and a half, with n_records to match
-        ds, _, csv_path, meta_path = self._saved(tmp_path)
-        lines = csv_path.read_text().splitlines()[:1 + kept]
-        csv_path.write_text("\n".join(lines) + "\n")
-        self._set_meta(meta_path, "n_records", str(kept))
-        with pytest.raises(DataFormatError,
-                           match=f"log.meta: delta = 2 replays of 6 examples, but "
-                                 f".*log.csv holds {kept} records"):
-            load_bandit_log(csv_path, meta_path, ds)
-
     def test_constructor_checks(self):
         X = np.zeros((2, 2))
         Y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])

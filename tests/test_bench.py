@@ -384,3 +384,29 @@ class TestSharedSetup:
             assert r.message.startswith("FileNotFoundError:")
         assert len({r.message for r in rows}) == 1
         assert counts["load_multilabel_svmlight"] == 4  # failures are not kept
+
+    def test_pool_has_no_more_workers_than_cells(self, synth_path, monkeypatch):
+        # a pool that records its size and runs the cells here, so no
+        # process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize):
+                return map(fn, cells)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        cfg = small_config(synth_path, algorithms=("cips",), seeds=(0, 1),
+                           optim_max_iters=5, threads=10**6)
+        rows = run_experiment(cfg)
+        assert sizes == [2]
+        assert [r.status for r in rows] == ["ok", "ok"]

@@ -129,12 +129,12 @@ class TestConfigFile:
             "TTestResult", "append_bias", "boltzmann_weights",
             "compute_clip_constant", "default_grids", "emit_results", "evaluate",
             "evaluate_policy", "gamma_star_approx", "generate_bandit_log",
-            "ips_risk", "load_bandit_log", "load_multilabel_svmlight",
+            "ips_risk", "load_multilabel_svmlight",
             "make_objective", "minimize", "paired_t_test_one_tailed",
             "replay_sweep", "robust_risk_chi2", "run_experiment", "run_single",
             "save_bandit_log", "save_multilabel_svmlight", "split_dataset",
             "synthetic_multilabel", "train_logger"}
-        assert len(dro_crm.__all__) == 37
+        assert len(dro_crm.__all__) == 36
 
 
 class TestCommands:

@@ -383,9 +383,14 @@ class TestFoldedKernelPin:
         logger = PolicyParams(0.3 * rng.normal(size=(q, 6)))
         log = generate_bandit_log(logger, ds, delta=delta, seed=delta)
         assert log.n == delta * ds.n_examples
+        # near-certain of the least likely logged action at its example: that
+        # record's ratio is 1 / min propensity >= clip_m, so it clips
+        k = int(np.argmin(log.log_propensities))
+        x = ds.X[k % ds.n_examples]
+        sure = 50.0 * np.outer(2.0 * log.Y[k] - 1.0, x) / (x @ x)
         n_clipped = 0
         for weights in (np.zeros((q, 6)), 0.3 * rng.normal(size=(q, 6)),
-                        1.5 * rng.normal(size=(q, 6)), 4.0 * logger.weights):
+                        1.5 * rng.normal(size=(q, 6)), 4.0 * logger.weights, sure):
             params = PolicyParams(weights)
             for alg, hyper in self.HYPERS.items():
                 got = evaluate(alg, params, log, hyper)
@@ -467,8 +472,9 @@ class TestReplayLayoutEquivalence:
 
     def test_generated_records_unchanged(self):
         # Dyadic features and weights make the logits exact, so the digest
-        # does not depend on the BLAS summation order.  It was computed with
-        # the tiled-feature implementation of generate_bandit_log.
+        # does not depend on the BLAS summation order.  It pins the draws of
+        # default_rng((seed, stream, d)) per pass; a record-at-a-time reference
+        # of that rule gave the same actions and costs.
         rng = np.random.default_rng(2024)
         X = rng.integers(-8, 9, size=(12, 4)) / 8.0
         Y = rng.integers(0, 2, size=(12, 3)).astype(np.float64)
@@ -476,6 +482,6 @@ class TestReplayLayoutEquivalence:
         log = generate_bandit_log(PolicyParams(W), SupervisedDataset(X, Y), delta=3, seed=11)
         digest = hashlib.sha256(log.Y.tobytes() + log.log_propensities.tobytes()
                                 + log.costs.tobytes()).hexdigest()
-        assert digest == "6ce41ba7a40f4931edaca966982fb45769708f6578803a9c66e857f1c3c9c0e3"
+        assert digest == "dcc73e65662314db3e40f107d8adc4b076cd1a16a82ae12d3fc7c6d60100025b"
         assert log.X is X
         assert np.array_equal(log.example_ids, np.tile(np.arange(12), 3))

@@ -5,6 +5,7 @@ import pytest
 
 from dro_crm import (ContractViolation, OptimConfig, PolicyParams, evaluate,
                      make_objective, minimize)
+from dro_crm import optim
 from dro_crm.objectives import RULES
 from toy_logs import sample_log
 
@@ -130,9 +131,9 @@ class TestMinimize:
         _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]))
         assert trace.n_grads < trace.n_evals
 
-    def test_max_iters_termination(self):
-        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimConfig(max_iters=2, f_tol=1e-30))
+    def test_max_iters_termination(self, monkeypatch):
+        monkeypatch.setattr(optim, "_F_TOL", 1e-30)
+        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimConfig(max_iters=2))
         assert trace.termination == "max_iters"
         assert len(trace.iterations) == 2
 
@@ -142,7 +143,8 @@ class TestMinimize:
         _, grad = rosenbrock(x)
         assert np.abs(grad()).max() < 1e-6
 
-    def test_random_quadratics_reach_floating_point_floor(self):
+    def test_random_quadratics_reach_floating_point_floor(self, monkeypatch):
+        monkeypatch.setattr(optim, "_F_TOL", 1e-16)
         rng = np.random.default_rng(7)
         for _ in range(15):
             dim = int(rng.integers(2, 25))
@@ -156,16 +158,14 @@ class TestMinimize:
                 return 0.5 * float(x @ hess @ x) - float(b @ x), lambda: hess @ x - b
 
             x, _ = minimize(fun, rng.normal(size=dim) * 5.0,
-                            OptimConfig(max_iters=2000, grad_tol=1e-9,
-                                        f_tol=1e-16))
+                            OptimConfig(max_iters=2000, grad_tol=1e-9))
             gap = fun(x)[0] - f_star
             assert gap <= 1e-10 * max(1.0, abs(f_star))
 
     def test_config_validation(self):
-        for fields in ({"grad_tol": 0.0}, {"grad_tol": math.nan, "f_tol": math.inf},
-                       {"grad_tol": math.nan}, {"f_tol": math.inf}, {"f_tol": -1e-9}):
-            with pytest.raises(ContractViolation):
-                OptimConfig(**fields)
+        for grad_tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="grad_tol must be positive"):
+                OptimConfig(grad_tol=grad_tol)
         with pytest.raises(ContractViolation, match="max_iters must be positive"):
             OptimConfig(max_iters=0)
 
