@@ -422,15 +422,32 @@ class TestBanditGeneration:
 class TestRecordStreams:
     """Each replay pass draws its records' uniforms from one numpy stream."""
 
-    @pytest.mark.parametrize("seed, stream", [(0, 0), (2**40 + 7, 2), (5, 2**33)])
-    def test_pass_draws_match_numpy(self, seed, stream):
-        ds = synthetic_multilabel(7, 3, 4, seed=21)
-        logger = PolicyParams(np.full((4, 3), 0.3))
+    @staticmethod
+    def _numpy_passes(seed, stream, delta, n_examples, q):
+        return np.stack([np.random.default_rng((seed, stream, d)).random((n_examples, q))
+                         for d in range(delta)])
+
+    # seeds of 1, 2 and 4 words: the longer keys overflow SeedSequence's 4-word pool
+    @pytest.mark.parametrize("seed", [0, 11, 2**40 + 7, 2**100 + 3])
+    @pytest.mark.parametrize("stream", [0, 1, 2**33])
+    @pytest.mark.parametrize("q", [1, 14])
+    def test_matches_numpy_seed_sequence(self, seed, stream, q):
+        ds = synthetic_multilabel(9, 3, q, seed=seed % 1000 + 31 * q)
+        logger = PolicyParams(np.random.default_rng(q).normal(size=(q, 3)))
         log = generate_bandit_log(logger, ds, delta=3, seed=seed, stream=stream)
         probs = sigmoid(logits_matrix(logger, ds.X))
-        for d in range(3):
-            u = np.random.default_rng((seed, stream, d)).random((7, 4))
-            assert np.array_equal(log.Y[7 * d:7 * (d + 1)], (u < probs).astype(np.float64))
+        u = self._numpy_passes(seed, stream, 3, 9, q)
+        want = (u < probs).astype(np.float64).reshape(-1, q)
+        assert log.Y.tobytes() == want.tobytes()
+
+    def test_log_records_use_their_own_stream(self):
+        # record k draws row example_ids[k] of pass replay_ids[k]'s stream
+        ds = synthetic_multilabel(7, 3, 4, seed=21)
+        logger = PolicyParams(np.full((4, 3), 0.3))
+        log = generate_bandit_log(logger, ds, delta=3, seed=2**40 + 7, stream=2)
+        probs = sigmoid(logits_matrix(logger, ds.X))
+        u = self._numpy_passes(2**40 + 7, 2, 3, 7, 4)[log.replay_ids, log.example_ids]
+        assert np.array_equal(log.Y, (u < probs[log.example_ids]).astype(np.float64))
 
     def test_more_replays_extend_the_log(self):
         ds = synthetic_multilabel(25, 3, 2, seed=22)
