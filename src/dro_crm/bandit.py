@@ -386,18 +386,14 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     return BanditLog(train.X, passes.reshape(-1, q), log_p, costs, clip_m)
 
 
-def evaluate_policy(params: PolicyParams, test: SupervisedDataset, mode: str) -> float:
-    """Mean test loss: exact expected Hamming under the stochastic policy
-    ("expected") or the Hamming loss of its greedy decoding ("greedy")."""
+def evaluate_policy(params: PolicyParams, test: SupervisedDataset) -> Tuple[float, float]:
+    """Mean test Hamming losses from one logits product: (the exact expected
+    loss under the stochastic policy, the loss of its greedy decoding)."""
     U = logits_matrix(params, test.X)
-    if mode == "expected":
-        S = sigmoid(U)
-        per = (test.Y * (1.0 - S) + (1.0 - test.Y) * S).sum(axis=1)
-        return float(per.mean())
-    if mode == "greedy":
-        Yg = (U > 0.0).astype(np.float64)
-        return float(np.abs(Yg - test.Y).sum(axis=1).mean())
-    raise ContractViolation(f"unknown evaluation mode {mode!r}")
+    S = sigmoid(U)
+    expected = (test.Y * (1.0 - S) + (1.0 - test.Y) * S).sum(axis=1).mean()
+    greedy = np.abs((U > 0.0) - test.Y).sum(axis=1).mean()
+    return float(expected), float(greedy)
 
 
 # ---------------------------------------------------------------------------

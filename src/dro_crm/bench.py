@@ -8,7 +8,8 @@ and validation bandit logs, and evaluates the logger and the skyline on the
 test set.  Each cell then minimizes its algorithm's objective at every grid
 point, selects the grid point with the lowest unclipped importance-weighted
 validation risk, and reports exact expected and greedy Hamming loss on the
-test set.
+test set, both from one `evaluate_policy` call.  A cell that raises gives a
+row of status "failed" that keeps only the cell's keys and the error.
 
 The drivers run a seed's cells one after another and build its set-up once
 per process, in the first of them that the process runs, whose wall time
@@ -47,6 +48,8 @@ ALGORITHMS = tuple(RULES)
 
 _VALID_LOG_STREAM = 1  # train logs use stream 0
 _TEST_FRAC = 0.25      # carved from the dataset when there is no test file
+# results can depend on the BLAS thread count, so run_meta records these
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def default_grids() -> Dict[str, np.ndarray]:
@@ -106,23 +109,23 @@ class ResultRow:
     algorithm: str
     seed: int
     delta: int
-    hyper_name: str
-    hyper_value: float
-    expected_loss: float
-    greedy_loss: float
-    valid_score: float
-    logger_expected: float
-    logger_greedy: float
-    skyline_expected: float
-    skyline_greedy: float
-    grid_scores: Tuple[float, ...]
+    hyper_name: str = ""
+    hyper_value: float = math.nan
+    expected_loss: float = math.nan
+    greedy_loss: float = math.nan
+    valid_score: float = math.nan
+    logger_expected: float = math.nan
+    logger_greedy: float = math.nan
+    skyline_expected: float = math.nan
+    skyline_greedy: float = math.nan
+    grid_scores: Tuple[float, ...] = ()
     status: str = "ok"
     message: str = ""
     wall_time_s: float = 0.0
     params: Optional[PolicyParams] = None
 
 
-_HYPER_NAME = {alg: name for alg, (name, _) in RULES.items()} | {"baseline": ""}
+_HYPER_NAME = {alg: name for alg, (name, _) in RULES.items()}
 
 
 def _load_pools(cfg: ExperimentConfig, seed: int
@@ -157,15 +160,14 @@ def _seed_setup(cfg: ExperimentConfig, seed: int) -> _SeedSetup:
     train, valid, logger_subset = split_dataset(pool, seed)
     logger = train_logger(logger_subset)
     skyline = train_logger(train, alpha=1.0)
+    losses = evaluate_policy(logger, test) + evaluate_policy(skyline, test)
     return _SeedSetup(
         test=test,
         train_log=generate_bandit_log(logger, train, cfg.delta, seed, stream=0),
         valid_log=generate_bandit_log(logger, valid, cfg.delta, seed,
                                       stream=_VALID_LOG_STREAM),
-        baselines=dict(logger_expected=evaluate_policy(logger, test, "expected"),
-                       logger_greedy=evaluate_policy(logger, test, "greedy"),
-                       skyline_expected=evaluate_policy(skyline, test, "expected"),
-                       skyline_greedy=evaluate_policy(skyline, test, "greedy")))
+        baselines=dict(zip(("logger_expected", "logger_greedy", "skyline_expected",
+                            "skyline_greedy"), losses)))
 
 
 # The set-up of the seed whose cells are running, keyed by what it is built
@@ -192,9 +194,8 @@ def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
         row = _fit_cell(cfg, algorithm, seed, _setup_for(cfg, seed))
     except Exception as exc:  # the run continues with other cells
         row = ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
-                        _HYPER_NAME[algorithm], math.nan, math.nan, math.nan,
-                        math.nan, math.nan, math.nan, math.nan, math.nan, (),
-                        status="failed", message=f"{type(exc).__name__}: {exc}")
+                        _HYPER_NAME.get(algorithm, ""), status="failed",
+                        message=f"{type(exc).__name__}: {exc}")
     row.wall_time_s = time.perf_counter() - t0
     return row
 
@@ -202,13 +203,11 @@ def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
 def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
               setup: _SeedSetup) -> ResultRow:
     if algorithm == "baseline":
-        return ResultRow(
-            dataset=cfg.dataset, algorithm=algorithm, seed=seed, delta=cfg.delta,
-            hyper_name="", hyper_value=math.nan, expected_loss=math.nan,
-            greedy_loss=math.nan, valid_score=math.nan, **setup.baselines,
-            grid_scores=(), status="baseline")
+        return ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
+                         **setup.baselines, status="baseline")
 
-    grid = [None] if algorithm == "cips" else [float(h) for h in cfg.grids[algorithm]]
+    # an unknown name has no grid, and make_objective rejects it
+    grid = [None] if algorithm == "cips" else cfg.grids.get(algorithm, [None])
     candidates: List[PolicyParams] = []
     scores: List[float] = []
     for hyper in grid:
@@ -222,14 +221,12 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
     best = int(np.argmin(scores))
     chosen = candidates[best]
     hyper_value = math.nan if grid[best] is None else float(grid[best])
-
-    return ResultRow(
-        dataset=cfg.dataset, algorithm=algorithm, seed=seed, delta=cfg.delta,
-        hyper_name=_HYPER_NAME[algorithm], hyper_value=hyper_value,
-        expected_loss=evaluate_policy(chosen, setup.test, "expected"),
-        greedy_loss=evaluate_policy(chosen, setup.test, "greedy"),
-        valid_score=scores[best], **setup.baselines,
-        grid_scores=tuple(scores), params=chosen)
+    expected, greedy = evaluate_policy(chosen, setup.test)
+    return ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
+                     hyper_name=_HYPER_NAME[algorithm], hyper_value=hyper_value,
+                     expected_loss=expected, greedy_loss=greedy,
+                     valid_score=scores[best], **setup.baselines,
+                     grid_scores=tuple(scores), params=chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +288,9 @@ def emit_results(rows: List[ResultRow], out_dir,
                  meta: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
     """Write results.csv (one row per cell, no timings), summary.csv
     (per-algorithm mean, standard error, p-value against the best algorithm),
-    timings.csv, and run_meta (versions, then the `key = value` pairs of
-    `meta`).  All numbers use 6 significant digits.  Returns the written paths."""
+    timings.csv, and run_meta (versions, the BLAS thread variables, each empty
+    when unset, and the CPU count, then the `key = value` pairs of `meta`).
+    All numbers use 6 significant digits.  Returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
     rows = sorted(rows, key=lambda r: (r.algorithm, r.seed))
 
@@ -314,62 +312,48 @@ def emit_results(rows: List[ResultRow], out_dir,
         for r in rows:
             fh.write(f"{r.algorithm},{r.seed},{r.wall_time_s:.3f}\n")
 
-    usable = [r for r in rows if r.status in ("ok", "baseline")]
-    ok = [r for r in rows if r.status == "ok"]
+    # (name, expected losses, greedy losses, p-value) per line: the logger
+    # and the skyline from the first usable row of each seed, then each
+    # algorithm over its ok rows, tested against the lowest mean
+    base: Dict[int, ResultRow] = {}
+    for r in rows:
+        if r.status in ("ok", "baseline"):
+            base.setdefault(r.seed, r)
+    bs = [base[s] for s in sorted(base)]
+    lines = [("pi0", [r.logger_expected for r in bs], [r.logger_greedy for r in bs], ""),
+             ("crf", [r.skyline_expected for r in bs], [r.skyline_greedy for r in bs], "")
+             ] if bs else []
     by_alg: Dict[str, List[ResultRow]] = {}
-    for r in ok:
-        by_alg.setdefault(r.algorithm, []).append(r)
-
-    means = {alg: float(np.mean([r.expected_loss for r in rs]))
-             for alg, rs in by_alg.items()}
-    best_alg = min(means, key=means.get) if means else None
+    for r in rows:
+        if r.status == "ok":
+            by_alg.setdefault(r.algorithm, []).append(r)
+    means = {alg: np.mean([r.expected_loss for r in rs]) for alg, rs in by_alg.items()}
+    best_alg = min(means, key=means.get, default=None)
+    best = {r.seed: r.expected_loss for r in by_alg.get(best_alg, ())}
+    for alg, rs in sorted(by_alg.items()):
+        pairs = [(r.expected_loss, best[r.seed]) for r in rs if r.seed in best]
+        p_value = ("" if alg == best_alg or len(pairs) < 2
+                   else _fmt(paired_t_test_one_tailed(*zip(*pairs)).p_value))
+        lines.append((alg, [r.expected_loss for r in rs],
+                      [r.greedy_loss for r in rs], p_value))
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("algorithm,n_seeds,mean_expected,se_expected,mean_greedy,"
                  "se_greedy,p_value_vs_best\n")
-        if usable:
-            any_rows = sorted(usable, key=lambda r: r.seed)
-            base = {}
-            for r in any_rows:
-                base.setdefault(r.seed, r)
-            pi0 = [base[s].logger_expected for s in sorted(base)]
-            pi0_g = [base[s].logger_greedy for s in sorted(base)]
-            sky = [base[s].skyline_expected for s in sorted(base)]
-            sky_g = [base[s].skyline_greedy for s in sorted(base)]
-            for name, exp_vals, gr_vals in (("pi0", pi0, pi0_g), ("crf", sky, sky_g)):
-                fh.write(",".join([
-                    name, str(len(exp_vals)), _fmt(float(np.mean(exp_vals))),
-                    _fmt(_stderr(exp_vals)), _fmt(float(np.mean(gr_vals))),
-                    _fmt(_stderr(gr_vals)), ""]) + "\n")
-        for alg in sorted(by_alg):
-            rs = sorted(by_alg[alg], key=lambda r: r.seed)
-            exp_vals = [r.expected_loss for r in rs]
-            gr_vals = [r.greedy_loss for r in rs]
-            if alg == best_alg or len(rs) < 2:
-                p_str = ""
-            else:
-                best_rs = {r.seed: r for r in by_alg[best_alg]}
-                pairs = [(r.expected_loss, best_rs[r.seed].expected_loss)
-                         for r in rs if r.seed in best_rs]
-                if len(pairs) >= 2:
-                    p = paired_t_test_one_tailed([x for x, _ in pairs],
-                                                 [y for _, y in pairs]).p_value
-                    p_str = _fmt(p)
-                else:
-                    p_str = ""
+        for name, exp_vals, gr_vals, p_value in lines:
             fh.write(",".join([
-                alg, str(len(rs)), _fmt(float(np.mean(exp_vals))),
+                name, str(len(exp_vals)), _fmt(float(np.mean(exp_vals))),
                 _fmt(_stderr(exp_vals)), _fmt(float(np.mean(gr_vals))),
-                _fmt(_stderr(gr_vals)), p_str]) + "\n")
+                _fmt(_stderr(gr_vals)), p_value]) + "\n")
 
     meta_path = os.path.join(out_dir, "run_meta")
     with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(f"version = {__version__}\n")
-        fh.write(f"python = {sys.version.split()[0]}\n")
-        fh.write(f"numpy = {np.__version__}\n")
-        for key, value in meta:
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in [
+            ("version", __version__), ("python", sys.version.split()[0]),
+            ("numpy", np.__version__),
+            *((var, os.environ.get(var, "")) for var in _BLAS_THREAD_VARS),
+            ("cpu_count", os.cpu_count()), *meta])
     return {"results": results_path, "summary": summary_path,
             "timings": timings_path, "meta": meta_path}
 
@@ -429,21 +413,19 @@ SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
 
 
 def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int],
-                 seeds: Sequence[int]) -> List[Tuple]:
-    """Run every (algorithm, delta, seed) cell and return plot-ready tuples
-    matching SWEEP_HEADER."""
+                 seeds: Sequence[int]) -> List[ResultRow]:
+    """The row of every (algorithm, delta, seed) cell, in that order."""
     if any(d < 1 for d in deltas):
         raise ContractViolation("replay counts must be at least 1")
     cells = [(replace(cfg, delta=int(d), seeds=(seed,)), alg, seed)
              for d in deltas for alg in cfg.algorithms for seed in seeds]
     rows = _run_cells(cells, cfg.worker_count())
-    out = [(r.dataset, r.algorithm, r.delta, r.seed, r.expected_loss, r.greedy_loss)
-           for r in rows]
-    return sorted(out, key=lambda t: (t[1], t[2], t[3]))
+    return sorted(rows, key=lambda r: (r.algorithm, r.delta, r.seed))
 
 
-def write_sweep_csv(rows: List[Tuple], path) -> None:
+def write_sweep_csv(rows: List[ResultRow], path) -> None:
+    """One SWEEP_HEADER line per row; a failed cell's losses read nan."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for dataset, alg, delta, seed, exp_l, gr_l in rows:
-            fh.write(f"{dataset},{alg},{delta},{seed},{_fmt(exp_l)},{_fmt(gr_l)}\n")
+        fh.writelines(f"{r.dataset},{r.algorithm},{r.delta},{r.seed},"
+                      f"{_fmt(r.expected_loss)},{_fmt(r.greedy_loss)}\n" for r in rows)

@@ -56,6 +56,7 @@ class _Key(NamedTuple):
 
 
 _RUN_SWEEP = ("run", "sweep")
+_EVAL_MODES = ("expected", "greedy")  # the order of evaluate_policy's pair
 _GRID = "grid_"  # grid_<algorithm> replaces that algorithm's default grid
 
 # The config format: each key sets the ExperimentConfig field of its name,
@@ -142,6 +143,15 @@ def _config_from_args(args, **fixed: str) -> ExperimentConfig:
     return build_experiment_config({**values, **fixed})
 
 
+def _report_failed(rows) -> int:
+    """One stderr line per failed cell; the exit code, 1 when every cell failed."""
+    failed = [r for r in rows if r.status == "failed"]
+    for r in failed:
+        print(f"[failed] {r.algorithm} delta={r.delta} seed={r.seed}: {r.message}",
+              file=sys.stderr)
+    return 1 if failed and len(failed) == len(rows) else 0
+
+
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     rows = run_experiment(cfg)
@@ -150,11 +160,9 @@ def cmd_run(args) -> int:
         if r.params is not None:
             np.savez(os.path.join(cfg.out_dir, f"params_{r.algorithm}_seed{r.seed}.npz"),
                      weights=r.params.weights)
-    failed = [r for r in rows if r.status == "failed"]
-    for r in failed:
-        print(f"[failed] {r.algorithm} seed={r.seed}: {r.message}", file=sys.stderr)
+    code = _report_failed(rows)
     print(paths["results"])
-    return 1 if failed and len(failed) == len(rows) else 0
+    return code
 
 
 def _flag_int_list(flag: str, text: str) -> Tuple[int, ...]:
@@ -178,8 +186,9 @@ def cmd_sweep(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
+    code = _report_failed(rows)
     print(path)
-    return 0
+    return code
 
 
 def cmd_convert(args) -> int:
@@ -227,7 +236,8 @@ def cmd_eval(args) -> int:
     if test.n_labels != params.n_labels:
         raise ContractViolation(
             f"test labels ({test.n_labels}) do not match params ({params.n_labels})")
-    print(f"{evaluate_policy(params, test, args.mode):.6g}")
+    losses = dict(zip(_EVAL_MODES, evaluate_policy(params, test)))
+    print(f"{losses[args.mode]:.6g}")
     return 0
 
 
@@ -262,7 +272,7 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="evaluate saved policy parameters")
     p_eval.add_argument("--params", required=True, help=".npz with 'weights'")
     p_eval.add_argument("--test", required=True)
-    p_eval.add_argument("--mode", choices=("expected", "greedy"), default="expected")
+    p_eval.add_argument("--mode", choices=_EVAL_MODES, default="expected")
     p_eval.set_defaults(func=cmd_eval)
 
     args = parser.parse_args(argv)

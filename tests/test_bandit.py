@@ -402,7 +402,7 @@ class TestBanditGeneration:
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=8, seed=4)
         raw = raw_costs(log)
-        expected = evaluate_policy(logger, ds, "expected")
+        expected, _ = evaluate_policy(logger, ds)
         # hamming per record is bounded by q = 2: conservative 3 sigma
         sigma = 2.0 / math.sqrt(log.n)
         assert abs(raw.mean() - expected) < 3 * sigma
@@ -495,21 +495,22 @@ class TestHammingAndClip:
 class TestEvaluation:
     def test_uniform_policy_half_q(self):
         ds = synthetic_multilabel(30, 4, 5, seed=12)
-        assert evaluate_policy(PolicyParams.zeros(5, 4), ds, "expected") == pytest.approx(2.5)
+        assert evaluate_policy(PolicyParams.zeros(5, 4), ds)[0] == pytest.approx(2.5)
 
     def test_perfect_policy_zero(self):
         from dro_crm import append_bias
         ds = append_bias(synthetic_multilabel(30, 4, 2, seed=13))
         # a policy with huge logits matching the labels exactly
         params = train_logger(ds, alpha=60.0)
-        assert evaluate_policy(params, ds, "greedy") == 0.0
-        assert evaluate_policy(params, ds, "expected") < 0.05
+        expected, greedy = evaluate_policy(params, ds)
+        assert greedy == 0.0
+        assert expected < 0.05
 
     def test_expected_matches_monte_carlo(self):
         ds = synthetic_multilabel(3, 3, 2, seed=14)
         rng = np.random.default_rng(0)
         params = PolicyParams(0.7 * rng.normal(size=(2, 3)))
-        exact = evaluate_policy(params, ds, "expected")
+        exact, _ = evaluate_policy(params, ds)
         probs = sigmoid(logits_matrix(params, ds.X))
         rng = np.random.default_rng(1)
         draws = 100_000
@@ -520,11 +521,6 @@ class TestEvaluation:
             total += np.abs(y - ds.Y[i]).sum()
         sigma = 2.0 / math.sqrt(draws)
         assert abs(total / draws - exact) < 3 * sigma
-
-    def test_unknown_mode(self):
-        ds = synthetic_multilabel(5, 3, 2, seed=15)
-        with pytest.raises(ContractViolation):
-            evaluate_policy(PolicyParams.zeros(2, 3), ds, "other")
 
 
 class TestValidationScore:

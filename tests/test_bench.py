@@ -10,7 +10,8 @@ from dro_crm import (ContractViolation, ExperimentConfig, default_grids,
                      run_experiment, run_single, synthetic_multilabel,
                      save_multilabel_svmlight)
 from dro_crm import bench
-from dro_crm.bench import SWEEP_HEADER, ResultRow, write_sweep_csv
+from dro_crm.bench import RESULTS_HEADER, SWEEP_HEADER, ResultRow, write_sweep_csv
+from dro_crm.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +176,99 @@ class TestRunSingle:
         assert row.status == "failed"
         assert "FileNotFoundError" in row.message
 
+    def test_unknown_algorithm_is_captured(self, synth_path):
+        row = run_single(small_config(synth_path), "bogus", 0)
+        assert (row.status, row.message) == (
+            "failed", "ContractViolation: unknown algorithm 'bogus'")
+        assert (row.algorithm, row.seed, row.hyper_name) == ("bogus", 0, "")
+
+
+# Each seed's logger and skyline test losses (expected, greedy, expected,
+# greedy), as a seed's set-up gives them to all of its cells.
+_BASELINES = {0: (4.5, 4.25, 0.75, 0.5), 1: (4.8125, 4.5, 0.8, 0.625),
+              2: (4.6, 4.375, 0.7, 0.5)}
+
+
+def pinned_row(algorithm, seed, expected=math.nan, greedy=math.nan, *,
+               status="ok", hyper=math.nan, wall_time_s=0.5):
+    """A row named field by field, as a cell of `status` builds it: a failed
+    row knows only its cell, a baseline row only its seed's baselines."""
+    known = status != "failed"
+    base = _BASELINES[seed] if known else (math.nan,) * 4
+    grid = (-0.5, hyper / 3) if status == "ok" and algorithm != "cips" else ()
+    return ResultRow(
+        dataset="d.svm", algorithm=algorithm, seed=seed, delta=4,
+        hyper_name={"cips": "", "poem": "lam", "klcrm": "gamma",
+                    "aklcrm": "eps", "baseline": ""}[algorithm],
+        hyper_value=hyper, expected_loss=expected, greedy_loss=greedy,
+        valid_score=-0.5 if status == "ok" else math.nan,
+        logger_expected=base[0], logger_greedy=base[1],
+        skyline_expected=base[2], skyline_greedy=base[3], grid_scores=grid,
+        status=status, message="RuntimeError: boom" if not known else "",
+        wall_time_s=wall_time_s)
+
+
+def _mixed_rows():
+    """cips on every seed; klcrm fails on seed 2; poem, the best, never ran
+    seed 1; aklcrm ran seed 1 only.  So cips gets a p-value and klcrm, which
+    shares one seed with poem, does not.  Given out of order: emit_results
+    sorts."""
+    return [
+        pinned_row("poem", 2, 4.0123456789, 3.9, hyper=1e-4),
+        pinned_row("cips", 1, 4.25, 4.0, wall_time_s=2.25),
+        pinned_row("klcrm", 2, status="failed", wall_time_s=0.0125),
+        pinned_row("cips", 0, 4.0, 3.75),
+        pinned_row("klcrm", 0, 4.5, 4.0, hyper=10.0),
+        pinned_row("aklcrm", 1, 4.9, 4.625, hyper=0.01),
+        pinned_row("cips", 2, 4.125, 4.0),
+        pinned_row("poem", 0, 3.875, 3.5, hyper=1e-6),
+        pinned_row("klcrm", 1, 4.75, 4.5, hyper=1000.0),
+    ]
+
+
+def _baseline_rows():
+    return [pinned_row("baseline", s, status="baseline", wall_time_s=1.0)
+            for s in (1, 0)]
+
+
+_HEADER = RESULTS_HEADER + "\n"
+_SUMMARY_HEADER = ("algorithm,n_seeds,mean_expected,se_expected,mean_greedy,"
+                   "se_greedy,p_value_vs_best\n")
+
+PINNED_OUTPUTS = {
+    "mixed": (_mixed_rows, {
+        "results": _HEADER +
+        "d.svm,aklcrm,1,4,eps,0.01,4.9,4.625,-0.5,4.8125,4.5,0.8,0.625,-0.5;0.00333333,ok\n"
+        "d.svm,cips,0,4,,nan,4,3.75,-0.5,4.5,4.25,0.75,0.5,,ok\n"
+        "d.svm,cips,1,4,,nan,4.25,4,-0.5,4.8125,4.5,0.8,0.625,,ok\n"
+        "d.svm,cips,2,4,,nan,4.125,4,-0.5,4.6,4.375,0.7,0.5,,ok\n"
+        "d.svm,klcrm,0,4,gamma,10,4.5,4,-0.5,4.5,4.25,0.75,0.5,-0.5;3.33333,ok\n"
+        "d.svm,klcrm,1,4,gamma,1000,4.75,4.5,-0.5,4.8125,4.5,0.8,0.625,-0.5;333.333,ok\n"
+        "d.svm,klcrm,2,4,gamma,nan,nan,nan,nan,nan,nan,nan,nan,,failed\n"
+        "d.svm,poem,0,4,lam,1e-06,3.875,3.5,-0.5,4.5,4.25,0.75,0.5,-0.5;3.33333e-07,ok\n"
+        "d.svm,poem,2,4,lam,0.0001,4.01235,3.9,-0.5,4.6,4.375,0.7,0.5,-0.5;3.33333e-05,ok\n",
+        "summary": _SUMMARY_HEADER +
+        "pi0,3,4.6375,0.0921389,4.375,0.0721688,\n"
+        "crf,3,0.75,0.0288675,0.541667,0.0416667,\n"
+        "aklcrm,1,4.9,0,4.625,0,\n"
+        "cips,3,4.125,0.0721688,3.91667,0.0833333,0.0165207\n"
+        "klcrm,2,4.625,0.125,4.25,0.25,\n"
+        "poem,2,3.94367,0.0686728,3.7,0.2,\n",
+        "timings": "algorithm,seed,wall_time_s\n"
+        "aklcrm,1,0.500\ncips,0,0.500\ncips,1,2.250\ncips,2,0.500\n"
+        "klcrm,0,0.500\nklcrm,1,0.500\nklcrm,2,0.013\npoem,0,0.500\npoem,2,0.500\n",
+    }),
+    "baselines_only": (_baseline_rows, {
+        "results": _HEADER +
+        "d.svm,baseline,0,4,,nan,nan,nan,nan,4.5,4.25,0.75,0.5,,baseline\n"
+        "d.svm,baseline,1,4,,nan,nan,nan,nan,4.8125,4.5,0.8,0.625,,baseline\n",
+        "summary": _SUMMARY_HEADER +
+        "pi0,2,4.65625,0.15625,4.375,0.125,\n"
+        "crf,2,0.775,0.025,0.5625,0.0625,\n",
+        "timings": "algorithm,seed,wall_time_s\nbaseline,0,1.000\nbaseline,1,1.000\n",
+    }),
+}
+
 
 class TestEmitResults:
     def test_round_trip_and_pvalues(self, synth_path, tmp_path):
@@ -210,12 +304,8 @@ class TestEmitResults:
         assert "pi0" in names and "crf" in names
 
     def test_failed_rows_recorded_but_not_aggregated(self, synth_path, tmp_path):
-        from dro_crm.bench import ResultRow
-        import math as m
         good = run_single(small_config(synth_path), "cips", 0)
-        bad = ResultRow(synth_path, "cips", 1, 2, "", m.nan, m.nan, m.nan,
-                        m.nan, m.nan, m.nan, m.nan, m.nan, (),
-                        status="failed", message="boom")
+        bad = ResultRow(synth_path, "cips", 1, 2, status="failed", message="boom")
         paths = emit_results([good, bad], tmp_path / "outf")
         lines = read_lines(paths["results"])
         assert len(lines) == 3
@@ -223,6 +313,14 @@ class TestEmitResults:
         summary = {l.split(",")[0]: l for l in
                    read_lines(paths["summary"])[1:]}
         assert summary["cips"].split(",")[1] == "1"  # only the good seed
+
+    @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+    def test_outputs_pinned_byte_for_byte(self, tmp_path, case):
+        rows, want = PINNED_OUTPUTS[case]
+        paths = emit_results(rows(), tmp_path / case)
+        for name, text in want.items():
+            with open(paths[name], "rb") as fh:
+                assert fh.read() == text.encode(), name
 
     def test_no_wall_time_in_results(self, synth_path, tmp_path):
         cfg = small_config(synth_path)
@@ -259,8 +357,8 @@ class TestReplaySweep:
         back = read_sweep_csv(path)
         assert len(back) == len(rows)
         for got, want in zip(back, rows):
-            assert got[:4] == want[:4]
-            assert got[4] == pytest.approx(want[4], rel=1e-5)
+            assert got[:4] == (want.dataset, want.algorithm, want.delta, want.seed)
+            assert got[4] == pytest.approx(want.expected_loss, rel=1e-5)
 
     def test_more_replays_do_not_hurt(self, synth_path):
         cfg = small_config(synth_path, algorithms=("cips", "aklcrm"),
@@ -269,8 +367,8 @@ class TestReplaySweep:
                                   "aklcrm": [1e-4, 1e-2]})
         rows = replay_sweep(cfg, deltas=[1, 16], seeds=range(10))
         by = {}
-        for _, alg, delta, _, exp_l, _ in rows:
-            by.setdefault((alg, delta), []).append(exp_l)
+        for r in rows:
+            by.setdefault((r.algorithm, r.delta), []).append(r.expected_loss)
         for alg in ("cips", "aklcrm"):
             assert np.mean(by[(alg, 16)]) <= np.mean(by[(alg, 1)])
 
@@ -354,12 +452,9 @@ class TestSharedSetup:
     def test_sweep_rows_equal_standalone_cells(self, synth_path):
         cfg = small_config(synth_path, algorithms=("cips", "poem"), optim_max_iters=20)
         got = replay_sweep(cfg, deltas=[2, 1], seeds=(0,))  # one set-up per delta
-        want = []
-        for alg in ("cips", "poem"):
-            for delta in (1, 2):
-                r = run_single(dataclasses.replace(cfg, delta=delta), alg, 0)
-                want.append((r.dataset, alg, delta, 0, r.expected_loss, r.greedy_loss))
-        assert got == want
+        want = [run_single(dataclasses.replace(cfg, delta=delta), alg, 0)
+                for alg in ("cips", "poem") for delta in (1, 2)]
+        assert_same_rows(got, want)
 
     def test_rewritten_file_is_read_again(self, tmp_path):
         path = tmp_path / "data.svm"
@@ -384,6 +479,44 @@ class TestSharedSetup:
             assert r.message.startswith("FileNotFoundError:")
         assert len({r.message for r in rows}) == 1
         assert counts["load_multilabel_svmlight"] == 4  # failures are not kept
+
+    @pytest.mark.parametrize("command, flags, cells", [
+        ("run", ["--seeds", "0,1", "--delta", "2"],
+         [("cips", 2, 0), ("cips", 2, 1), ("poem", 2, 0), ("poem", 2, 1)]),
+        ("sweep", ["--deltas", "1,2", "--sweep-seeds", "0"],
+         [("cips", 1, 0), ("cips", 2, 0), ("poem", 1, 0), ("poem", 2, 0)]),
+    ], ids=["run", "sweep"])
+    def test_failed_cells_reported(self, monkeypatch, capsys, tmp_path,
+                                   command, flags, cells):
+        counts = self.count_calls(monkeypatch, ("load_multilabel_svmlight",))
+        assert main([command, "--dataset", "/nonexistent/file.svm",
+                     "--algorithms", "cips,poem", "--threads", "1",
+                     "--out-dir", str(tmp_path), *flags]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(cells)
+        for line, (alg, delta, seed) in zip(lines, cells):
+            assert line.startswith(f"[failed] {alg} delta={delta} seed={seed}: "
+                                   "FileNotFoundError: ")
+        assert counts["load_multilabel_svmlight"] == 4  # one try per cell
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--seeds", "0,1", "--delta", "2"]),
+        ("sweep", ["--deltas", "2", "--sweep-seeds", "0,1"]),
+    ], ids=["run", "sweep"])
+    def test_partly_failed_run_exits_0(self, synth_path, monkeypatch, capsys,
+                                       tmp_path, command, flags):
+        seed_setup = bench._seed_setup
+
+        def fail_seed_1(cfg, seed):
+            if seed == 1:
+                raise RuntimeError("no set-up")
+            return seed_setup(cfg, seed)
+
+        monkeypatch.setattr(bench, "_seed_setup", fail_seed_1)
+        assert main([command, "--dataset", synth_path, "--algorithms", "cips",
+                     "--threads", "1", "--out-dir", str(tmp_path), *flags]) == 0
+        assert capsys.readouterr().err == (
+            "[failed] cips delta=2 seed=1: RuntimeError: no set-up\n")
 
     def test_pool_has_no_more_workers_than_cells(self, synth_path, monkeypatch):
         # a pool that records its size and runs the cells here, so no

@@ -78,7 +78,9 @@ class TestConfigFile:
         exec(compile(example[0].removeprefix("python\n"), "README.md", "exec"), {})
         assert capsys.readouterr().out.splitlines()[0] == "0.2"
 
-    def test_run_meta_echoes_every_key(self, tmp_path, synth_path):
+    def test_run_meta_echoes_every_key(self, tmp_path, synth_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg_file = tmp_path / "exp.cfg"
         out = tmp_path / "out"
         cfg_file.write_text(
@@ -96,6 +98,10 @@ class TestConfigFile:
         assert echoed.grids.keys() == cfg.grids.keys()
         for alg, grid in cfg.grids.items():
             assert list(echoed.grids[alg]) == list(grid)  # exact, not 6 digits
+        # the BLAS thread settings the run saw, each empty when unset
+        assert (meta["OMP_NUM_THREADS"], meta["MKL_NUM_THREADS"]) == ("1", "")
+        assert meta["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "")
+        assert meta["cpu_count"] == str(os.cpu_count())
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -213,9 +219,10 @@ class TestCommands:
         np.savez(params_path, weights=weights)
         assert main(["eval", "--params", str(params_path), "--test", str(test)]) == 0
         X = np.array([[0.5, -1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0]])
-        want = evaluate_policy(PolicyParams(weights),
-                               SupervisedDataset(X, np.eye(2)), "expected")
-        assert capsys.readouterr().out == f"{want:.6g}\n"
+        want = evaluate_policy(PolicyParams(weights), SupervisedDataset(X, np.eye(2)))
+        assert main(["eval", "--params", str(params_path), "--test", str(test),
+                     "--mode", "greedy"]) == 0
+        assert capsys.readouterr().out == f"{want[0]:.6g}\n{want[1]:.6g}\n"
 
     @pytest.mark.parametrize("command", ["run", "eval", "convert"])
     def test_non_utf8_file_rejected(self, tmp_path, synth_path, capsys, command):

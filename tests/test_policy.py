@@ -136,7 +136,7 @@ class TestSampling:
 
 def greedy_loss(params, x, y):
     """Hamming distance between the greedy action at x and y."""
-    return evaluate_policy(params, one_row(x, y), "greedy")
+    return evaluate_policy(params, one_row(x, y))[1]
 
 
 class TestGreedy:
@@ -168,7 +168,7 @@ class TestGreedy:
 
 def expected_loss(params, x, y_star):
     """Exact expected Hamming loss of the stochastic policy at x against y_star."""
-    return evaluate_policy(params, one_row(x, y_star), "expected")
+    return evaluate_policy(params, one_row(x, y_star))[0]
 
 
 class TestExpectedHamming:
