@@ -195,3 +195,60 @@ def test_lazy_objective_follows_the_eager_path(algorithm):
     assert x_lazy.tobytes() == x_eager.tobytes()
     assert t_lazy.iterations == t_eager.iterations
     assert (t_lazy.n_evals, t_lazy.n_grads) == (t_eager.n_evals, t_eager.n_grads)
+
+
+def search(f, df):
+    """Line search from x = 0 along p = 1 for f with derivative df; returns
+    its result and the trials as (step, whether the gradient was given)."""
+    trials = []
+
+    def evaluate(x, rejects):
+        a = float(x[0])
+        fa = f(a)
+        kept = not rejects(fa)
+        trials.append((a, kept))
+        return fa, np.array([df(a)]) if kept else None
+
+    result = optim._line_search(evaluate, np.zeros(1), np.ones(1), f(0.0),
+                                np.array([df(0.0)]))
+    return result, trials
+
+
+class TestLineSearch:
+    # every step and value below is binary-exact, so the sequences hold anywhere
+    def test_unit_step_accepted(self):
+        result, trials = search(lambda a: (a - 1.0) ** 2, lambda a: 2.0 * (a - 1.0))
+        assert result[0] == 1.0 and trials == [(1.0, True)]
+
+    def test_doubles_until_curvature_holds(self):
+        result, trials = search(lambda a: (a - 100.0) ** 2, lambda a: 2.0 * (a - 100.0))
+        assert trials == [(a, True) for a in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        assert result[0] == 16.0
+
+    def test_overshoot_zooms_back(self):
+        result, trials = search(lambda a: -a + 1.5 * max(0.0, a - 3.0) ** 2,
+                                lambda a: -1.0 + 3.0 * max(0.0, a - 3.0))
+        assert trials == [(a, True) for a in (1.0, 2.0, 4.0, 3.0, 3.5)]
+        assert result[0] == 3.5
+
+    def test_rejected_unit_step_halves(self):
+        result, trials = search(lambda a: (a - 0.1) ** 2, lambda a: 2.0 * (a - 0.1))
+        assert trials == [(1.0, False), (0.5, False), (0.25, False), (0.125, True)]
+        assert result[0] == 0.125
+
+    def test_first_trial_accepted_at_equal_value(self):
+        # f0 + C1 * d0 rounds to f0, so only the first trial may equal it
+        result, trials = search(lambda a: 1.0, lambda a: -1e-20)
+        zoom = [1.0 + 2.0 ** -k for k in range(1, 39)]
+        assert trials == [(1.0, True), (2.0, False)] + [(a, False) for a in zoom]
+        assert len(trials) == optim._MAX_LINE_SEARCH_STEPS
+        assert result[0] == 1.0
+
+    def test_no_decrease_exhausts_the_budget(self):
+        result, trials = search(lambda a: 1.0 + (a > 0.0), lambda a: -1.0)
+        assert result is None
+        assert trials == [(2.0 ** -k, False) for k in range(40)]
+
+    def test_ascent_direction_evaluates_nothing(self):
+        result, trials = search(lambda a: a, lambda a: 1.0)
+        assert result is None and trials == []
