@@ -7,7 +7,7 @@ from .divergence import boltzmann_weights, gamma_star_approx, robust_risk_chi2
 from .errors import ContractViolation, DataFormatError
 from .objectives import (BanditLog, RiskReport, evaluate, ips_risk,
                          make_objective)
-from .optim import IterRecord, OptimConfig, OptimTrace, minimize
+from .optim import IterRecord, OptimTrace, minimize
 from .policy import PolicyParams
 from .bandit import (SupervisedDataset, append_bias, compute_clip_constant,
                      evaluate_policy, generate_bandit_log,

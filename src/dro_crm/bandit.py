@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ContractViolation, DataFormatError, utf8_lines
 from .objectives import BanditLog
-from .optim import OptimConfig, minimize
+from .optim import minimize
 from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
                      sigmoid)
 
@@ -339,8 +339,7 @@ def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> Poli
         f = float(np.sum(log1p_exp(U) - Y * U)) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
         return f, lambda: ((sigmoid(U) - Y).T @ X / m + _LOGGER_L2 * W).ravel()
 
-    cfg = OptimConfig(max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
-    theta, _ = minimize(fun, np.zeros(q * d), cfg)
+    theta, _ = minimize(fun, np.zeros(q * d), max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
     return PolicyParams(alpha * theta.reshape(q, d))
 
 
@@ -406,12 +405,15 @@ _LOG_HEADER = "record_id,replay,example_id,action_bits,propensity,cost_raw,cost_
 def save_bandit_log(log: BanditLog, csv_path, meta_path, seed: int) -> None:
     """CSV with one row per record plus a sidecar `key = value` metadata file
     (clip constant, cost map, the generating seed, replay and record counts)."""
-    n = log.n
-    scale = 1.0 / log.Y.shape[1]
+    n, q = log.n, log.Y.shape[1]
+    scale = 1.0 / q
     raw = (log.costs - _COST_OFFSET) / scale
+    # a cost on generate_bandit_log's map is written as its Hamming distance
+    hamming = np.clip(np.rint(raw), 0, q)
+    raw = np.where(hamming * scale + _COST_OFFSET == log.costs, hamming, raw)
     p = np.exp(log.log_propensities)
     # the actions are 0/1 (BanditLog checks), so a row's ASCII digits are its bits
-    bits = (log.Y.astype(np.uint8) + ord("0")).view(f"S{log.Y.shape[1]}")
+    bits = (log.Y.astype(np.uint8) + ord("0")).view(f"S{q}")
     records = zip(range(n), log.replay_ids.tolist(), log.example_ids.tolist(),
                   bits.ravel().tolist(), p.tolist(), raw.tolist(), log.costs.tolist())
     with open(csv_path, "w", encoding="utf-8") as fh:

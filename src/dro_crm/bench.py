@@ -40,7 +40,7 @@ from .errors import ContractViolation
 # a name of its own, so perfbench/spans.py can time validation scoring alone
 from .objectives import (RULES, BanditLog, ips_risk as ips_validation_score,
                          make_objective)
-from .optim import OptimConfig, minimize
+from .optim import minimize
 from .policy import PolicyParams
 from .special import student_t_sf
 
@@ -213,7 +213,7 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
     for hyper in grid:
         fun, shape = make_objective(algorithm, setup.train_log, hyper)
         theta, _ = minimize(fun, np.zeros(shape[0] * shape[1]),
-                            OptimConfig(max_iters=cfg.optim_max_iters))
+                            max_iters=cfg.optim_max_iters)
         params = PolicyParams(theta.reshape(shape))
         candidates.append(params)
         scores.append(ips_validation_score(params, setup.valid_log))

@@ -1,9 +1,11 @@
 """Limited-memory BFGS with a strong-Wolfe line search.
 
-Deterministic, dense-vector minimizer: two-loop recursion over a bounded
-history of curvature pairs, bracketing line search with bisection zoom, and
-explicit termination reasons.  Curvature pairs with s'y <= 1e-10 ||s|| ||y||
-are discarded so the implicit Hessian approximation stays positive definite.
+`minimize(fun, x0, max_iters=500, grad_tol=1e-6)` is a deterministic,
+dense-vector minimizer: two-loop recursion over a bounded history of
+curvature pairs, a line search that is one loop over a bracket of step
+lengths (doubling until a trial bounds it, then bisecting), and explicit
+termination reasons.  Curvature pairs with s'y <= 1e-10 ||s|| ||y|| are
+discarded so the implicit Hessian approximation stays positive definite.
 
 An objective is `fun(x) -> (f, grad)`, where `grad` is a zero-argument
 callable returning the gradient at x.  It is called only at x0 and at the
@@ -15,8 +17,9 @@ trial point costs the value alone.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -29,18 +32,6 @@ _C2 = 0.9                     # curvature constant, 0 < _C1 < _C2 < 1
 _MAX_LINE_SEARCH_STEPS = 40   # evaluations per line search
 _MEMORY = 10                  # curvature pairs the two-loop recursion keeps
 _F_TOL = 1e-9                 # relative decrease between accepted iterates
-
-
-@dataclass
-class OptimConfig:
-    max_iters: int = 500
-    grad_tol: float = 1e-6          # infinity norm of the gradient
-
-    def __post_init__(self):
-        if not 0.0 < self.grad_tol < math.inf:
-            raise ContractViolation("grad_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be positive")
 
 
 @dataclass
@@ -63,76 +54,55 @@ class _NanObjective(Exception):
 
 
 def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarray):
-    """Strong-Wolfe search along direction p starting from unit step.
+    """Strong-Wolfe search along direction p from unit step, in at most
+    _MAX_LINE_SEARCH_STEPS trials.
 
     `evaluate(x, rejects) -> (f, g)` gives g = None, without computing it,
     when rejects(f), and raises _NanObjective on NaN.  Returns
-    (alpha, f, g, x_new) or None when no acceptable step was found within the
-    evaluation budget.
+    (alpha, f, g, x_new), or None when no acceptable step was found.
     """
     d0 = float(g0 @ p)
     if d0 >= 0.0:
         return None
-    budget = [_MAX_LINE_SEARCH_STEPS]
-
-    def phi(alpha: float, f_ref: Optional[float]):
-        """f, g and x at step alpha; g is None where f fails sufficient
-        decrease or does not fall below f_ref (when one is given)."""
-        budget[0] -= 1
-        xa = x + alpha * p
-        fa, ga = evaluate(xa, lambda f: f > f0 + _C1 * alpha * d0
-                          or (f_ref is not None and f >= f_ref))
-        return fa, ga, xa
-
-    def zoom(a_lo, f_lo, a_hi, best=None):
-        while budget[0] > 0:
-            a = 0.5 * (a_lo + a_hi)
-            fa, ga, xa = phi(a, f_lo)
-            if ga is None:
-                a_hi = a
-            else:
-                da = float(ga @ p)
-                best = (a, fa, ga, xa)
-                if abs(da) <= -_C2 * d0:
-                    return best
-                if da * (a_hi - a_lo) >= 0.0:
-                    a_hi = a_lo
-                a_lo, f_lo = a, fa
-        # Budget exhausted: a point satisfying Armijo still yields progress.
-        return best
-
-    a_prev, f_prev = 0.0, f0
-    prev = None
-    a = 1.0
-    first = True
-    while budget[0] > 0:
-        fa, ga, xa = phi(a, None if first else f_prev)
+    # a_lo is the last accepted step (f_lo its value), a_hi a rejected step or
+    # the far side of a slope sign change; the trial doubles until a_hi is set.
+    # Only trials after the first must also improve on f_lo.
+    a_lo, f_lo, a_hi = 0.0, f0, math.inf
+    a, best = 1.0, None
+    for trial in range(_MAX_LINE_SEARCH_STEPS):
+        xa = x + a * p
+        fa, ga = evaluate(xa, lambda f: f > f0 + _C1 * a * d0
+                          or (trial > 0 and f >= f_lo))
         if ga is None:
-            return zoom(a_prev, f_prev, a, best=prev)
-        da = float(ga @ p)
-        if abs(da) <= -_C2 * d0:
-            return a, fa, ga, xa
-        if da >= 0.0:
-            return zoom(a, fa, a_prev, best=(a, fa, ga, xa))
-        a_prev, f_prev, prev = a, fa, (a, fa, ga, xa)
-        a = min(2.0 * a, 1e10)
-        first = False
-    return prev
+            a_hi = a
+        else:
+            da = float(ga @ p)
+            best = (a, fa, ga, xa)
+            if abs(da) <= -_C2 * d0:
+                return best
+            if da * (a_hi - a_lo) >= 0.0:
+                a_hi = a_lo
+            a_lo, f_lo = a, fa
+        a = min(2.0 * a, 1e10) if a_hi == math.inf else 0.5 * (a_lo + a_hi)
+    # Budget exhausted: the last step satisfying Armijo still yields progress.
+    return best
 
 
-def minimize(fun: Objective, x0: np.ndarray,
-             config: Optional[OptimConfig] = None) -> Tuple[np.ndarray, OptimTrace]:
-    """Minimize a smooth objective `fun(x) -> (value, grad)`, where grad()
-    returns the gradient at x and is called only where it is used.
+def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
+             grad_tol: float = 1e-6) -> Tuple[np.ndarray, OptimTrace]:
+    """Minimize the smooth objective `fun` from x0.
 
-    Terminates on the gradient infinity norm, on relative objective decrease,
-    or at the iteration cap.  A failed line search restarts once along steepest
-    descent; if that also fails the run ends with reason "line_search_failed".
-    NaN from the objective, in a value or in a gradient it was asked for,
-    aborts with reason "nan_objective".  The returned
-    point never has a larger objective than x0.
+    Terminates when the gradient's infinity norm is at most `grad_tol`, on
+    relative objective decrease, or after `max_iters` iterations.  A failed
+    line search restarts once along steepest descent; if that also fails the
+    run ends with reason "line_search_failed".  NaN from the objective, in a
+    value or in a gradient it was asked for, aborts with reason
+    "nan_objective".  The returned point never has a larger objective than x0.
     """
-    cfg = config or OptimConfig()
+    if not 0.0 < grad_tol < math.inf:
+        raise ContractViolation("grad_tol must be positive and finite")
+    if max_iters < 1:
+        raise ContractViolation("max_iters must be positive")
     x = np.asarray(x0, dtype=np.float64).copy()
     if not np.all(np.isfinite(x)):
         raise ContractViolation("x0 must be finite")
@@ -154,70 +124,55 @@ def minimize(fun: Objective, x0: np.ndarray,
             raise _NanObjective
         return f, g
 
+    history = deque(maxlen=_MEMORY)   # curvature pairs (s, y, 1 / s'y)
     try:
         f, g = evaluate(x)
-    except _NanObjective:
-        trace.termination = "nan_objective"
-        return x, trace
+        for _ in range(max_iters):
+            gnorm = float(np.abs(g).max()) if g.size else 0.0
+            if gnorm <= grad_tol:
+                trace.termination = "grad_tol"
+                break
 
-    s_hist: List[np.ndarray] = []
-    y_hist: List[np.ndarray] = []
-    rho_hist: List[float] = []
+            # Two-loop recursion over the stored curvature pairs.
+            q = g.copy()
+            alphas = []
+            for s, y, rho in reversed(history):
+                a = rho * float(s @ q)
+                q -= a * y
+                alphas.append(a)
+            if history:
+                s, y, rho = history[-1]
+                q *= float(s @ y) / float(y @ y)
+            for (s, y, rho), a in zip(history, reversed(alphas)):
+                b = rho * float(y @ q)
+                q += s * (a - b)
+            p = -q
 
-    for _ in range(cfg.max_iters):
-        gnorm = float(np.abs(g).max()) if g.size else 0.0
-        if gnorm <= cfg.grad_tol:
-            trace.termination = "grad_tol"
-            break
-
-        # Two-loop recursion over the stored curvature pairs.
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-        if y_hist:
-            q *= float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += s * (a - b)
-        p = -q
-
-        try:
             result = _line_search(evaluate, x, p, f, g)
             if result is None:
-                s_hist.clear()
-                y_hist.clear()
-                rho_hist.clear()
+                history.clear()
                 result = _line_search(evaluate, x, -g, f, g)
-        except _NanObjective:
-            trace.termination = "nan_objective"
-            break
-        if result is None:
-            trace.termination = "line_search_failed"
-            break
+            if result is None:
+                trace.termination = "line_search_failed"
+                break
 
-        alpha, f_new, g_new, x_new = result
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            alpha, f_new, g_new, x_new = result
+            s = x_new - x
+            y = g_new - g
+            sy = float(s @ y)
+            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+                history.append((s, y, 1.0 / sy))
 
-        decrease = f - f_new
-        trace.iterations.append(IterRecord(f_new, float(np.abs(g_new).max()), alpha))
-        x, f, g = x_new, f_new, g_new
-        if decrease <= _F_TOL * max(1.0, abs(f)):
-            trace.termination = "f_tol"
-            break
-    else:
-        trace.termination = "max_iters"
-
+            decrease = f - f_new
+            trace.iterations.append(
+                IterRecord(f_new, float(np.abs(g_new).max()), alpha))
+            x, f, g = x_new, f_new, g_new
+            if decrease <= _F_TOL * max(1.0, abs(f)):
+                trace.termination = "f_tol"
+                break
+        else:
+            trace.termination = "max_iters"
+    except _NanObjective:
+        # the run keeps the last accepted point
+        trace.termination = "nan_objective"
     return x, trace

@@ -16,9 +16,9 @@ from dro_crm.errors import utf8_lines
 from dro_crm.policy import log_prob_matrix, logits_matrix, sigmoid
 
 
-def raw_costs(log):
-    """Hamming distances behind the logged costs, cost = hamming / q - 1."""
-    return (log.costs + 1.0) * log.Y.shape[1]
+def raw_costs(log, ds):
+    """Hamming distances between the logged actions and their examples' labels."""
+    return np.abs(log.Y - ds.Y[log.example_ids]).sum(axis=1)
 
 
 class TestSvmlightFormat:
@@ -366,7 +366,7 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(50, 3, 2, seed=6)
         logger = PolicyParams(np.full((2, 3), 0.0))
         log = generate_bandit_log(logger, ds, delta=1, seed=2)
-        raw = raw_costs(log)
+        raw = raw_costs(log, ds)
         perfect = raw == 0.0
         assert perfect.any()
         assert np.allclose(log.costs[perfect], -1.0)
@@ -374,11 +374,10 @@ class TestBanditGeneration:
     def test_raw_cost_is_hamming_distance(self):
         ds = synthetic_multilabel(20, 3, 4, seed=6)
         log = generate_bandit_log(PolicyParams.zeros(4, 3), ds, delta=2, seed=2)
-        raw = raw_costs(log)
         for i, example in enumerate(log.example_ids):
             differing = sum(int(a != b) for a, b in zip(log.Y[i], ds.Y[example]))
-            assert raw[i] == pytest.approx(differing, abs=1e-12)
-        assert len(set(raw.round())) > 2  # the check sees several distances
+            assert log.costs[i] == pytest.approx(differing / 4 - 1.0, abs=1e-12)
+        assert len(set(raw_costs(log, ds))) > 2  # the check sees several distances
 
     def test_reproducible_bit_identical(self):
         ds = synthetic_multilabel(20, 3, 2, seed=7)
@@ -401,7 +400,7 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(300, 3, 2, seed=9)
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=8, seed=4)
-        raw = raw_costs(log)
+        raw = raw_costs(log, ds)
         expected, _ = evaluate_policy(logger, ds)
         # hamming per record is bounded by q = 2: conservative 3 sigma
         sigma = 2.0 / math.sqrt(log.n)
@@ -546,7 +545,7 @@ class TestLogSerialization:
         assert np.array_equal([[float(b) for b in bits] for bits in rows[:, 3]], log.Y)
         assert np.allclose(np.log(rows[:, 4].astype(float)), log.log_propensities,
                            atol=1e-14)
-        assert np.array_equal(rows[:, 5].astype(float), raw_costs(log))
+        assert np.array_equal(rows[:, 5].astype(float), raw_costs(log, ds))
         assert np.array_equal(rows[:, 6].astype(float), log.costs)
         meta = dict(line.split(" = ") for line in meta_path.read_text().splitlines())
         assert float(meta["clip_m"]) == log.clip_m
@@ -555,7 +554,7 @@ class TestLogSerialization:
     def test_csv_is_unchanged(self, tmp_path):
         # the per-record writer the package used, as the reference
         def reference(log, path):
-            raw = (log.costs + 1.0) / (1.0 / log.Y.shape[1])
+            raw = raw_costs(log, ds)
             p = np.exp(log.log_propensities)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("record_id,replay,example_id,action_bits,propensity,"
@@ -570,6 +569,16 @@ class TestLogSerialization:
         save_bandit_log(log, tmp_path / "log.csv", tmp_path / "log.meta", seed=4)
         reference(log, tmp_path / "old.csv")
         assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("q", [3, 5, 6, 14])
+    def test_cost_raw_is_the_integer_hamming_distance(self, tmp_path, q):
+        ds = synthetic_multilabel(60, 3, q, seed=q)
+        log = generate_bandit_log(PolicyParams.zeros(q, 3), ds, delta=2, seed=1)
+        save_bandit_log(log, tmp_path / "log.csv", tmp_path / "log.meta", seed=1)
+        rows = np.loadtxt(tmp_path / "log.csv", delimiter=",", skiprows=1, dtype=str)
+        raw = rows[:, 5].astype(float)
+        assert all(r.is_integer() for r in raw)
+        assert np.array_equal(raw, raw_costs(log, ds))
 
 
 class TestLogValidation:

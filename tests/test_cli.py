@@ -130,7 +130,7 @@ class TestConfigFile:
         assert "ExperimentConfig" in dro_crm.__all__
         assert set(dro_crm.__all__) == {
             "ALGORITHMS", "BanditLog", "ContractViolation", "DataFormatError",
-            "ExperimentConfig", "IterRecord", "OptimConfig", "OptimTrace",
+            "ExperimentConfig", "IterRecord", "OptimTrace",
             "PolicyParams", "ResultRow", "RiskReport", "SupervisedDataset",
             "TTestResult", "append_bias", "boltzmann_weights",
             "compute_clip_constant", "default_grids", "emit_results", "evaluate",
@@ -140,7 +140,7 @@ class TestConfigFile:
             "replay_sweep", "robust_risk_chi2", "run_experiment", "run_single",
             "save_bandit_log", "save_multilabel_svmlight", "split_dataset",
             "synthetic_multilabel", "train_logger"}
-        assert len(dro_crm.__all__) == 36
+        assert len(dro_crm.__all__) == 35
 
 
 class TestCommands:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dro_crm import (ContractViolation, OptimConfig, PolicyParams, evaluate,
-                     make_objective, minimize)
+from dro_crm import (ContractViolation, PolicyParams, evaluate, make_objective,
+                     minimize)
 from dro_crm import optim
 from dro_crm.objectives import RULES
 from toy_logs import sample_log
@@ -53,12 +53,12 @@ class TestMinimize:
 
     def test_rosenbrock(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimConfig(max_iters=2000, grad_tol=1e-8))
+                            max_iters=2000, grad_tol=1e-8)
         assert np.allclose(x, [1.0, 1.0], atol=1e-6)
 
     def test_monotone_accepted_values(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimConfig(max_iters=300))
+                            max_iters=300)
         fs = [rec.f for rec in trace.iterations]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
@@ -67,7 +67,7 @@ class TestMinimize:
         for _ in range(20):
             center = rng.normal(size=6)
             x0 = rng.normal(size=6) * 3.0
-            x, _ = minimize(quadratic(center), x0, OptimConfig(max_iters=3))
+            x, _ = minimize(quadratic(center), x0, max_iters=3)
             f0, _ = quadratic(center)(x0)
             f1, _ = quadratic(center)(x)
             assert f1 <= f0
@@ -81,7 +81,7 @@ class TestMinimize:
     def test_first_step_descends(self):
         # with the skip rule in force, every accepted step is a descent step
         _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimConfig(max_iters=100))
+                            max_iters=100)
         assert trace.iterations[0].f < rosenbrock(np.array([-1.2, 1.0]))[0]
 
     def test_nan_objective_aborts(self):
@@ -133,13 +133,13 @@ class TestMinimize:
 
     def test_max_iters_termination(self, monkeypatch):
         monkeypatch.setattr(optim, "_F_TOL", 1e-30)
-        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimConfig(max_iters=2))
+        x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=2)
         assert trace.termination == "max_iters"
         assert len(trace.iterations) == 2
 
     def test_gradient_at_solution_small(self):
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]),
-                            OptimConfig(max_iters=2000, grad_tol=1e-8))
+                            max_iters=2000, grad_tol=1e-8)
         _, grad = rosenbrock(x)
         assert np.abs(grad()).max() < 1e-6
 
@@ -158,16 +158,16 @@ class TestMinimize:
                 return 0.5 * float(x @ hess @ x) - float(b @ x), lambda: hess @ x - b
 
             x, _ = minimize(fun, rng.normal(size=dim) * 5.0,
-                            OptimConfig(max_iters=2000, grad_tol=1e-9))
+                            max_iters=2000, grad_tol=1e-9)
             gap = fun(x)[0] - f_star
             assert gap <= 1e-10 * max(1.0, abs(f_star))
 
     def test_config_validation(self):
         for grad_tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ContractViolation, match="grad_tol must be positive"):
-                OptimConfig(grad_tol=grad_tol)
+                minimize(rosenbrock, np.array([-1.2, 1.0]), grad_tol=grad_tol)
         with pytest.raises(ContractViolation, match="max_iters must be positive"):
-            OptimConfig(max_iters=0)
+            minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=0)
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ContractViolation):
