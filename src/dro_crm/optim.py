@@ -66,7 +66,8 @@ def _line_search(evaluate, x: np.ndarray, p: np.ndarray, f0: float, g0: np.ndarr
         return None
     # a_lo is the last accepted step (f_lo its value), a_hi a rejected step or
     # the far side of a slope sign change; the trial doubles until a_hi is set.
-    # Only trials after the first must also improve on f_lo.
+    # Only later trials must also improve on f_lo; the first is held to
+    # sufficient decrease alone, which accepts f == f0 when C1 * d0 rounds away.
     a_lo, f_lo, a_hi = 0.0, f0, math.inf
     a, best = 1.0, None
     for trial in range(_MAX_LINE_SEARCH_STEPS):
