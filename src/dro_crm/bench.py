@@ -314,7 +314,8 @@ def emit_results(rows: List[ResultRow], out_dir,
 
     # (name, expected losses, greedy losses, p-value) per line: the logger
     # and the skyline from the first usable row of each seed, then each
-    # algorithm over its ok rows, tested against the lowest mean
+    # algorithm over its ok rows, tested on shared seeds against the lowest
+    # mean among the algorithms with the most ok seeds
     base: Dict[int, ResultRow] = {}
     for r in rows:
         if r.status in ("ok", "baseline"):
@@ -327,7 +328,9 @@ def emit_results(rows: List[ResultRow], out_dir,
     for r in rows:
         if r.status == "ok":
             by_alg.setdefault(r.algorithm, []).append(r)
-    means = {alg: np.mean([r.expected_loss for r in rs]) for alg, rs in by_alg.items()}
+    most = max(map(len, by_alg.values()), default=0)
+    means = {alg: np.mean([r.expected_loss for r in rs])
+             for alg, rs in by_alg.items() if len(rs) == most}
     best_alg = min(means, key=means.get, default=None)
     best = {r.seed: r.expected_loss for r in by_alg.get(best_alg, ())}
     for alg, rs in sorted(by_alg.items()):

@@ -9,10 +9,9 @@ where D(q || p) = sum_i p_i * phi(q_i / p_i) for a convex generator phi with
 phi(1) = 0.  This module holds the worst cases the training rules in
 `objectives.RULES` call:
 
-* chi-square, phi(t) = (t - 1)^2: `robust_risk_chi2` gives the supremum in
-  closed form, mean + sqrt(eps * var), whenever the maximizing weights stay
-  nonnegative, and by an active-set solve on the simplex face otherwise.
-  poem is this worst case at radius lam^2 / n, cips at radius 0.
+* chi-square, phi(t) = (t - 1)^2: `robust_risk_chi2`, mean + sqrt(eps * var)
+  on the face of the largest losses where the weights stay nonnegative.  poem
+  is this worst case at radius lam^2 / n, cips at radius 0.
 * Kullback-Leibler, phi(t) = t*log(t) - t + 1: the supremum equals
   inf_{gamma > 0} gamma*eps + gamma*log sum_i p_i exp(z_i / gamma), attained
   by the exponentially tilted weights `boltzmann_weights` at the minimizing
@@ -22,10 +21,10 @@ phi(1) = 0.  This module holds the worst cases the training rules in
 The maximizing weights of a rule are the gradient of its risk in the losses
 (Danskin's theorem).
 
-Two references verify these at small n and live with the tests: the KL dual
-solved by bisection and the fixed-point temperature iteration in
-`tests/kl_dual.py`, and a brute-force maximizer over the feasible set, which
-shares no code with either, in `tests/oracle.py`.
+References live with the tests: the drop-one active-set loop for the
+chi-square worst case (`chi2_active_set.py`), the KL dual by bisection and
+the fixed-point temperature iteration (`kl_dual.py`), and a brute-force
+maximizer over the feasible set that shares no code with them (`oracle.py`).
 
 All functions are pure; reductions use a fixed summation order, so results are
 bit-identical across repeated calls regardless of caller threading.
@@ -64,58 +63,54 @@ def _mean_var(z: np.ndarray, p: np.ndarray) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Chi-square: closed form plus active-set fallback on the simplex boundary
+# Chi-square: one face solve, on all losses or on the largest k
 # ---------------------------------------------------------------------------
+
+def _face(za: np.ndarray, pa: np.ndarray, n: int, epsilon: float) -> Tuple[float, np.ndarray]:
+    """Worst case over the weights that vanish off k of the n losses, za,
+    whose base weights pa have mass k/n: p_i * (n/k + beta * (z_i - mean)),
+    the interior closed form at k = n, or uniform weights for equal losses."""
+    k = za.size
+    mean = float(pa @ za) / (k / n)
+    if _effectively_constant(za):
+        return mean, pa / (k / n)
+    slack = epsilon - (n - k) / k  # the radius left past uniform weights on the face
+    if slack <= 0.0:
+        raise ArithmeticError("chi-square radius does not reach the face of the largest losses")
+    scatter = float(pa @ (za - mean) ** 2)
+    beta = math.sqrt(slack / scatter)
+    return mean + math.sqrt(slack * scatter), pa * (n / k + beta * (za - mean))
+
 
 def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     """Worst-case mean of the losses z over the chi-square ball of radius
-    epsilon, and the weights q that attain it.
-
-    Interior regime: risk = mean + sqrt(eps * var) with weights
-    p_i * (1 + sqrt(eps/var) * (z_i - mean)).  When those weights would leave
-    the simplex, coordinates are dropped one at a time (lowest implied weight
-    first) and the tangency problem is re-solved on the remaining face.  At
-    radius 0, and for constant losses, this is the mean with uniform weights.
-    """
+    epsilon, and the weights q that attain it: `_face` on the k largest losses
+    (equal ones keep the later index), k = n in the interior regime, else the
+    largest k whose face has nonnegative weights, equal losses or lies past
+    the radius, from one stable sort and shifted cumulative sums."""
     if not epsilon >= 0.0:
         raise ContractViolation(f"epsilon must be nonnegative, got {epsilon}")
     z, p = _losses(z)
     if epsilon == 0.0:  # cips: the mean, with no variance to compute
         return float(p @ z), p
-    mean, var = _mean_var(z, p)
     n = z.size
-    if _effectively_constant(z):
-        return mean, p
-
-    q = p * (1.0 + math.sqrt(epsilon / var) * (z - mean))
-    if q.min() >= 0.0:
-        return mean + math.sqrt(epsilon * var), q
-
-    active = np.ones(n, dtype=bool)
-    for _ in range(n):
-        idx = np.flatnonzero(active)
-        pa, za = p[idx], z[idx]
-        mass = pa.sum()
-        mean_a = float(pa @ za) / mass
-        scatter = float(pa @ (za - mean_a) ** 2)
-        slack = epsilon - (1.0 - mass) / mass
-        if idx.size == 1 or _effectively_constant(za):
-            # Remaining losses are equal: the max-loss face, reached only when
-            # the radius covers it, so slack >= 0 here.
-            q = np.zeros(n)
-            q[idx] = pa / mass
-            return mean_a, q
-        if slack <= 0.0:
-            raise ArithmeticError("chi-square active-set solve left the feasible region")
-        beta = math.sqrt(slack / scatter)
-        qa = pa * (1.0 + (1.0 - mass) / mass + beta * (za - mean_a))
-        worst = qa.min()
-        if worst >= -1e-15:
-            q = np.zeros(n)
-            q[idx] = np.maximum(qa, 0.0)
-            return mean_a + math.sqrt(slack * scatter), q
-        active[idx[int(np.argmin(qa))]] = False
-    raise ArithmeticError("chi-square active-set solve failed to terminate")
+    risk, q = _face(z, p, n, epsilon)
+    if q.min() >= -1e-15:
+        return risk, np.maximum(q, 0.0, out=q)
+    order = np.argsort(z, kind="stable")  # smallest first, equal ones by index
+    top = z[order[::-1]]  # top[:k] are the k largest losses
+    d = top - top[0]  # shifted, so the cumulative sums lose no digits to the mean
+    k, s1, s2 = np.arange(1.0, n + 1.0), np.cumsum(d), np.cumsum(d * d)
+    slack = epsilon - (n - k) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = (n / k + np.sqrt(slack * n / (s2 - s1 * s1 / k)) * (d - s1 / k)) / n
+    equal = -d <= 1e-14 * np.maximum(max(1.0, abs(top[0])), np.abs(top))
+    stop = np.flatnonzero((equal | (slack <= 0.0) | (worst >= -1e-15))[:-1])
+    support = np.sort(order[n - 1 - stop[-1]:])
+    risk, qa = _face(z[support], p[support], n, epsilon)
+    q = np.zeros(n)
+    q[support] = np.maximum(qa, 0.0)
+    return risk, q
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,10 @@ def pinned_row(algorithm, seed, expected=math.nan, greedy=math.nan, *,
 
 
 def _mixed_rows():
-    """cips on every seed; klcrm fails on seed 2; poem, the best, never ran
-    seed 1; aklcrm ran seed 1 only.  So cips gets a p-value and klcrm, which
-    shares one seed with poem, does not.  Given out of order: emit_results
+    """cips on every seed; klcrm fails on seed 2; poem, the lowest mean,
+    never ran seed 1; aklcrm ran seed 1 only.  So cips, the lowest mean on
+    the most seeds, is the best; poem and klcrm, which share two seeds with
+    it, get p-values, and aklcrm does not.  Given out of order: emit_results
     sorts."""
     return [
         pinned_row("poem", 2, 4.0123456789, 3.9, hyper=1e-4),
@@ -251,9 +252,9 @@ PINNED_OUTPUTS = {
         "pi0,3,4.6375,0.0921389,4.375,0.0721688,\n"
         "crf,3,0.75,0.0288675,0.541667,0.0416667,\n"
         "aklcrm,1,4.9,0,4.625,0,\n"
-        "cips,3,4.125,0.0721688,3.91667,0.0833333,0.0165207\n"
-        "klcrm,2,4.625,0.125,4.25,0.25,\n"
-        "poem,2,3.94367,0.0686728,3.7,0.2,\n",
+        "cips,3,4.125,0.0721688,3.91667,0.0833333,\n"
+        "klcrm,2,4.625,0.125,4.25,0.25,0\n"
+        "poem,2,3.94367,0.0686728,3.7,0.2,0.983479\n",
         "timings": "algorithm,seed,wall_time_s\n"
         "aklcrm,1,0.500\ncips,0,0.500\ncips,1,2.250\ncips,2,0.500\n"
         "klcrm,0,0.500\nklcrm,1,0.500\nklcrm,2,0.013\npoem,0,0.500\npoem,2,0.500\n",

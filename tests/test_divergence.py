@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from chi2_active_set import robust_risk_chi2_active_set
 from dro_crm import (ContractViolation, boltzmann_weights, gamma_star_approx,
                      robust_risk_chi2)
+from dro_crm.divergence import _face
 from dro_crm.objectives import RULES
 from kl_dual import kl_gamma_fixed_point, robust_risk_kl_dual
 from oracle import DivergenceKind, divergence_rows, dro_oracle
@@ -110,6 +112,77 @@ class TestChiSquareRisk:
     def test_huge_radius_saturates_at_max(self):
         risk, _ = robust_risk_chi2(np.array([0.3, -0.7, 1.9]), 1e6)
         assert risk == pytest.approx(1.9, abs=1e-12)
+
+    def test_face_beyond_the_radius_raises(self):
+        # two of four losses hold half the base mass: uniform weights on
+        # them already sit at radius 1, so radius 0.5 cannot reach the face
+        with pytest.raises(ArithmeticError, match="does not reach the face"):
+            _face(np.array([1.0, 2.0]), np.full(2, 0.25), 4, 0.5)
+
+    def test_boundary_solve_runs_on_the_support_in_index_order(self):
+        # the sort only chooses the support; the sums run in index order,
+        # so the result does not depend on how the sort orders the losses
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            z = rng.normal(size=50)
+            eps = 3.0 * z.var() / (z.mean() - z.min()) ** 2
+            risk, q = robust_risk_chi2(z, eps)
+            face = q > 0.0
+            assert 1 < face.sum() < z.size
+            r, qa = _face(z[face], np.full(face.sum(), 1.0 / z.size), z.size, eps)
+            assert risk == r and np.array_equal(q[face], qa)
+
+
+def chi2_loss_vectors(rng):
+    """(kind, z) over the shapes the comparison with the loop covers."""
+    for n in (1, 2, 3, 5, 17, 100, 400, 2000):
+        cluster = -3.0 + 1e-9 * rng.random(n)  # one outlier over a tight cluster
+        cluster[rng.integers(n)] = float(rng.uniform(-2.0, 5.0))
+        yield from [
+            ("normal", rng.normal(size=n)),
+            ("exponential", -rng.exponential(size=n)),
+            ("clipped ips", -np.minimum(rng.lognormal(0.0, 2.0, n), 20.0)
+             * rng.integers(0, 7, n) / 6.0),
+            ("integer ties", rng.integers(-3, 1, n).astype(float)),
+            ("pareto", -rng.pareto(1.1, n)),
+            ("outlier", cluster),
+        ]
+
+
+class TestChiSquareAgainstActiveSetLoop:
+    def test_matches_the_drop_one_loop(self):
+        # Interior results are bit-identical.  Past the interior the sort
+        # picks the loop's support, so the risk agrees to roundoff and so
+        # do the weights, except on a support whose spread is nonzero but
+        # below 1e-9 of its scale: there beta ~ 1e12 amplifies the roundoff
+        # in z - mean (on losses -3 + 1e-12 * normal the two versions'
+        # weights differ by about 1e-3, their risks by 1e-16).
+        rng = np.random.default_rng(2026)
+        counts = {"interior": 0, "face": 0, "raise": 0}  # face: weights compared
+        for _ in range(4):
+            for kind, z in chi2_loss_vectors(rng):
+                for eps in 10.0 ** rng.uniform(-9.0, 4.0, size=3):
+                    try:
+                        ref = robust_risk_chi2_active_set(z, eps)
+                    except ArithmeticError:
+                        with pytest.raises(ArithmeticError):
+                            robust_risk_chi2(z, eps)
+                        counts["raise"] += 1
+                        continue
+                    risk, q = robust_risk_chi2(z, eps)
+                    where = (kind, z.size, eps)
+                    # the loop's interior test, which returns before any drop
+                    if np.ptp(z) <= 1e-14 * max(1.0, np.abs(z).max()) or (
+                            1.0 + math.sqrt(eps / z.var()) * (z - z.mean())).min() >= 0.0:
+                        assert risk == ref[0] and np.array_equal(q, ref[1]), where
+                        counts["interior"] += 1
+                        continue
+                    assert abs(risk - ref[0]) <= 1e-12 * abs(ref[0]), where
+                    support = z[ref[1] > 0.0]
+                    if not 0.0 < np.ptp(support) < 1e-9 * np.abs(support).max():
+                        assert np.abs(q - ref[1]).max() <= 1e-12, where
+                        counts["face"] += 1
+        assert counts["interior"] > 100 and counts["face"] > 100, counts
 
 
 class TestBoltzmann:
