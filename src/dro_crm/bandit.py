@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ContractViolation, DataFormatError, utf8_lines
 from .objectives import BanditLog
 from .optim import minimize
-from .policy import (PolicyParams, clamp_logits, log1p_exp, logits_matrix,
-                     sigmoid)
+from .policy import (PolicyParams, _sigmoid_from, log_prob, logit_terms,
+                     logits_matrix, score_gradient, sigmoid)
 
 
 @dataclass
@@ -335,9 +335,9 @@ def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> Poli
 
     def fun(theta_flat):
         W = theta_flat.reshape(q, d)
-        U = X @ W.T
-        f = float(np.sum(log1p_exp(U) - Y * U)) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
-        return f, lambda: ((sigmoid(U) - Y).T @ X / m + _LOGGER_L2 * W).ravel()
+        U, e, softplus = logit_terms(X @ W.T)
+        f = -float(np.sum(log_prob(Y, U, softplus))) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
+        return f, lambda: (score_gradient(np.full(m, -1.0 / m), Y, U, e, X) + _LOGGER_L2 * W).ravel()
 
     theta, _ = minimize(fun, np.zeros(q * d), max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
     return PolicyParams(alpha * theta.reshape(q, d))
@@ -373,12 +373,12 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
         raise ContractViolation(
             f"seed and stream must be non-negative, got {seed} and {stream}")
     n_ex, q = train.n_examples, train.n_labels
-    U = clamp_logits(logits_matrix(logger, train.X))
-    probs = sigmoid(U)
+    U, e, softplus = logit_terms(logits_matrix(logger, train.X))
+    probs = _sigmoid_from(U, e)
     # passes[d, i] is the action of record (replay d, example i)
     passes = np.stack([np.random.default_rng((seed, stream, d)).random((n_ex, q)) < probs
                        for d in range(delta)]).astype(np.float64)
-    log_p = (passes * U - log1p_exp(U)).sum(axis=2).ravel()
+    log_p = log_prob(passes, U, softplus)  # the kernel's log pi at the logger
     raw_cost = np.abs(passes - train.Y).sum(axis=2).ravel()
     costs = raw_cost * (1.0 / q) + _COST_OFFSET
     clip_m = compute_clip_constant(np.exp(log_p))

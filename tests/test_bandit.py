@@ -6,7 +6,7 @@ import pytest
 
 from dro_crm import (BanditLog, ContractViolation, DataFormatError,
                      PolicyParams, append_bias, compute_clip_constant,
-                     evaluate_policy, generate_bandit_log, ips_risk,
+                     evaluate, evaluate_policy, generate_bandit_log, ips_risk,
                      load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, split_dataset,
                      synthetic_multilabel, train_logger)
@@ -393,8 +393,17 @@ class TestBanditGeneration:
         ds = synthetic_multilabel(30, 3, 2, seed=8)
         logger = train_logger(ds)
         log = generate_bandit_log(logger, ds, delta=2, seed=3)
-        again = log_prob_matrix(logger, log.X[log.example_ids], log.Y)
-        assert np.abs(again - log.log_propensities).max() < 1e-12
+        again = log_prob_matrix(logger, log.X, log.Y)
+        assert np.array_equal(again, log.log_propensities)
+
+    def test_logger_ratios_are_exactly_one(self):
+        # the logs' propensities are the kernel's pi at the logger, bit for bit
+        ds = append_bias(synthetic_multilabel(600, 5, 4, seed=12, label_noise=0.1))
+        train, valid, subset = split_dataset(ds, seed=6)
+        logger = train_logger(subset)
+        for part, stream in ((train, 0), (valid, 1)):
+            log = generate_bandit_log(logger, part, delta=3, seed=6, stream=stream)
+            assert np.all(evaluate("cips", logger, log).ratio == 1.0)
 
     def test_mean_cost_matches_expected_loss(self):
         ds = synthetic_multilabel(300, 3, 2, seed=9)

@@ -147,6 +147,9 @@ def chi2_loss_vectors(rng):
             ("pareto", -rng.pareto(1.1, n)),
             ("outlier", cluster),
         ]
+        if n > 16:  # heavy ties, like logged Hamming costs and binary losses
+            yield from [("hamming ties", rng.integers(0, 15, n) / 14.0 - 1.0),
+                        ("binary ties", rng.integers(0, 2, n) - 1.0)]
 
 
 class TestChiSquareAgainstActiveSetLoop:

@@ -40,7 +40,7 @@ class TestSampleLosses:
         log, logger = sample_log(rng, n=12)
         report = evaluate("cips", logger, log)
         z, clipped = report.losses, report.clipped
-        assert np.allclose(z, log.costs, atol=1e-12)
+        assert np.array_equal(z, log.costs)
         assert not clipped.any()
 
     def test_clipping(self):
@@ -471,17 +471,19 @@ class TestReplayLayoutEquivalence:
             assert ips_risk(params, log) == pytest.approx(ips, rel=1e-12, abs=0.0)
 
     def test_generated_records_unchanged(self):
-        # Dyadic features and weights make the logits exact, so the digest
-        # does not depend on the BLAS summation order.  It pins the draws of
-        # default_rng((seed, stream, d)) per pass; a record-at-a-time reference
-        # of that rule gave the same actions and costs.
+        # Dyadic features and weights make the logits exact, so the digests
+        # do not depend on the BLAS summation order.  The first pins the
+        # draws of default_rng((seed, stream, d)) per pass; a record-at-a-time
+        # reference of that rule gave the same actions and costs.  The second
+        # pins the propensities, which are the kernel's log pi (policy.log_prob).
         rng = np.random.default_rng(2024)
         X = rng.integers(-8, 9, size=(12, 4)) / 8.0
         Y = rng.integers(0, 2, size=(12, 3)).astype(np.float64)
         W = rng.integers(-4, 5, size=(3, 4)) / 4.0
         log = generate_bandit_log(PolicyParams(W), SupervisedDataset(X, Y), delta=3, seed=11)
-        digest = hashlib.sha256(log.Y.tobytes() + log.log_propensities.tobytes()
-                                + log.costs.tobytes()).hexdigest()
-        assert digest == "dcc73e65662314db3e40f107d8adc4b076cd1a16a82ae12d3fc7c6d60100025b"
+        digest = hashlib.sha256(log.Y.tobytes() + log.costs.tobytes()).hexdigest()
+        assert digest == "47b4e0338a6352e1b9fd51918fa8563957ebb0b26a15a79095890f6cdaf8d6ae"
+        digest = hashlib.sha256(log.log_propensities.tobytes()).hexdigest()
+        assert digest == "d78da036788c1d93805534142581e08a0eed7a5f1e3849a5a4bdef94f2e6871e"
         assert log.X is X
         assert np.array_equal(log.example_ids, np.tile(np.arange(12), 3))
