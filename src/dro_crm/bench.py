@@ -39,7 +39,7 @@ from .bandit import (SupervisedDataset, append_bias, evaluate_policy,
 from .errors import ContractViolation
 # a name of its own, so perfbench/spans.py can time validation scoring alone
 from .objectives import (RULES, BanditLog, ips_risk as ips_validation_score,
-                         make_objective)
+                         make_objective, rule_for)
 from .optim import minimize
 from .policy import PolicyParams
 from .special import student_t_sf
@@ -77,27 +77,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ContractViolation("seeds must name at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ContractViolation("seeds must be distinct")
+        for name in ("seeds", "algorithms"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ContractViolation(f"{name} must be distinct")
         if any(s < 0 for s in self.seeds):
             raise ContractViolation(f"seeds must be non-negative, got {min(self.seeds)}")
         for name in ("delta", "optim_max_iters", "threads"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ContractViolation(f"{name} must be at least 1, got {value}")
-        for alg, grid in self.grids.items():
-            # poem's penalty may be zero; a temperature or a radius may not
-            bad = [v for v in grid
-                   if not (v >= 0.0 if alg == "poem" else v > 0.0) or v == math.inf]
-            if bad:
-                need = ("finite" if bad[0] == math.inf
-                        else "non-negative" if alg == "poem" else "positive")
-                raise ContractViolation(f"{alg} grid values must be {need}, got {bad[0]}")
-        for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ContractViolation(f"unknown algorithm {alg!r}")
-            if alg != "cips" and not len(self.grids.get(alg, ())):
+        for alg, grid in {**dict.fromkeys(self.algorithms, [None]), **self.grids}.items():
+            if alg in self.algorithms and not len(grid):
                 raise ContractViolation(f"algorithm {alg!r} needs a non-empty grid")
+            for hyper in grid:
+                rule_for(alg, hyper)
 
     def worker_count(self) -> int:
         return self.threads if self.threads is not None else (os.cpu_count() or 1)
@@ -123,9 +116,6 @@ class ResultRow:
     message: str = ""
     wall_time_s: float = 0.0
     params: Optional[PolicyParams] = None
-
-
-_HYPER_NAME = {alg: name for alg, (name, _) in RULES.items()}
 
 
 def _load_pools(cfg: ExperimentConfig, seed: int
@@ -194,7 +184,7 @@ def run_single(cfg: ExperimentConfig, algorithm: str, seed: int) -> ResultRow:
         row = _fit_cell(cfg, algorithm, seed, _setup_for(cfg, seed))
     except Exception as exc:  # the run continues with other cells
         row = ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
-                        _HYPER_NAME.get(algorithm, ""), status="failed",
+                        RULES.get(algorithm, ("",))[0], status="failed",
                         message=f"{type(exc).__name__}: {exc}")
     row.wall_time_s = time.perf_counter() - t0
     return row
@@ -206,8 +196,8 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
         return ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
                          **setup.baselines, status="baseline")
 
-    # an unknown name has no grid, and make_objective rejects it
-    grid = [None] if algorithm == "cips" else cfg.grids.get(algorithm, [None])
+    # [None] for a row without a hyper-parameter; an unknown name fails in make_objective
+    grid = cfg.grids.get(algorithm, [None])
     candidates: List[PolicyParams] = []
     scores: List[float] = []
     for hyper in grid:
@@ -223,7 +213,7 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
     hyper_value = math.nan if grid[best] is None else float(grid[best])
     expected, greedy = evaluate_policy(chosen, setup.test)
     return ResultRow(cfg.dataset, algorithm, seed, cfg.delta,
-                     hyper_name=_HYPER_NAME[algorithm], hyper_value=hyper_value,
+                     hyper_name=RULES[algorithm][0], hyper_value=hyper_value,
                      expected_loss=expected, greedy_loss=greedy,
                      valid_score=scores[best], **setup.baselines,
                      grid_scores=tuple(scores), params=chosen)
@@ -272,6 +262,8 @@ def paired_t_test_one_tailed(a: Sequence[float], b: Sequence[float]) -> TTestRes
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
+    if isinstance(x, tuple):
+        return ";".join(map(_fmt, x))
     if isinstance(x, float):
         if math.isnan(x):
             return "nan"
@@ -295,16 +287,7 @@ def emit_results(rows: List[ResultRow], out_dir,
     rows = sorted(rows, key=lambda r: (r.algorithm, r.seed))
 
     results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write(RESULTS_HEADER + "\n")
-        for r in rows:
-            grid_str = ";".join(_fmt(s) for s in r.grid_scores)
-            fh.write(",".join([
-                r.dataset, r.algorithm, str(r.seed), str(r.delta), r.hyper_name,
-                _fmt(r.hyper_value), _fmt(r.expected_loss), _fmt(r.greedy_loss),
-                _fmt(r.valid_score), _fmt(r.logger_expected), _fmt(r.logger_greedy),
-                _fmt(r.skyline_expected), _fmt(r.skyline_greedy), grid_str,
-                r.status]) + "\n")
+    _write_rows(rows, results_path, RESULTS_HEADER)
 
     timings_path = os.path.join(out_dir, "timings.csv")
     with open(timings_path, "w", encoding="utf-8") as fh:
@@ -347,8 +330,8 @@ def emit_results(rows: List[ResultRow], out_dir,
         for name, exp_vals, gr_vals, p_value in lines:
             fh.write(",".join([
                 name, str(len(exp_vals)), _fmt(float(np.mean(exp_vals))),
-                _fmt(_stderr(exp_vals)), _fmt(float(np.mean(gr_vals))),
-                _fmt(_stderr(gr_vals)), p_value]) + "\n")
+                _stderr(exp_vals), _fmt(float(np.mean(gr_vals))),
+                _stderr(gr_vals), p_value]) + "\n")
 
     meta_path = os.path.join(out_dir, "run_meta")
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -361,11 +344,19 @@ def emit_results(rows: List[ResultRow], out_dir,
             "timings": timings_path, "meta": meta_path}
 
 
-def _stderr(vals) -> float:
+def _stderr(vals) -> str:
     vals = np.asarray(vals, dtype=np.float64)
     if vals.size < 2:
-        return 0.0
-    return float(vals.std(ddof=1) / math.sqrt(vals.size))
+        return ""  # one seed has no spread to estimate
+    return _fmt(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+
+
+def _write_rows(rows: List[ResultRow], path, header: str) -> None:
+    """The header line, then per row the ResultRow fields it names, by _fmt."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(_fmt(getattr(r, name)) for name in header.split(","))
+                      + "\n" for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +396,8 @@ def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
-    cells = [(cfg, alg, seed) for alg in cfg.algorithms for seed in cfg.seeds]
-    if not cells:  # baselines (logger and skyline) still get evaluated
-        cells = [(cfg, "baseline", seed) for seed in cfg.seeds]
-    rows = _run_cells(cells, cfg.worker_count())
-    return sorted(rows, key=lambda r: (r.algorithm, r.seed))
+    """The row of every (algorithm, seed) cell of `cfg`, in that order."""
+    return replay_sweep(cfg, (cfg.delta,), cfg.seeds)
 
 
 SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
@@ -417,18 +405,16 @@ SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
 
 def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int],
                  seeds: Sequence[int]) -> List[ResultRow]:
-    """The row of every (algorithm, delta, seed) cell, in that order."""
-    if any(d < 1 for d in deltas):
-        raise ContractViolation("replay counts must be at least 1")
-    cells = [(replace(cfg, delta=int(d), seeds=(seed,)), alg, seed)
-             for d in deltas for alg in cfg.algorithms for seed in seeds]
+    """The row of every (algorithm, delta, seed) cell, in that order; with no
+    algorithms, one "baseline" row per (delta, seed) still evaluates the
+    logger and the skyline.  Each replay count's config checks the count."""
+    runs = [replace(cfg, delta=int(d)) for d in deltas]
+    cells = [(run, alg, seed) for run in runs
+             for alg in cfg.algorithms or ("baseline",) for seed in seeds]
     rows = _run_cells(cells, cfg.worker_count())
     return sorted(rows, key=lambda r: (r.algorithm, r.delta, r.seed))
 
 
 def write_sweep_csv(rows: List[ResultRow], path) -> None:
     """One SWEEP_HEADER line per row; a failed cell's losses read nan."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        fh.writelines(f"{r.dataset},{r.algorithm},{r.delta},{r.seed},"
-                      f"{_fmt(r.expected_loss)},{_fmt(r.greedy_loss)}\n" for r in rows)
+    _write_rows(rows, path, SWEEP_HEADER)

@@ -24,6 +24,7 @@ from .bandit import (append_bias, evaluate_policy, generate_bandit_log,
 from .bench import (ExperimentConfig, default_grids, emit_results,
                     replay_sweep, run_experiment, write_sweep_csv)
 from .errors import ContractViolation, DataFormatError, utf8_lines
+from .objectives import RULES
 from .policy import PolicyParams
 
 
@@ -59,17 +60,15 @@ _RUN_SWEEP = ("run", "sweep")
 _EVAL_MODES = ("expected", "greedy")  # the order of evaluate_policy's pair
 _GRID = "grid_"  # grid_<algorithm> replaces that algorithm's default grid
 
-# The config format: each key sets the ExperimentConfig field of its name,
-# except the grid keys, which set one entry of `grids`.
+# The config format: each key sets the ExperimentConfig field of its name;
+# the grid keys, one per RULES row with a hyper-parameter, set `grids` entries.
 CONFIG_KEYS = {
     "dataset": _Key(str, _RUN_SWEEP),
     "test_dataset": _Key(_optional(str), _RUN_SWEEP),
     "algorithms": _Key(_list(str), _RUN_SWEEP),
     "seeds": _Key(_parse_int_list, ("run",)),
     "delta": _Key(int, ("run",)),
-    "grid_poem": _Key(_list(_finite_float)),
-    "grid_klcrm": _Key(_list(_finite_float)),
-    "grid_aklcrm": _Key(_list(_finite_float)),
+    **{_GRID + alg: _Key(_list(_finite_float)) for alg, (name, *_) in RULES.items() if name},
     "optim_max_iters": _Key(int),
     "out_dir": _Key(str, _RUN_SWEEP),
     "threads": _Key(_optional(int), _RUN_SWEEP),

@@ -7,9 +7,10 @@ per-sample counterfactual loss under a candidate policy is
 
 with the importance ratio computed in log space and clipped at M.  Every
 objective is the worst case of the mean of z over a divergence ball around the
-uniform weights, evaluated by one shared kernel and one rule per algorithm
-(`RULES`).  A rule maps z to the risk, the weights q it puts on z and its
-temperature:
+uniform weights, evaluated by one shared kernel and one row of `RULES` per
+algorithm: its hyper-parameter's name ("" for none), its rule and the
+hyper-parameter's domain.  A rule maps z to the risk, the weights q it puts on
+z and its temperature:
 
 * cips: the plain clipped mean (poem at lam = 0, uniform q);
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
@@ -30,7 +31,8 @@ surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 `evaluate(algorithm, params, log, hyper)` is the one place the kernel and a
 rule run: the `RiskReport` it returns holds the value path's results, and its
 `gradient()` is computed only when called.  `make_objective` (for the
-minimizer) and `ips_risk` are callers of `evaluate`.
+minimizer) and `ips_risk` are callers of `evaluate`.  `rule_for` checks a
+hyper-parameter against its row, for them and for `bench.ExperimentConfig`.
 
 The policy math is `policy.logit_terms`, `policy.log_prob` and
 `policy.score_gradient`, on the log's replay fold described there.
@@ -138,8 +140,6 @@ class RiskReport:
 
 
 def _chi2_rule(z: np.ndarray, lam: float):
-    if lam < 0.0:
-        raise ContractViolation("lambda must be nonnegative")
     return (*robust_risk_chi2(z, lam * lam / z.size), None)
 
 
@@ -155,24 +155,29 @@ def _adaptive_tilted_rule(z: np.ndarray, epsilon: float):
     return _tilted_rule(z, gamma)
 
 
-# algorithm -> (name of its hyper-parameter, rule (z, hyper) -> (risk, q, gamma))
-RULES: Dict[str, Tuple[str, Callable[..., Tuple[float, np.ndarray, Optional[float]]]]] = {
-    "cips": ("", lambda z, _: _chi2_rule(z, 0.0)),
-    "poem": ("lambda", _chi2_rule),
-    "klcrm": ("gamma", _tilted_rule),
-    "aklcrm": ("epsilon", _adaptive_tilted_rule),
+# algorithm -> (hyper-parameter name or "", rule (z, hyper) -> (risk, q, gamma), domain)
+RULES: Dict[str, Tuple[str, Callable[..., Tuple[float, np.ndarray, Optional[float]]], str]] = {
+    "cips": ("", lambda z, _: _chi2_rule(z, 0.0), ""),
+    "poem": ("lambda", _chi2_rule, "non-negative"),
+    "klcrm": ("gamma", _tilted_rule, "positive"),
+    "aklcrm": ("epsilon", _adaptive_tilted_rule, "positive"),
 }
+_DOMAINS = {"non-negative": lambda v: v >= 0.0, "positive": lambda v: v > 0.0}
 
 
-def _rule(algorithm: str, hyper: Optional[float]):
-    """The algorithm's rule, checked to have the finite hyper-parameter it needs."""
+def rule_for(algorithm: str, hyper: Optional[float]):
+    """The rule of `algorithm`'s RULES row, once `hyper` fits the row: None
+    when the row names no hyper-parameter, else a finite value in its domain."""
     if algorithm not in RULES:
         raise ContractViolation(f"unknown algorithm {algorithm!r}")
-    name, rule = RULES[algorithm]
-    if name and hyper is None:
+    name, rule, domain = RULES[algorithm]
+    if not name:
+        if hyper is not None:
+            raise ContractViolation(f"{algorithm} takes no hyper-parameter, got {hyper}")
+    elif hyper is None:
         raise ContractViolation(f"{algorithm} needs its {name}")
-    if name and not math.isfinite(hyper):
-        raise ContractViolation(f"{name} must be finite, got {hyper}")
+    elif not (math.isfinite(hyper) and _DOMAINS[domain](hyper)):
+        raise ContractViolation(f"{algorithm} {name} must be finite and {domain}, got {hyper}")
     return rule
 
 
@@ -180,7 +185,7 @@ def evaluate(algorithm: str, params: PolicyParams, log: BanditLog,
              hyper: Optional[float] = None) -> RiskReport:
     """The objective of `algorithm`, a name in RULES, at `params` on `log`.
     `hyper` is the parameter RULES names for it (none for cips)."""
-    return RiskReport(params, log, _rule(algorithm, hyper), hyper)
+    return RiskReport(params, log, rule_for(algorithm, hyper), hyper)
 
 
 def ips_risk(params: PolicyParams, log: BanditLog) -> float:
@@ -193,7 +198,7 @@ def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
     (risk, grad), the `evaluate` of the named algorithm at theta_flat with
     grad() its flat gradient, plus the matrix shape."""
-    _rule(algorithm, hyper)  # a bad name or hyper-parameter fails here, not in minimize
+    rule_for(algorithm, hyper)  # a bad name or hyper-parameter fails here, not in minimize
     q = log.Y.shape[1]
     d = log.X.shape[1]
 

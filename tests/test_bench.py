@@ -7,13 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from dro_crm import (ContractViolation, ExperimentConfig, default_grids,
-                     emit_results, paired_t_test_one_tailed, replay_sweep,
-                     run_experiment, run_single, synthetic_multilabel,
-                     save_multilabel_svmlight)
+from dro_crm import (ContractViolation, ExperimentConfig, PolicyParams,
+                     default_grids, emit_results, evaluate, make_objective,
+                     paired_t_test_one_tailed, replay_sweep, run_experiment,
+                     run_single, synthetic_multilabel, save_multilabel_svmlight)
 from dro_crm import bench
 from dro_crm.bench import RESULTS_HEADER, SWEEP_HEADER, ResultRow, write_sweep_csv
 from dro_crm.cli import main
+from dro_crm.objectives import RULES
+from toy_logs import sample_log
 
 
 @pytest.fixture(scope="module")
@@ -53,15 +55,52 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             small_config(synth_path, seeds=(0, 0))
 
+    def test_duplicate_algorithms_rejected(self, synth_path):
+        # each cell would be fitted twice, and summary.csv would count its
+        # seeds twice
+        with pytest.raises(ContractViolation, match="^algorithms must be distinct$"):
+            small_config(synth_path, algorithms=("cips", "cips"))
+
     def test_empty_grid_rejected(self, synth_path):
         with pytest.raises(ContractViolation):
             small_config(synth_path, algorithms=("poem",), grids={"poem": []})
 
-    @pytest.mark.parametrize("alg", ["poem", "klcrm", "aklcrm"])
+    @pytest.mark.parametrize("alg", [alg for alg, (name, *_) in RULES.items() if name])
     def test_infinite_grid_value_rejected(self, synth_path, alg):
+        name, _, domain = RULES[alg]
         with pytest.raises(ContractViolation,
-                           match=f"{alg} grid values must be finite, got inf"):
+                           match=f"^{alg} {name} must be finite and {domain}, got inf$"):
             small_config(synth_path, algorithms=(alg,), grids={alg: [1.0, math.inf]})
+
+    @pytest.mark.parametrize("alg", list(RULES))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_hyper_checked_as_evaluation_checks_it(self, synth_path, alg, value):
+        # the config, make_objective and evaluate all raise or all accept; a
+        # row without a hyper-parameter (cips) takes no value, not even a grid
+        log, _ = sample_log(np.random.default_rng(5))
+        checks = [lambda: small_config(synth_path, algorithms=(alg,), grids={alg: [value]}),
+                  lambda: make_objective(alg, log, value),
+                  lambda: evaluate(alg, PolicyParams.zeros(2, 3), log, value)]
+        accepted = []
+        for check in checks:
+            try:
+                check()
+                accepted.append(True)
+            except ContractViolation:
+                accepted.append(False)
+        assert accepted == [alg == "poem" and value == 0.0] * 3
+
+    def test_added_row_needs_no_other_code(self, synth_path, monkeypatch):
+        # a fifth algorithm is one RULES row: here poem's rule under a new name
+        monkeypatch.setitem(RULES, "poem2", ("lambda", RULES["poem"][1], "non-negative"))
+        grids = {"poem": [1e-3], "poem2": [1e-3]}
+        cfg = small_config(synth_path, algorithms=("poem", "poem2"), grids=grids)
+        for bad in ({"poem": [1e-3]}, {**grids, "poem2": [-1.0]}):
+            with pytest.raises(ContractViolation, match="^poem2 "):
+                small_config(synth_path, algorithms=("poem2",), grids=bad)
+        row = run_single(cfg, "poem2", 0)
+        assert (row.status, row.hyper_name, row.hyper_value) == ("ok", "lambda", 1e-3)
+        assert row.expected_loss == run_single(cfg, "poem", 0).expected_loss
 
     def test_unknown_algorithm_rejected(self, synth_path):
         with pytest.raises(ContractViolation):
@@ -254,7 +293,7 @@ PINNED_OUTPUTS = {
         "summary": _SUMMARY_HEADER +
         "pi0,3,4.6375,0.0921389,4.375,0.0721688,\n"
         "crf,3,0.75,0.0288675,0.541667,0.0416667,\n"
-        "aklcrm,1,4.9,0,4.625,0,\n"
+        "aklcrm,1,4.9,,4.625,,\n"
         "cips,3,4.125,0.0721688,3.91667,0.0833333,\n"
         "klcrm,2,4.625,0.125,4.25,0.25,\n"
         "poem,2,3.94367,0.0686728,3.7,0.2,0.983479\n",
@@ -375,6 +414,13 @@ class TestReplaySweep:
             by.setdefault((r.algorithm, r.delta), []).append(r.expected_loss)
         for alg in ("cips", "aklcrm"):
             assert np.mean(by[(alg, 16)]) <= np.mean(by[(alg, 1)])
+
+    def test_no_algorithms_gives_baseline_rows(self, synth_path):
+        rows = replay_sweep(small_config(synth_path, algorithms=()), deltas=[1, 2],
+                            seeds=(0,))
+        assert [(r.algorithm, r.delta, r.status) for r in rows] == [
+            ("baseline", 1, "baseline"), ("baseline", 2, "baseline")]
+        assert all(math.isfinite(r.logger_expected) for r in rows)
 
     def test_validates_deltas(self, synth_path):
         with pytest.raises(ContractViolation):

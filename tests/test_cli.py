@@ -372,9 +372,10 @@ class TestBadNumericInput:
         ("freeze_weights = 0", "unknown config key"),
         ("optim_maxiters = 5", "'optim_maxiters'"),
         ("grid_poem = 1e-3,nan", "'grid_poem'"),
-        ("grid_poem = -1", "poem grid values must be non-negative, got -1.0"),
-        ("grid_klcrm = 1,0", "klcrm grid values must be positive, got 0.0"),
-        ("grid_aklcrm = -1e-3", "aklcrm grid values must be positive, got -0.001"),
+        ("grid_poem = -1", "poem lambda must be finite and non-negative, got -1.0"),
+        ("grid_klcrm = 1,0", "klcrm gamma must be finite and positive, got 0.0"),
+        ("grid_aklcrm = -1e-3", "aklcrm epsilon must be finite and positive, got -0.001"),
+        ("algorithms = cips,poem,cips", "algorithms must be distinct"),
         ("threads = 0", "threads must be at least 1, got 0"),
         ("seeds = ", "seeds must name at least one seed"),
     ])

@@ -9,7 +9,7 @@ from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
                      generate_bandit_log, ips_risk, make_objective,
                      robust_risk_chi2, synthetic_multilabel, train_logger)
 from dro_crm.bandit import SupervisedDataset
-from dro_crm.objectives import RULES, _rule
+from dro_crm.objectives import RULES, rule_for
 from gather_kernel import gather_report
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
@@ -349,11 +349,12 @@ class TestObjectiveProperties:
         with pytest.raises(ContractViolation):
             make_objective("nope", log, 0.1)
 
-    @pytest.mark.parametrize("algorithm", [alg for alg, (name, _) in RULES.items() if name])
+    @pytest.mark.parametrize("algorithm", [alg for alg, (name, *_) in RULES.items() if name])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_hyper_rejected(self, algorithm, value):
         log, _ = sample_log(np.random.default_rng(17))
-        message = f"^{RULES[algorithm][0]} must be finite"
+        name, _, domain = RULES[algorithm]
+        message = f"^{algorithm} {name} must be finite and {domain}, got {value}$"
         with pytest.raises(ContractViolation, match=message):
             evaluate(algorithm, PolicyParams.zeros(2, 3), log, value)
         with pytest.raises(ContractViolation, match=message):
@@ -394,7 +395,7 @@ class TestFoldedKernelPin:
             params = PolicyParams(weights)
             for alg, hyper in self.HYPERS.items():
                 got = evaluate(alg, params, log, hyper)
-                want = gather_report(params, log, _rule(alg, hyper), hyper)
+                want = gather_report(params, log, rule_for(alg, hyper), hyper)
                 for name in ("ratio", "clipped", "losses", "weights"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (alg, name)
                 assert got.risk == want.risk, alg
