@@ -215,7 +215,8 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
     The files are read as one collection, such as a train and a test split.
     Feature indices are 1-based.  Label ids may be 0- or 1-based: the first
     file decides for all of them (a 0 anywhere in it means 0-based), and
-    labels are remapped to 0..q-1.  Empty label lists yield all-zero rows.
+    labels are remapped to 0..q-1.  Empty label lists yield all-zero rows,
+    but a collection with no label id at all is an error.
     Every dataset gets the label count and the feature width of the whole
     collection, zero-padded where a file never uses the top ids;
     `n_features` sets the width instead, and a larger index is an error.
@@ -265,6 +266,8 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
         del feats  # one file's arrays at a time bounds the parse's memory
     d = max(X.shape[1] for X, _ in arrays)
     q = max(Y.shape[1] for _, Y in arrays)
+    if q == 0:  # no policy can be fitted or scored on no labels
+        raise DataFormatError(f"{paths[0]}: no label ids")
     return [SupervisedDataset(np.pad(X, [(0, 0), (0, d - X.shape[1])]),
                               np.pad(Y, [(0, 0), (0, q - Y.shape[1])]))
             for X, Y in arrays]
@@ -388,6 +391,8 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
 def evaluate_policy(params: PolicyParams, test: SupervisedDataset) -> Tuple[float, float]:
     """Mean test Hamming losses from one logits product: (the exact expected
     loss under the stochastic policy, the loss of its greedy decoding)."""
+    if test.n_examples < 1:
+        raise ContractViolation("test set must be non-empty")
     U = logits_matrix(params, test.X)
     S = sigmoid(U)
     expected = (test.Y * (1.0 - S) + (1.0 - test.Y) * S).sum(axis=1).mean()

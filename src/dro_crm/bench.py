@@ -53,13 +53,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def default_grids() -> Dict[str, np.ndarray]:
-    """Log-spaced search ranges: penalty 1e-6..1, temperature 1e-3..1e4,
-    radius 1e-6..1; 8 points each.  The plain clipped estimator has no grid."""
-    return {
-        "poem": 10.0 ** np.linspace(-6.0, 0.0, 8),
-        "klcrm": 10.0 ** np.linspace(-3.0, 4.0, 8),
-        "aklcrm": 10.0 ** np.linspace(-6.0, 0.0, 8),
-    }
+    """8 log-spaced points over each RULES row's search range; a row without
+    one (no hyper-parameter) has no grid."""
+    return {alg: 10.0 ** np.linspace(*span, 8) for alg, (*_, span) in RULES.items() if span}
 
 
 @dataclass
@@ -397,20 +393,19 @@ def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
 
 def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     """The row of every (algorithm, seed) cell of `cfg`, in that order."""
-    return replay_sweep(cfg, (cfg.delta,), cfg.seeds)
+    return replay_sweep(cfg, (cfg.delta,))
 
 
 SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
 
 
-def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int],
-                 seeds: Sequence[int]) -> List[ResultRow]:
-    """The row of every (algorithm, delta, seed) cell, in that order; with no
-    algorithms, one "baseline" row per (delta, seed) still evaluates the
-    logger and the skyline.  Each replay count's config checks the count."""
+def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int]) -> List[ResultRow]:
+    """The row of every (algorithm, delta, seed) cell of `cfg`'s algorithms and
+    seeds, in that order; with no algorithms, one "baseline" row per (delta,
+    seed) evaluates the logger and the skyline.  Each delta's config checks it."""
     runs = [replace(cfg, delta=int(d)) for d in deltas]
     cells = [(run, alg, seed) for run in runs
-             for alg in cfg.algorithms or ("baseline",) for seed in seeds]
+             for alg in cfg.algorithms or ("baseline",) for seed in cfg.seeds]
     rows = _run_cells(cells, cfg.worker_count())
     return sorted(rows, key=lambda r: (r.algorithm, r.delta, r.seed))
 

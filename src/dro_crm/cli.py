@@ -18,10 +18,9 @@ from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
-from .bandit import (append_bias, evaluate_policy, generate_bandit_log,
-                     load_multilabel_svmlight, save_bandit_log,
-                     split_dataset, train_logger)
-from .bench import (ExperimentConfig, default_grids, emit_results,
+from .bandit import (append_bias, evaluate_policy, load_multilabel_svmlight,
+                     save_bandit_log)
+from .bench import (ExperimentConfig, _seed_setup, default_grids, emit_results,
                     replay_sweep, run_experiment, write_sweep_csv)
 from .errors import ContractViolation, DataFormatError, utf8_lines
 from .objectives import RULES
@@ -181,7 +180,7 @@ def cmd_sweep(args) -> int:
     # Each sweep cell sets its own seed and replay count, so the file's
     # `seeds` and `delta` entries are neither read nor validated.
     cfg = _config_from_args(args, seeds=_echo_text(seeds), delta=str(deltas[0]))
-    rows = replay_sweep(cfg, deltas, seeds)
+    rows = replay_sweep(cfg, deltas)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "sweep.csv")
     write_sweep_csv(rows, path)
@@ -191,10 +190,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    ds = append_bias(load_multilabel_svmlight(args.input)[0])
-    train, _valid, logger_subset = split_dataset(ds, args.seed)
-    logger = train_logger(logger_subset)
-    log = generate_bandit_log(logger, train, args.delta, args.seed)
+    """The train log of `bench run --dataset <input>` at this seed and delta."""
+    cfg = ExperimentConfig(args.input, seeds=(args.seed,), delta=args.delta)
+    log = _seed_setup(cfg, args.seed).train_log
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "bandit_log.csv")
     meta_path = os.path.join(args.out, "bandit_log.meta")

@@ -8,9 +8,10 @@ per-sample counterfactual loss under a candidate policy is
 with the importance ratio computed in log space and clipped at M.  Every
 objective is the worst case of the mean of z over a divergence ball around the
 uniform weights, evaluated by one shared kernel and one row of `RULES` per
-algorithm: its hyper-parameter's name ("" for none), its rule and the
-hyper-parameter's domain.  A rule maps z to the risk, the weights q it puts on
-z and its temperature:
+algorithm: its hyper-parameter's name ("" for none), its rule, the
+hyper-parameter's domain and its default search range, as the powers of ten
+(lo, hi) that `bench.default_grids` spans (None for none).  A rule maps z to
+the risk, the weights q it puts on z and its temperature:
 
 * cips: the plain clipped mean (poem at lam = 0, uniform q);
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
@@ -155,12 +156,13 @@ def _adaptive_tilted_rule(z: np.ndarray, epsilon: float):
     return _tilted_rule(z, gamma)
 
 
-# algorithm -> (hyper-parameter name or "", rule (z, hyper) -> (risk, q, gamma), domain)
-RULES: Dict[str, Tuple[str, Callable[..., Tuple[float, np.ndarray, Optional[float]]], str]] = {
-    "cips": ("", lambda z, _: _chi2_rule(z, 0.0), ""),
-    "poem": ("lambda", _chi2_rule, "non-negative"),
-    "klcrm": ("gamma", _tilted_rule, "positive"),
-    "aklcrm": ("epsilon", _adaptive_tilted_rule, "positive"),
+# algorithm -> (hyper name or "", rule (z, hyper) -> (risk, q, gamma), domain, range)
+RULES: Dict[str, Tuple[str, Callable[..., Tuple[float, np.ndarray, Optional[float]]], str,
+                       Optional[Tuple[float, float]]]] = {
+    "cips": ("", lambda z, _: _chi2_rule(z, 0.0), "", None),
+    "poem": ("lambda", _chi2_rule, "non-negative", (-6.0, 0.0)),
+    "klcrm": ("gamma", _tilted_rule, "positive", (-3.0, 4.0)),
+    "aklcrm": ("epsilon", _adaptive_tilted_rule, "positive", (-6.0, 0.0)),
 }
 _DOMAINS = {"non-negative": lambda v: v >= 0.0, "positive": lambda v: v > 0.0}
 
@@ -170,7 +172,7 @@ def rule_for(algorithm: str, hyper: Optional[float]):
     when the row names no hyper-parameter, else a finite value in its domain."""
     if algorithm not in RULES:
         raise ContractViolation(f"unknown algorithm {algorithm!r}")
-    name, rule, domain = RULES[algorithm]
+    name, rule, domain, _ = RULES[algorithm]
     if not name:
         if hyper is not None:
             raise ContractViolation(f"{algorithm} takes no hyper-parameter, got {hyper}")

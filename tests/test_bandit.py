@@ -50,6 +50,19 @@ class TestSvmlightFormat:
             with pytest.raises(DataFormatError, match="empty.svm: no examples"):
                 load_multilabel_svmlight(*paths)
 
+    def test_no_label_ids_errors(self, tmp_path):
+        # no policy can be fitted on a collection without one label id; a
+        # file without one is read when another file of its collection has one
+        path, other = tmp_path / "nolabels.svm", tmp_path / "other.svm"
+        path.write_text(" 1:1.0\n 2:0.5\n")
+        other.write_text(" 1:2.0\n")
+        for paths in ([path], [path, other]):
+            with pytest.raises(DataFormatError, match="nolabels.svm: no label ids$"):
+                load_multilabel_svmlight(*paths)
+        other.write_text("0 1:2.0\n")
+        ds, _ = load_multilabel_svmlight(path, other)
+        assert ds.Y.tolist() == [[0.0], [0.0]]
+
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.svm"
         path.write_text("0 1:1.0\n0 broken\n")

@@ -67,7 +67,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("alg", [alg for alg, (name, *_) in RULES.items() if name])
     def test_infinite_grid_value_rejected(self, synth_path, alg):
-        name, _, domain = RULES[alg]
+        name, _, domain, _ = RULES[alg]
         with pytest.raises(ContractViolation,
                            match=f"^{alg} {name} must be finite and {domain}, got inf$"):
             small_config(synth_path, algorithms=(alg,), grids={alg: [1.0, math.inf]})
@@ -92,7 +92,8 @@ class TestConfigValidation:
 
     def test_added_row_needs_no_other_code(self, synth_path, monkeypatch):
         # a fifth algorithm is one RULES row: here poem's rule under a new name
-        monkeypatch.setitem(RULES, "poem2", ("lambda", RULES["poem"][1], "non-negative"))
+        monkeypatch.setitem(RULES, "poem2", ("lambda", RULES["poem"][1], "non-negative",
+                                             (-6.0, 0.0)))
         grids = {"poem": [1e-3], "poem2": [1e-3]}
         cfg = small_config(synth_path, algorithms=("poem", "poem2"), grids=grids)
         for bad in ({"poem": [1e-3]}, {**grids, "poem2": [-1.0]}):
@@ -101,6 +102,10 @@ class TestConfigValidation:
         row = run_single(cfg, "poem2", 0)
         assert (row.status, row.hyper_name, row.hyper_value) == ("ok", "lambda", 1e-3)
         assert row.expected_loss == run_single(cfg, "poem", 0).expected_loss
+        # its search range is the default grid, so a config needs no grid for it
+        assert np.array_equal(default_grids()["poem2"], default_grids()["poem"])
+        cfg = ExperimentConfig(synth_path, algorithms=("poem2",))
+        assert np.array_equal(cfg.grids["poem2"], default_grids()["poem"])
 
     def test_unknown_algorithm_rejected(self, synth_path):
         with pytest.raises(ContractViolation):
@@ -124,6 +129,16 @@ class TestDefaultGrids:
         assert grids["aklcrm"][-1] == pytest.approx(1.0)
         assert all(len(g) == 8 for g in grids.values())
         assert "cips" not in grids
+
+    def test_same_arrays_as_the_literal_ranges(self):
+        # the ranges moved into RULES; the grids they give are bit for bit
+        # those the ranges written out in bench gave
+        want = {"poem": 10.0 ** np.linspace(-6.0, 0.0, 8),
+                "klcrm": 10.0 ** np.linspace(-3.0, 4.0, 8),
+                "aklcrm": 10.0 ** np.linspace(-6.0, 0.0, 8)}
+        grids = default_grids()
+        assert list(grids) == list(want)
+        assert all(np.array_equal(grids[alg], want[alg]) for alg in want)
 
 
 class TestPairedTTest:
@@ -392,8 +407,8 @@ class TestFullProtocolSynthetic:
 
 class TestReplaySweep:
     def test_row_count_and_round_trip(self, synth_path, tmp_path):
-        cfg = small_config(synth_path, algorithms=("cips", "poem"))
-        rows = replay_sweep(cfg, deltas=[1, 2], seeds=range(3))
+        cfg = small_config(synth_path, algorithms=("cips", "poem"), seeds=(0, 1, 2))
+        rows = replay_sweep(cfg, deltas=[1, 2])
         assert len(rows) == 2 * 2 * 3
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
@@ -405,10 +420,10 @@ class TestReplaySweep:
 
     def test_more_replays_do_not_hurt(self, synth_path):
         cfg = small_config(synth_path, algorithms=("cips", "aklcrm"),
-                           threads=None,
+                           seeds=tuple(range(10)), threads=None,
                            grids={"poem": [1e-3], "klcrm": [10.0],
                                   "aklcrm": [1e-4, 1e-2]})
-        rows = replay_sweep(cfg, deltas=[1, 16], seeds=range(10))
+        rows = replay_sweep(cfg, deltas=[1, 16])
         by = {}
         for r in rows:
             by.setdefault((r.algorithm, r.delta), []).append(r.expected_loss)
@@ -416,15 +431,14 @@ class TestReplaySweep:
             assert np.mean(by[(alg, 16)]) <= np.mean(by[(alg, 1)])
 
     def test_no_algorithms_gives_baseline_rows(self, synth_path):
-        rows = replay_sweep(small_config(synth_path, algorithms=()), deltas=[1, 2],
-                            seeds=(0,))
+        rows = replay_sweep(small_config(synth_path, algorithms=()), deltas=[1, 2])
         assert [(r.algorithm, r.delta, r.status) for r in rows] == [
             ("baseline", 1, "baseline"), ("baseline", 2, "baseline")]
         assert all(math.isfinite(r.logger_expected) for r in rows)
 
     def test_validates_deltas(self, synth_path):
         with pytest.raises(ContractViolation):
-            replay_sweep(small_config(synth_path), deltas=[0], seeds=(0,))
+            replay_sweep(small_config(synth_path), deltas=[0])
 
 
 def assert_same_rows(got, want):
@@ -501,7 +515,7 @@ class TestSharedSetup:
 
     def test_sweep_rows_equal_standalone_cells(self, synth_path):
         cfg = small_config(synth_path, algorithms=("cips", "poem"), optim_max_iters=20)
-        got = replay_sweep(cfg, deltas=[2, 1], seeds=(0,))  # one set-up per delta
+        got = replay_sweep(cfg, deltas=[2, 1])  # one set-up per delta
         want = [run_single(dataclasses.replace(cfg, delta=delta), alg, 0)
                 for alg in ("cips", "poem") for delta in (1, 2)]
         assert_same_rows(got, want)

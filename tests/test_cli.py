@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import dro_crm
-from dro_crm import (DataFormatError, PolicyParams, SupervisedDataset,
-                     evaluate_policy, save_multilabel_svmlight,
-                     synthetic_multilabel)
+from dro_crm import (DataFormatError, ExperimentConfig, PolicyParams,
+                     SupervisedDataset, evaluate_policy, save_bandit_log,
+                     save_multilabel_svmlight, synthetic_multilabel)
+from dro_crm.bench import _seed_setup
 from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
                          read_config_file)
 
@@ -177,6 +178,20 @@ class TestCommands:
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path, "--mode", "expected"]) == 0
 
+    @pytest.mark.parametrize("seed, delta", [(0, 4), (3, 2)])
+    def test_convert_writes_the_runs_train_log(self, tmp_path, synth_path, seed, delta):
+        # the log `run` fits at this seed and delta, after its 25% hold-out:
+        # of 120 examples, 30 are held out and 67 of the other 90 train
+        out = tmp_path / "conv"
+        assert main(["convert", "--input", synth_path, "--out", str(out),
+                     "--seed", str(seed), "--delta", str(delta)]) == 0
+        cfg = ExperimentConfig(synth_path, seeds=(seed,), delta=delta)
+        want = tmp_path / "want.csv", tmp_path / "want.meta"
+        save_bandit_log(_seed_setup(cfg, seed).train_log, *want, seed)
+        assert (out / "bandit_log.csv").read_bytes() == want[0].read_bytes()
+        assert (out / "bandit_log.meta").read_bytes() == want[1].read_bytes()
+        assert f"n_records = {67 * delta}\n" in want[1].read_text()
+
     def test_sweep_ignores_seeds_and_delta_entries(self, tmp_path, synth_path):
         # the sweep sets each cell's seed and replay count from its flags
         cfg_file = tmp_path / "sweep.cfg"
@@ -283,6 +298,30 @@ class TestCommands:
         assert main(["convert", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"huge.svm: label id {label} is too large" in err
+
+    def test_no_label_ids(self, tmp_path, capsys):
+        path = tmp_path / "nolabels.svm"
+        path.write_text(" 1:1.0\n 2:0.5\n 1:0.5 2:0.5\n 1:2.0\n")
+        assert main(["convert", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}: no label ids" in err
+        assert not (tmp_path / "c").exists()
+        # bench run records the failed cell and exits 1
+        assert main(["run", "--dataset", str(path), "--algorithms", "cips",
+                     "--seeds", "0", "--out-dir", str(tmp_path / "run")]) == 1
+        assert f"DataFormatError: {path}: no label ids" in capsys.readouterr().err
+
+    def test_empty_hold_out_fails_every_cell(self, tmp_path, capsys):
+        # 25% of three examples holds out none, so there is no test loss to report
+        path = tmp_path / "three.svm"
+        path.write_text("0 1:1.0\n1 2:1.0\n0,1 1:0.5 2:0.5\n")
+        out = tmp_path / "run"
+        assert main(["run", "--dataset", str(path), "--algorithms", "cips,poem",
+                     "--seeds", "0", "--threads", "1", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("ContractViolation: test set must be non-empty") == 2
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(r.endswith(",failed") for r in rows)
 
     def test_config_is_a_directory(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 2

@@ -353,7 +353,7 @@ class TestObjectiveProperties:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_hyper_rejected(self, algorithm, value):
         log, _ = sample_log(np.random.default_rng(17))
-        name, _, domain = RULES[algorithm]
+        name, _, domain, _ = RULES[algorithm]
         message = f"^{algorithm} {name} must be finite and {domain}, got {value}$"
         with pytest.raises(ContractViolation, match=message):
             evaluate(algorithm, PolicyParams.zeros(2, 3), log, value)
