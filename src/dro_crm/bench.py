@@ -283,7 +283,7 @@ def emit_results(rows: List[ResultRow], out_dir,
     rows = sorted(rows, key=lambda r: (r.algorithm, r.seed))
 
     results_path = os.path.join(out_dir, "results.csv")
-    _write_rows(rows, results_path, RESULTS_HEADER)
+    write_results_csv(rows, results_path)
 
     timings_path = os.path.join(out_dir, "timings.csv")
     with open(timings_path, "w", encoding="utf-8") as fh:
@@ -347,11 +347,11 @@ def _stderr(vals) -> str:
     return _fmt(float(vals.std(ddof=1) / math.sqrt(vals.size)))
 
 
-def _write_rows(rows: List[ResultRow], path, header: str) -> None:
-    """The header line, then per row the ResultRow fields it names, by _fmt."""
+def write_results_csv(rows: List[ResultRow], path) -> None:
+    """RESULTS_HEADER, then per row the ResultRow fields it names, by _fmt."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(_fmt(getattr(r, name)) for name in header.split(","))
+        fh.write(RESULTS_HEADER + "\n")
+        fh.writelines(",".join(_fmt(getattr(r, name)) for name in RESULTS_HEADER.split(","))
                       + "\n" for r in rows)
 
 
@@ -396,20 +396,15 @@ def run_experiment(cfg: ExperimentConfig) -> List[ResultRow]:
     return replay_sweep(cfg, (cfg.delta,))
 
 
-SWEEP_HEADER = "dataset,algorithm,delta,seed,expected_loss,greedy_loss"
-
-
 def replay_sweep(cfg: ExperimentConfig, deltas: Sequence[int]) -> List[ResultRow]:
-    """The row of every (algorithm, delta, seed) cell of `cfg`'s algorithms and
-    seeds, in that order; with no algorithms, one "baseline" row per (delta,
-    seed) evaluates the logger and the skyline.  Each delta's config checks it."""
+    """`run_experiment` at each of the distinct replay counts `deltas`, each
+    replacing and checked as `cfg.delta`: the row of every (algorithm, delta,
+    seed) cell, in that order.  With no algorithms, one "baseline" row per
+    (delta, seed) evaluates the logger and the skyline."""
+    if not deltas or len(set(deltas)) != len(deltas):
+        raise ContractViolation(f"deltas must be distinct and non-empty, got {tuple(deltas)}")
     runs = [replace(cfg, delta=int(d)) for d in deltas]
     cells = [(run, alg, seed) for run in runs
              for alg in cfg.algorithms or ("baseline",) for seed in cfg.seeds]
     rows = _run_cells(cells, cfg.worker_count())
     return sorted(rows, key=lambda r: (r.algorithm, r.delta, r.seed))
-
-
-def write_sweep_csv(rows: List[ResultRow], path) -> None:
-    """One SWEEP_HEADER line per row; a failed cell's losses read nan."""
-    _write_rows(rows, path, SWEEP_HEADER)

@@ -21,7 +21,7 @@ import numpy as np
 from .bandit import (append_bias, evaluate_policy, load_multilabel_svmlight,
                      save_bandit_log)
 from .bench import (ExperimentConfig, _seed_setup, default_grids, emit_results,
-                    replay_sweep, run_experiment, write_sweep_csv)
+                    replay_sweep, run_experiment, write_results_csv)
 from .errors import ContractViolation, DataFormatError, utf8_lines
 from .objectives import RULES
 from .policy import PolicyParams
@@ -65,7 +65,7 @@ CONFIG_KEYS = {
     "dataset": _Key(str, _RUN_SWEEP),
     "test_dataset": _Key(_optional(str), _RUN_SWEEP),
     "algorithms": _Key(_list(str), _RUN_SWEEP),
-    "seeds": _Key(_parse_int_list, ("run",)),
+    "seeds": _Key(_parse_int_list, _RUN_SWEEP),
     "delta": _Key(int, ("run",)),
     **{_GRID + alg: _Key(_list(_finite_float)) for alg, (name, *_) in RULES.items() if name},
     "optim_max_iters": _Key(int),
@@ -131,62 +131,50 @@ def config_echo(cfg: ExperimentConfig) -> Iterator[Tuple[str, str]]:
             yield key, _echo_text(getattr(cfg, key))
 
 
-def _config_from_args(args, **fixed: str) -> ExperimentConfig:
-    """The config file's entries, overridden by the flags given and then by
-    the entries of `fixed`."""
+def _config_from_args(args) -> ExperimentConfig:
+    """The config file's entries, overridden by the flags given."""
     values = read_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:  # a flag given overrides the file entry
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
-    return build_experiment_config({**values, **fixed})
+    return build_experiment_config(values)
 
 
-def _report_failed(rows) -> int:
-    """One stderr line per failed cell; the exit code, 1 when every cell failed."""
+def _report(rows, path) -> int:
+    """One stderr line per failed cell, then `path` on stdout; the exit code,
+    1 when every cell failed."""
     failed = [r for r in rows if r.status == "failed"]
     for r in failed:
         print(f"[failed] {r.algorithm} delta={r.delta} seed={r.seed}: {r.message}",
               file=sys.stderr)
+    print(path)
     return 1 if failed and len(failed) == len(rows) else 0
 
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # an unusable out_dir fails before any cell
     rows = run_experiment(cfg)
     paths = emit_results(rows, cfg.out_dir, config_echo(cfg))
     for r in rows:
         if r.params is not None:
             np.savez(os.path.join(cfg.out_dir, f"params_{r.algorithm}_seed{r.seed}.npz"),
                      weights=r.params.weights)
-    code = _report_failed(rows)
-    print(paths["results"])
-    return code
-
-
-def _flag_int_list(flag: str, text: str) -> Tuple[int, ...]:
-    """The integers of a --flag list such as 1,4,16..18: distinct, at least one."""
-    try:
-        values = _parse_int_list(text)
-    except ValueError:
-        values = ()
-    if not values or len(set(values)) != len(values):
-        raise DataFormatError(f"{flag} needs distinct integers, got {text!r}")
-    return values
+    return _report(rows, paths["results"])
 
 
 def cmd_sweep(args) -> int:
-    deltas = _flag_int_list("--deltas", args.deltas)
-    seeds = _flag_int_list("--sweep-seeds", args.sweep_seeds)
-    # Each sweep cell sets its own seed and replay count, so the file's
-    # `seeds` and `delta` entries are neither read nor validated.
-    cfg = _config_from_args(args, seeds=_echo_text(seeds), delta=str(deltas[0]))
-    rows = replay_sweep(cfg, deltas)
+    """`run` at each of --deltas, all rows in sweep.csv under results.csv's header."""
+    try:
+        deltas = _parse_int_list(args.deltas)
+    except ValueError:
+        raise DataFormatError(f"--deltas needs distinct integers, got {args.deltas!r}") from None
+    cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    rows = replay_sweep(cfg, deltas)
     path = os.path.join(cfg.out_dir, "sweep.csv")
-    write_sweep_csv(rows, path)
-    code = _report_failed(rows)
-    print(path)
-    return code
+    write_results_csv(rows, path)
+    return _report(rows, path)
 
 
 def cmd_convert(args) -> int:
@@ -250,7 +238,6 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="replay-count sweep")
     p_sweep.add_argument("--deltas", required=True, help="e.g. 1,4,16,64")
-    p_sweep.add_argument("--sweep-seeds", dest="sweep_seeds", default="0..9")
     p_sweep.set_defaults(func=cmd_sweep)
 
     for name, p in (("run", p_run), ("sweep", p_sweep)):

@@ -11,8 +11,9 @@ class DataFormatError(ValueError):
 
 
 def utf8_lines(path):
-    """(line number, line) of a UTF-8 text file; other bytes are a DataFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, line) of a UTF-8 text file, without a leading byte-order
+    mark; other bytes are a DataFormatError."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:

@@ -21,6 +21,7 @@ from dro_crm import (ExperimentConfig, PolicyParams, evaluate,
 from dro_crm.objectives import RULES
 from dro_crm.bench import default_grids
 from kl_dual import kl_gamma_fixed_point, robust_risk_kl_dual
+from numeric_oracles import fd_gradient, t_sf_oracle
 from oracle import DivergenceKind, dro_oracle
 from toy_logs import sample_log
 
@@ -66,16 +67,6 @@ def find_dataset(name):
             if os.path.isfile(path):
                 return path
     return None
-
-
-def fd_gradient(fun, theta, h=1e-5):
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        g[i] = (fun(tp) - fun(tm)) / (2.0 * h)
-    return g
 
 
 def test_criterion_1_chi2_identity_and_oracle():
@@ -282,15 +273,7 @@ def test_criterion_8_replay_sweep():
 
 
 def test_criterion_9_t_test_against_integration():
-    quad = pytest.importorskip("scipy.integrate")
-
-    def t_sf_oracle(t, dof):
-        c = math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi)
-                                         * math.gamma(dof / 2))
-        val, _ = quad.quad(lambda u: c * (1 + u * u / dof) ** (-(dof + 1) / 2),
-                           t, np.inf)
-        return val
-
+    pytest.importorskip("scipy.integrate")
     k = 20
     base = np.arange(k, dtype=float)
     base = (base - base.mean()) / base.std(ddof=1)

@@ -277,6 +277,16 @@ class TestSvmlightBlockPath:
         fast, slow = _both_paths(monkeypatch, [path])
         assert fast == slow and "latin.svm: not UTF-8 text" in fast
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, monkeypatch):
+        text = "0,1 1:1.0 3:-2\n2 2:0.5\n"
+        plain, bom = tmp_path / "plain.svm", tmp_path / "bom.svm"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf0,1 ")
+        want = _both_paths(monkeypatch, [plain])
+        assert isinstance(want[0], list)
+        assert _both_paths(monkeypatch, [bom]) == want
+
     @pytest.mark.parametrize("width", [3, 6])
     def test_collection_and_width(self, tmp_path, monkeypatch, width):
         first, second = tmp_path / "a.svm", tmp_path / "b.svm"

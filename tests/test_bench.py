@@ -12,9 +12,10 @@ from dro_crm import (ContractViolation, ExperimentConfig, PolicyParams,
                      paired_t_test_one_tailed, replay_sweep, run_experiment,
                      run_single, synthetic_multilabel, save_multilabel_svmlight)
 from dro_crm import bench
-from dro_crm.bench import RESULTS_HEADER, SWEEP_HEADER, ResultRow, write_sweep_csv
+from dro_crm.bench import RESULTS_HEADER, ResultRow, write_results_csv
 from dro_crm.cli import main
 from dro_crm.objectives import RULES
+from numeric_oracles import t_sf_oracle
 from toy_logs import sample_log
 
 
@@ -31,14 +32,11 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
-def read_sweep_csv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        assert fh.readline().strip() == SWEEP_HEADER
-        for line in fh:
-            d, alg, delta, seed, e, g = line.strip().split(",")
-            rows.append((d, alg, int(delta), int(seed), float(e), float(g)))
-    return rows
+def read_results_csv(path):
+    """The lines after the RESULTS_HEADER line, each as a dict by its names."""
+    header, *lines = read_lines(path)
+    assert header == RESULTS_HEADER
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 def small_config(synth_path, **kw):
@@ -173,15 +171,7 @@ class TestPairedTTest:
         assert res.p_value == pytest.approx(0.05, abs=2e-3)
 
     def test_against_density_integration(self):
-        quad = pytest.importorskip("scipy.integrate")
-
-        def t_sf_oracle(t, dof):
-            c = math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi)
-                                             * math.gamma(dof / 2))
-            val, _ = quad.quad(
-                lambda u: c * (1 + u * u / dof) ** (-(dof + 1) / 2), t, np.inf)
-            return val
-
+        pytest.importorskip("scipy.integrate")
         k = 20
         base = np.arange(k, dtype=float)
         base = (base - base.mean()) / base.std(ddof=1)
@@ -411,12 +401,15 @@ class TestReplaySweep:
         rows = replay_sweep(cfg, deltas=[1, 2])
         assert len(rows) == 2 * 2 * 3
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        back = read_sweep_csv(path)
+        write_results_csv(rows, path)
+        back = read_results_csv(path)
         assert len(back) == len(rows)
         for got, want in zip(back, rows):
-            assert got[:4] == (want.dataset, want.algorithm, want.delta, want.seed)
-            assert got[4] == pytest.approx(want.expected_loss, rel=1e-5)
+            assert (got["dataset"], got["algorithm"], int(got["delta"]), int(got["seed"])
+                    ) == (want.dataset, want.algorithm, want.delta, want.seed)
+            assert float(got["expected_loss"]) == pytest.approx(want.expected_loss, rel=1e-5)
+            assert float(got["greedy_loss"]) == pytest.approx(want.greedy_loss, rel=1e-5)
+            assert (got["hyper_name"], got["status"]) == (want.hyper_name, "ok")
 
     def test_more_replays_do_not_hurt(self, synth_path):
         cfg = small_config(synth_path, algorithms=("cips", "aklcrm"),
@@ -439,6 +432,13 @@ class TestReplaySweep:
     def test_validates_deltas(self, synth_path):
         with pytest.raises(ContractViolation):
             replay_sweep(small_config(synth_path), deltas=[0])
+
+    @pytest.mark.parametrize("deltas", [(2, 2), ()], ids=["repeated", "empty"])
+    def test_rejects_repeated_or_no_deltas(self, synth_path, monkeypatch, deltas):
+        # rejected before any cell runs
+        monkeypatch.setattr(bench, "run_single", None)
+        with pytest.raises(ContractViolation, match="deltas must be distinct and non-empty"):
+            replay_sweep(small_config(synth_path), deltas)
 
 
 def assert_same_rows(got, want):
@@ -547,7 +547,7 @@ class TestSharedSetup:
     @pytest.mark.parametrize("command, flags, cells", [
         ("run", ["--seeds", "0,1", "--delta", "2"],
          [("cips", 2, 0), ("cips", 2, 1), ("poem", 2, 0), ("poem", 2, 1)]),
-        ("sweep", ["--deltas", "1,2", "--sweep-seeds", "0"],
+        ("sweep", ["--deltas", "1,2", "--seeds", "0"],
          [("cips", 1, 0), ("cips", 2, 0), ("poem", 1, 0), ("poem", 2, 0)]),
     ], ids=["run", "sweep"])
     def test_failed_cells_reported(self, monkeypatch, capsys, tmp_path,
@@ -565,7 +565,7 @@ class TestSharedSetup:
 
     @pytest.mark.parametrize("command, flags", [
         ("run", ["--seeds", "0,1", "--delta", "2"]),
-        ("sweep", ["--deltas", "2", "--sweep-seeds", "0,1"]),
+        ("sweep", ["--deltas", "2", "--seeds", "0,1"]),
     ], ids=["run", "sweep"])
     def test_partly_failed_run_exits_0(self, synth_path, monkeypatch, capsys,
                                        tmp_path, command, flags):

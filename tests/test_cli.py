@@ -9,6 +9,7 @@ import dro_crm
 from dro_crm import (DataFormatError, ExperimentConfig, PolicyParams,
                      SupervisedDataset, evaluate_policy, save_bandit_log,
                      save_multilabel_svmlight, synthetic_multilabel)
+from dro_crm import bench
 from dro_crm.bench import _seed_setup
 from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
                          read_config_file)
@@ -104,6 +105,14 @@ class TestConfigFile:
         assert meta["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "")
         assert meta["cpu_count"] == str(os.cpu_count())
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        text = "dataset = a.svm\nseeds = 1..2\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbfdataset")
+        assert read_config_file(bom) == read_config_file(plain)
+
     def test_duplicate_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("dataset = a.svm\ndelta = 4\n# comment\ndelta = 8\n")
@@ -192,22 +201,49 @@ class TestCommands:
         assert (out / "bandit_log.meta").read_bytes() == want[1].read_bytes()
         assert f"n_records = {67 * delta}\n" in want[1].read_text()
 
-    def test_sweep_ignores_seeds_and_delta_entries(self, tmp_path, synth_path):
-        # the sweep sets each cell's seed and replay count from its flags
+    def test_sweep_runs_the_configs_seeds(self, tmp_path, synth_path):
+        # each --deltas value replaces the config's delta
         cfg_file = tmp_path / "sweep.cfg"
         out = tmp_path / "out"
         cfg_file.write_text(
             f"dataset = {synth_path}\n"
             "algorithms = cips\n"
-            "seeds = \n"
-            "delta = 0\n"
+            "seeds = 0,1\n"
+            "delta = 4\n"
             "threads = 1\n"
             "optim_max_iters = 5\n"
             f"out_dir = {out}\n")
-        assert main(["sweep", "--config", str(cfg_file), "--deltas", "1,2",
-                     "--sweep-seeds", "0,1"]) == 0
+        assert main(["sweep", "--config", str(cfg_file), "--deltas", "1,2"]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2
+        assert [line.split(",")[2:4] for line in lines[1:]] == [
+            ["0", "1"], ["1", "1"], ["0", "2"], ["1", "2"]]  # seed, delta
+
+    def test_one_delta_sweep_writes_the_runs_results(self, tmp_path, synth_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text(f"dataset = {synth_path}\nalgorithms = cips,poem\n"
+                            "seeds = 0,1\ngrid_poem = 1e-3,1e-1\n"
+                            "optim_max_iters = 20\nthreads = 1\n")
+        run, sweep = tmp_path / "run", tmp_path / "sweep"
+        assert main(["run", "--config", str(cfg_file), "--delta", "3",
+                     "--out-dir", str(run)]) == 0
+        assert main(["sweep", "--config", str(cfg_file), "--deltas", "3",
+                     "--out-dir", str(sweep)]) == 0
+        assert (sweep / "sweep.csv").read_bytes() == (run / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", []), ("sweep", ["--deltas", "1,2"])], ids=["run", "sweep"])
+    def test_unusable_out_dir_fails_before_any_cell(self, tmp_path, synth_path, capsys,
+                                                    monkeypatch, command, flags):
+        calls = []
+        monkeypatch.setattr(bench, "_seed_setup", lambda *args: calls.append(args))
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main([command, "--dataset", synth_path, "--algorithms", "cips",
+                     "--seeds", "0", "--threads", "1", "--out-dir", str(afile),
+                     *flags]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert calls == []
 
     @pytest.mark.parametrize("shape, message", [
         # the test file is wider than the params' 2 features and bias
@@ -371,6 +407,14 @@ class TestBadNumericInput:
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    def test_sweep_checks_the_configs_delta(self, tmp_path, synth_path, capsys):
+        # as run checks it, although each --deltas value replaces it
+        code, err = self._run(tmp_path, synth_path, capsys, "delta = 0\n", "sweep",
+                              ["--deltas", "1,2"])
+        assert code == 2
+        assert err.startswith("error:") and "delta must be at least 1, got 0" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_convert_negative_seed(self, tmp_path, synth_path, capsys):
         code = main(["convert", "--input", synth_path, "--out", str(tmp_path / "conv"),
                      "--seed", "-1"])
@@ -380,12 +424,16 @@ class TestBadNumericInput:
 
     @pytest.mark.parametrize("flags, message", [
         (["--deltas", "four"], "--deltas needs distinct integers, got 'four'"),
-        (["--deltas", ""], "--deltas needs distinct integers, got ''"),
-        (["--deltas", "2,1..2"], "--deltas needs distinct integers, got '2,1..2'"),
-        (["--deltas", "2", "--sweep-seeds", "0..x"], "--sweep-seeds needs distinct integers"),
-        (["--deltas", "2", "--sweep-seeds", "1,1"], "--sweep-seeds needs distinct integers"),
+        (["--deltas", ""], "deltas must be distinct and non-empty, got ()"),
+        (["--deltas", "2,1..2"], "deltas must be distinct and non-empty, got (2, 1, 2)"),
+        (["--deltas", "2", "--seeds", "0..x"], "config key 'seeds': cannot parse '0..x'"),
+        (["--deltas", "2", "--seeds", "1,1"], "seeds must be distinct"),
+        (["--deltas", "1,1"], "deltas must be distinct and non-empty, got (1, 1)"),
+        (["--deltas", "0"], "delta must be at least 1, got 0"),
     ])
-    def test_bad_sweep_flag(self, tmp_path, synth_path, capsys, flags, message):
+    def test_bad_sweep_flag(self, tmp_path, synth_path, capsys, monkeypatch,
+                            flags, message):
+        monkeypatch.setattr(bench, "_seed_setup", None)  # no cell runs
         code, err = self._run(tmp_path, synth_path, capsys, "", "sweep", flags)
         assert code == 2
         assert err.startswith("error:") and message in err

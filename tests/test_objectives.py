@@ -11,6 +11,7 @@ from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
 from dro_crm.bandit import SupervisedDataset
 from dro_crm.objectives import RULES, rule_for
 from gather_kernel import gather_report
+from numeric_oracles import fd_gradient
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
 
@@ -18,16 +19,6 @@ from toy_logs import one_feature_log, sample_log
 def two_point_log():
     """Losses [1, 0] at theta = 0: a zero feature, propensities 0.5."""
     return one_feature_log([0.0, 0.0], [[1], [0]], [0.5, 0.5], [1.0, 0.0], 2.0)
-
-
-def fd_gradient(fun, theta, h=1e-5):
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        g[i] = (fun(tp) - fun(tm)) / (2 * h)
-    return g
 
 
 def rel_err(a, b):
