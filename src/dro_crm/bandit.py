@@ -17,7 +17,6 @@ passes the log holds.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,6 +43,8 @@ class SupervisedDataset:
             raise ContractViolation("X and Y must be matrices with equal row counts")
         if not np.all(np.isfinite(self.X)):
             raise ContractViolation("features must be finite")
+        if not np.all((self.Y == 0.0) | (self.Y == 1.0)):
+            raise ContractViolation("labels must be 0/1 bit vectors")
 
     @property
     def n_examples(self) -> int:
@@ -75,14 +76,15 @@ _COST_OFFSET = -1.0        # logged cost = hamming / q + _COST_OFFSET
 # svmlight-style multilabel text format
 # ---------------------------------------------------------------------------
 
-# A file is parsed this many lines at a time, so that no more than one
-# block's joined tokens are held at once.
-_BLOCK_LINES = 256
+# A block of lines ends at the line that takes its text to this many
+# characters (about 38 Scene-shaped lines of 6.8 KB), so that no more than
+# one block's joined tokens are held at once.
+_BLOCK_CHARS = 2 ** 18
 # What the fast path lets a feature value hold besides digits; a block with
 # any other byte in a token goes to the line grammar.
 _VALUE_BYTES = b"+-.eE"
-# Larger feature indices go to the line grammar, so the fast path's row keys
-# (row * _MAX_INDEX + index) are exact.
+# Larger feature indices go to the line grammar, so the fast path's indices
+# - 1 fit int32 and its row keys (row * _MAX_INDEX + index) are exact.
 _MAX_INDEX = 2 ** 31
 
 
@@ -130,20 +132,22 @@ def _parse_line(path, lineno: int, raw: str):
 
 def _parse_lines(path, block):
     """A block of (line number, line) pairs read by the line grammar:
-    (label ids per example, rows, feature indices - 1, values)."""
-    labels, rows, cols, vals = [], [], [], []
+    (label ids per example, feature counts per example, feature indices - 1,
+    values).  The indices are int32 when they fit, else kept exact for the
+    loader's width error."""
+    labels, counts, cols, vals = [], [], [], []
     for lineno, raw in block:
         parsed = _parse_line(path, lineno, raw)
         if parsed is not None:
-            rows += [len(labels)] * len(parsed[1])
             labels.append(parsed[0])
+            counts.append(len(parsed[1]))
             cols += parsed[1]
             vals += parsed[2]
     try:
-        cols = np.array(cols, dtype=np.intp)
-    except OverflowError:  # kept exact, for the loader's width error
+        cols = np.array(cols, dtype=np.int32 if max(cols, default=0) < _MAX_INDEX else np.intp)
+    except OverflowError:
         cols = np.array(cols, dtype=object)
-    return labels, np.array(rows, dtype=np.intp), cols, np.array(vals, dtype=np.float64)
+    return labels, np.array(counts, dtype=np.intp), cols, np.array(vals, dtype=np.float64)
 
 
 def _parse_block(block):
@@ -187,25 +191,49 @@ def _parse_block(block):
     idx, vals = nums[0::2], nums[1::2]
     if not (np.all(np.isfinite(vals)) and np.all((idx >= 1) & (idx <= _MAX_INDEX))):
         return None
-    rows = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    cols = idx.astype(np.intp) - 1
-    if np.any(np.diff(rows * _MAX_INDEX + cols) <= 0):
+    counts = np.array(counts, dtype=np.intp)
+    cols = (idx - 1).astype(np.int32)
+    if np.any(np.diff(_rows(0, counts) * _MAX_INDEX + cols) <= 0):
         return None
-    return labels, rows, cols, vals
+    return labels, counts, cols, vals.copy()  # the copy lets `nums` go
+
+
+def _rows(start: int, counts: np.ndarray) -> np.ndarray:
+    """The example of each value of a block whose first example is `start`."""
+    return np.repeat(np.arange(start, start + counts.size), counts)
+
+
+def _blocks(lines):
+    """The (line number, line) pairs in lists, each ending at the line that
+    takes its text to _BLOCK_CHARS characters."""
+    block, chars = [], 0
+    for item in lines:
+        block.append(item)
+        chars += len(item[1])
+        if chars >= _BLOCK_CHARS:
+            yield block
+            block, chars = [], 0
+    if block:
+        yield block
 
 
 def _read_svmlight(path):
-    """One file's label ids per example and its (rows, feature indices - 1,
-    values) per block of lines."""
+    """One file's label ids per example and, per block of lines, its first
+    example, feature counts per example, feature indices - 1 and values."""
     labels, feats = [], []
-    lines = utf8_lines(path)
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        block_labels, rows, cols, vals = _parse_block(block) or _parse_lines(path, block)
-        feats.append((rows + len(labels), cols, vals))
+    for block in _blocks(utf8_lines(path)):
+        block_labels, *arrays = _parse_block(block) or _parse_lines(path, block)
+        feats.append((len(labels), *arrays))
         labels += block_labels
     if not labels:
         raise DataFormatError(f"{path}: no examples")
     return labels, feats
+
+
+def _widen(A: np.ndarray, width: int) -> np.ndarray:
+    """A zero-padded on the right to `width` columns, or A itself when it is
+    that wide already."""
+    return A if A.shape[1] == width else np.pad(A, [(0, 0), (0, width - A.shape[1])])
 
 
 def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
@@ -221,9 +249,13 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
     collection, zero-padded where a file never uses the top ids;
     `n_features` sets the width instead, and a larger index is an error.
 
-    Each file is read a block of lines at a time by `_parse_block`; a block it
-    does not take is read by the line grammar, `_parse_line`, which gives
-    the same arrays or the line-numbered error.
+    Each file is read a block of lines at a time, a block ending at the line
+    that takes its text to _BLOCK_CHARS characters, by `_parse_block`; a
+    block it does not take is read by the line grammar, `_parse_line`, which
+    gives the same arrays or the line-numbered error.  Until its matrices are
+    filled, a file is held as its label ids and, per block, the feature
+    counts per example, int32 feature indices and float64 values: 12 bytes a
+    value.
     """
     shift, arrays = None, []
     for path in paths:
@@ -233,7 +265,7 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
             shift = 1 if min(ids, default=0) > 0 else 0
         q = max(ids, default=shift - 1) - shift + 1
         d = n_features if n_features is not None else 1 + max(
-            (int(cols.max()) for _, cols, _ in feats if cols.size), default=-1)
+            (int(cols.max()) for _, _, cols, _ in feats if cols.size), default=-1)
         try:
             X = np.zeros((len(labels), d))
         except (MemoryError, ValueError) as exc:  # numpy's refusals of such a width
@@ -251,7 +283,8 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
         # the first bad row is reported, its labels before its features
         low = next(((r, lab) for r, ls in enumerate(labels) for lab in ls if lab < shift),
                    None)
-        wide = next(((int(rows[k]), int(cols[k]) + 1) for rows, cols, _ in feats
+        wide = next(((int(_rows(start, counts)[k]), int(cols[k]) + 1)
+                     for start, counts, cols, _ in feats
                      for k in np.flatnonzero(cols >= d)[:1]), None)
         if low and not (wide and wide[0] < low[0]):
             raise DataFormatError(f"{path}: label {low[1]} below the first id {shift}")
@@ -260,17 +293,15 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
         for r, ls in enumerate(labels):
             for lab in ls:
                 Y[r, lab - shift] = 1.0
-        for rows, cols, vals in feats:
-            X[rows, cols] = vals
+        for start, counts, cols, vals in feats:
+            X[_rows(start, counts), cols] = vals
         arrays.append((X, Y))
         del feats  # one file's arrays at a time bounds the parse's memory
     d = max(X.shape[1] for X, _ in arrays)
     q = max(Y.shape[1] for _, Y in arrays)
     if q == 0:  # no policy can be fitted or scored on no labels
         raise DataFormatError(f"{paths[0]}: no label ids")
-    return [SupervisedDataset(np.pad(X, [(0, 0), (0, d - X.shape[1])]),
-                              np.pad(Y, [(0, 0), (0, q - Y.shape[1])]))
-            for X, Y in arrays]
+    return [SupervisedDataset(_widen(X, d), _widen(Y, q)) for X, Y in arrays]
 
 
 def save_multilabel_svmlight(ds: SupervisedDataset, path) -> None:
@@ -278,12 +309,14 @@ def save_multilabel_svmlight(ds: SupervisedDataset, path) -> None:
     label ids, and a row with no label and no nonzero feature as "1:0.0",
     since the loader skips blank lines.  Label ids are always 0-based, so
     that splits saved apart read back together; a lone file whose label 0 is
-    never set reads back as 1-based, one label short."""
+    never set reads back as 1-based, one label short.  Rows are formatted
+    and written one at a time, so no more than one row is held as Python
+    floats."""
     keys = [f"{i}:" for i in range(1, ds.n_features + 1)]
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y in zip(ds.X.tolist(), ds.Y.tolist()):
-            labels = ",".join([str(j) for j, v in enumerate(y) if v])
-            feats = " ".join([k + repr(v) for k, v in zip(keys, x) if v != 0.0])
+        for x, y in zip(ds.X, ds.Y):
+            labels = ",".join([str(j) for j, v in enumerate(y.tolist()) if v])
+            feats = " ".join([k + repr(v) for k, v in zip(keys, x.tolist()) if v != 0.0])
             fh.write((f"{labels} {feats}".rstrip() or "1:0.0") + "\n")
 
 
@@ -369,7 +402,11 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     Pass d draws its (n_examples, q) uniforms as
     ``default_rng((seed, stream, d)).random((n_examples, q))``, so a log of
     delta passes begins with the log of fewer, and the train and validation
-    logs (streams 0 and 1) draw apart."""
+    logs (streams 0 and 1) draw apart.  Each pass's actions are written into
+    the log's (delta * n_examples, q) action matrix as they are drawn, and
+    the costs count the disagreements of the 0/1 actions and labels on
+    booleans, so every other (delta, n_examples, q) array it builds holds
+    booleans, one byte an entry."""
     if delta < 1:
         raise ContractViolation("replay count must be at least 1")
     if seed < 0 or stream < 0:
@@ -379,10 +416,12 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     U, e, softplus = logit_terms(logits_matrix(logger, train.X))
     probs = _sigmoid_from(U, e)
     # passes[d, i] is the action of record (replay d, example i)
-    passes = np.stack([np.random.default_rng((seed, stream, d)).random((n_ex, q)) < probs
-                       for d in range(delta)]).astype(np.float64)
+    passes = np.empty((delta, n_ex, q))
+    for d in range(delta):
+        passes[d] = np.random.default_rng((seed, stream, d)).random((n_ex, q)) < probs
     log_p = log_prob(passes, U, softplus)  # the kernel's log pi at the logger
-    raw_cost = np.abs(passes - train.Y).sum(axis=2).ravel()
+    # actions and labels are 0/1, so the Hamming distance counts disagreements
+    raw_cost = (passes != train.Y).sum(axis=2).ravel()
     costs = raw_cost * (1.0 / q) + _COST_OFFSET
     clip_m = compute_clip_constant(np.exp(log_p))
     return BanditLog(train.X, passes.reshape(-1, q), log_p, costs, clip_m)

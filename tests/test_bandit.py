@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,18 @@ class TestSvmlightFormat:
         path = tmp_path / "rt.svm"
         save_multilabel_svmlight(ds, path)
         assert path.read_text() == "0,2 2:1.5\n1:0.0\n2 1:2.0\n"
+        [back] = load_multilabel_svmlight(path)
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
+
+    def test_writer_bytes_on_edge_rows(self, tmp_path):
+        # an empty row, a label-only row, features without a label, and -0.0
+        # (not written: it equals 0.0), 1e-300 and 1e300
+        ds = SupervisedDataset(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                         [0.5, 0.0, 0.0], [-0.0, 1e-300, 1e300]]),
+                               np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]))
+        path = tmp_path / "edge.svm"
+        save_multilabel_svmlight(ds, path)
+        assert path.read_bytes() == b"1:0.0\n0,1\n 1:0.5\n1 2:1e-300 3:1e+300\n"
         [back] = load_multilabel_svmlight(path)
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
 
@@ -294,6 +307,49 @@ class TestSvmlightBlockPath:
         second.write_text("1 2:0.5 5:1 3000000000:0\n0 1:4.0\n")
         fast, slow = _both_paths(monkeypatch, [first, second], n_features=width)
         assert fast == slow
+
+    def test_both_grammars_give_the_same_compact_block(self, tmp_path):
+        ds = synthetic_multilabel(40, 294, 6, seed=3)
+        ds.X[ds.X < -1.0] = 0.0
+        ds.X[7] = 0.0
+        ds.Y[9] = 0.0
+        path = tmp_path / "scene.svm"
+        save_multilabel_svmlight(ds, path)
+        block = list(utf8_lines(path))
+        fast, slow = bandit._parse_block(block), bandit._parse_lines(path, block)
+        assert fast is not None and fast[0] == slow[0]
+        for a, b in zip(fast[1:], slow[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        labels, counts, cols, vals = fast
+        assert cols.dtype == np.int32 and vals.dtype == np.float64
+        assert counts.tolist() == np.count_nonzero(ds.X, axis=1).tolist()
+
+    @pytest.mark.parametrize("index", [2 ** 31, 2 ** 31 + 1, 2 ** 32 + 5, 2 ** 63])
+    def test_index_beyond_int32_keeps_the_width_error(self, tmp_path, monkeypatch, index):
+        path = tmp_path / "wide.svm"
+        path.write_text(f"0 1:1.0\n1 2:0.5 {index}:2.0\n")
+        fast, slow = _both_paths(monkeypatch, [path], n_features=2)
+        assert fast == slow == f"{path}: feature index {index} exceeds the width 2"
+
+    def test_blocks_end_at_the_text_budget(self, tmp_path, monkeypatch):
+        # Scene-shaped 6.8 KB lines: a block ends at the line that takes its
+        # text to _BLOCK_CHARS, and an error in a later block keeps its line
+        ds = synthetic_multilabel(250, 294, 6, seed=4)
+        path = tmp_path / "scene.svm"
+        save_multilabel_svmlight(ds, path)
+        blocks = list(bandit._blocks(utf8_lines(path)))
+        assert len(blocks) >= 3
+        assert sum(len(b) for b in blocks) == 250
+        for block in blocks[:-1]:
+            chars = [len(raw) for _, raw in block]
+            assert sum(chars) - chars[-1] < bandit._BLOCK_CHARS <= sum(chars)
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow and isinstance(fast, list)
+        lines = path.read_text().splitlines()
+        lines[-2] = lines[-2].replace(":", ":x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow and fast.startswith(f"{path}:249: bad feature token ")
 
     def test_takes_the_writer_output(self, tmp_path):
         # the fast path, not the line grammar, reads what the package writes
@@ -644,3 +700,64 @@ class TestLogValidation:
                 BanditLog(**args)
         with pytest.raises(ContractViolation, match="4 records are not whole replays of 3"):
             BanditLog(np.zeros((3, 2)), Y, logp, costs, 2.0)
+
+
+class TestDatasetValidation:
+    @pytest.mark.parametrize("label", [0.5, math.nan, 2.0, -1.0])
+    def test_labels_must_be_binary(self, label):
+        X = np.zeros((2, 2))
+        SupervisedDataset(X, np.array([[0.0, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ContractViolation, match="labels must be 0/1"):
+            SupervisedDataset(X, np.array([[0.0, 1.0], [label, 1.0]]))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of the memory tracemalloc sees allocated
+    while it runs, above what was allocated when it started."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestDataPathMemory:
+    """Bounds on the data path's temporaries, as tracemalloc counts them
+    (numpy's buffers included).  Each bound has margin both ways: above the
+    peak of a path that holds one block of lines or one row at a time, and
+    below the peak of one that holds a whole file or log in temporaries."""
+
+    def test_reader_peak_is_a_small_multiple_of_its_arrays(self, tmp_path):
+        # a Scene-shaped pair: 1211 + 1196 examples, 294 features, 6 labels;
+        # holding a whole file's intp (row, index) pairs and values peaks at 3.8x
+        full = synthetic_multilabel(1211 + 1196, 294, 6, seed=0)
+        save_multilabel_svmlight(full.subset(np.arange(1211)), tmp_path / "train.svm")
+        save_multilabel_svmlight(full.subset(np.arange(1211, 2407)), tmp_path / "test.svm")
+        pair, peak = _traced_peak(
+            lambda: load_multilabel_svmlight(tmp_path / "train.svm", tmp_path / "test.svm"))
+        assert np.array_equal(pair[0].X, full.X[:1211])
+        arrays = sum(ds.X.nbytes + ds.Y.nbytes for ds in pair)
+        assert peak <= 2.5 * arrays
+
+    def test_writer_peak_does_not_grow_with_rows(self, tmp_path):
+        full = synthetic_multilabel(400, 294, 6, seed=1)
+        small, big = full.subset(np.arange(100)), full
+        _, small_peak = _traced_peak(lambda: save_multilabel_svmlight(small, tmp_path / "s.svm"))
+        _, big_peak = _traced_peak(lambda: save_multilabel_svmlight(big, tmp_path / "b.svm"))
+        assert big_peak <= 1.5 * small_peak
+
+    def test_log_generation_peak_above_its_log(self):
+        # the Scene-shaped train log of a delta-64 run: 908 examples, 294
+        # features and a bias, 6 labels; float64 Hamming temporaries of
+        # (64, 908, 6) put the peak 5.0 MiB above the log's 3.5 MiB
+        ds = append_bias(synthetic_multilabel(908, 294, 6, seed=2))
+        W = 0.1 * np.random.default_rng(2).normal(size=(6, 295))
+        log, peak = _traced_peak(lambda: generate_bandit_log(PolicyParams(W), ds, 64, seed=0))
+        kept = log.Y.nbytes + log.log_propensities.nbytes + log.costs.nbytes
+        assert log.n == 64 * 908
+        assert peak - kept <= 3.5 * 2 ** 20
