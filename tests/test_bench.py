@@ -180,6 +180,22 @@ class TestPairedTTest:
             res = paired_t_test_one_tailed(a, np.zeros(k))
             assert res.p_value == pytest.approx(t_sf_oracle(t_target, 19), abs=1e-8)
 
+    def test_tail_table_against_scipy(self):
+        # both branches of the continued fraction and both signs of t, down
+        # to p near 1e-200
+        stats = pytest.importorskip("scipy.stats")
+        for dof in (*range(1, 41), 99):
+            k = dof + 1
+            base = np.arange(k, dtype=float)
+            base = (base - base.mean()) / base.std(ddof=1)
+            for size in np.logspace(-3, 3, 49):
+                for t_target in (size, -size):
+                    res = paired_t_test_one_tailed(base + t_target / math.sqrt(k),
+                                                   np.zeros(k))
+                    assert res.dof == dof and not res.degenerate
+                    assert res.p_value == pytest.approx(
+                        stats.t.sf(res.t_stat, res.dof), rel=1e-11), (dof, res.t_stat)
+
     def test_input_validation(self):
         with pytest.raises(ContractViolation):
             paired_t_test_one_tailed([1.0], [0.0])
