@@ -269,11 +269,9 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
         try:
             X = np.zeros((len(labels), d))
         except (MemoryError, ValueError) as exc:  # numpy's refusals of such a width
-            if n_features is not None:
-                raise
+            what = f"feature index {d}" if n_features is None else f"the width {d}"
             raise DataFormatError(
-                f"{path}: feature index {d} is too large for a dense feature matrix"
-            ) from exc
+                f"{path}: {what} is too large for a dense feature matrix") from exc
         try:
             Y = np.zeros((len(labels), q))
         except (MemoryError, ValueError) as exc:

@@ -42,7 +42,6 @@ from .objectives import (RULES, BanditLog, ips_risk as ips_validation_score,
                          make_objective, rule_for)
 from .optim import minimize
 from .policy import PolicyParams
-from .special import student_t_sf
 
 ALGORITHMS = tuple(RULES)
 
@@ -219,6 +218,62 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
 # Significance testing
 # ---------------------------------------------------------------------------
 
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta, modified Lentz iteration."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError("incomplete beta continued fraction did not converge")
+
+
+def _t_tail(t: float, dof: int) -> float:
+    """P(T > t) for a Student-t variable with `dof` degrees of freedom: half
+    the regularized incomplete beta I_x(a, b) at a = dof/2, b = 1/2 and
+    x = dof / (dof + t^2) for t >= 0, one less that below.  I_x is the
+    continued fraction in x where x < (a + 1) / (a + b + 2), so it converges
+    fast, else one less the fraction in 1 - x with a and b swapped."""
+    x = dof / (dof + t * t)
+    a, b = 0.5 * dof, 0.5
+    ibeta = x  # I_0 = 0 and I_1 = 1
+    if 0.0 < x < 1.0:
+        front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                         + a * math.log(x) + b * math.log1p(-x))
+        if x < (a + 1.0) / (a + b + 2.0):
+            ibeta = front * _betacf(a, b, x) / a
+        else:
+            ibeta = 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    tail = 0.5 * ibeta
+    return tail if t >= 0.0 else 1.0 - tail
+
+
 @dataclass(frozen=True)
 class TTestResult:
     p_value: float
@@ -243,6 +298,9 @@ def paired_t_test_one_tailed(a: Sequence[float], b: Sequence[float]) -> TTestRes
     k = d.size
     sd = float(d.std(ddof=1))
     mean = float(d.mean())
+    # a non-finite sample, or differences that overflow, has no t statistic
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ContractViolation("paired differences need a finite mean and sd")
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(0.5, 0.0, k - 1, degenerate=True)
@@ -250,7 +308,7 @@ def paired_t_test_one_tailed(a: Sequence[float], b: Sequence[float]) -> TTestRes
                            math.inf if mean > 0.0 else -math.inf,
                            k - 1, degenerate=True)
     t = mean / (sd / math.sqrt(k))
-    return TTestResult(student_t_sf(t, k - 1), t, k - 1)
+    return TTestResult(_t_tail(t, k - 1), t, k - 1)
 
 
 # ---------------------------------------------------------------------------

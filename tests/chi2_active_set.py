@@ -14,8 +14,22 @@ from typing import Tuple
 
 import numpy as np
 
-from dro_crm.divergence import _effectively_constant, _losses, _mean_var
 from dro_crm.errors import ContractViolation
+
+
+def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
+    """z as a checked float64 vector, and its uniform base weights."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size < 1:
+        raise ContractViolation("losses must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(z)):
+        raise ContractViolation("losses must be finite")
+    return z, np.full(z.size, 1.0 / z.size)
+
+
+def _effectively_constant(z: np.ndarray) -> bool:
+    """Spread at roundoff scale: no variance to move the weights with."""
+    return float(z.max() - z.min()) <= 1e-14 * max(1.0, float(np.abs(z).max()))
 
 
 def robust_risk_chi2_active_set(z, epsilon: float) -> Tuple[float, np.ndarray]:
@@ -33,7 +47,8 @@ def robust_risk_chi2_active_set(z, epsilon: float) -> Tuple[float, np.ndarray]:
     z, p = _losses(z)
     if epsilon == 0.0:  # cips: the mean, with no variance to compute
         return float(p @ z), p
-    mean, var = _mean_var(z, p)
+    mean = float(p @ z)
+    var = float(p @ (z - mean) ** 2)
     n = z.size
     if _effectively_constant(z):
         return mean, p

@@ -9,11 +9,10 @@ check the dual against itself.
 """
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from dro_crm.divergence import _effectively_constant, _losses, boltzmann_weights
 from dro_crm.errors import ContractViolation
 
 
@@ -34,6 +33,29 @@ class FixedPointResult(NamedTuple):
     converged: bool
     fell_back: bool
     iterations: int
+
+
+def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
+    """z as a checked float64 vector, and its uniform base weights."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size < 1:
+        raise ContractViolation("losses must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(z)):
+        raise ContractViolation("losses must be finite")
+    return z, np.full(z.size, 1.0 / z.size)
+
+
+def _effectively_constant(z: np.ndarray) -> bool:
+    """Spread at roundoff scale: no temperature to tilt toward."""
+    return float(z.max() - z.min()) <= 1e-14 * max(1.0, float(np.abs(z).max()))
+
+
+def _tilted_weights(z: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+    """p_i exp(z_i/gamma), normalized, with a max shift."""
+    a = z / gamma
+    a -= a.max()
+    w = p * np.exp(a)
+    return w / w.sum()
 
 
 def _kl_dual_value(z: np.ndarray, p: np.ndarray, epsilon: float, gamma: float) -> float:
@@ -87,7 +109,7 @@ def robust_risk_kl_dual(z, epsilon: float) -> KlDualResult:
                               saturated=True)
     if _kl_dual_deriv(z, p, epsilon, hi) <= 0.0:
         risk = _kl_dual_value(z, p, epsilon, hi)
-        return KlDualResult(risk, hi, boltzmann_weights(z, hi), saturated=True)
+        return KlDualResult(risk, hi, _tilted_weights(z, p, hi), saturated=True)
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -99,7 +121,7 @@ def robust_risk_kl_dual(z, epsilon: float) -> KlDualResult:
             break
     gamma = 0.5 * (lo + hi)
     risk = _kl_dual_value(z, p, epsilon, gamma)
-    return KlDualResult(risk, gamma, boltzmann_weights(z, gamma))
+    return KlDualResult(risk, gamma, _tilted_weights(z, p, gamma))
 
 
 def kl_gamma_fixed_point(z, epsilon: float, gamma0: float) -> FixedPointResult:

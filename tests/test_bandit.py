@@ -180,6 +180,10 @@ class TestSvmlightFormat:
         with pytest.raises(DataFormatError,
                            match=f"toy.svm: feature index {2 ** 64} exceeds the width 2"):
             load_multilabel_svmlight(path, n_features=2)
+        # a width no dense matrix can hold, which numpy refuses unallocated
+        path.write_text("0 1:1.0\n")
+        with pytest.raises(DataFormatError, match=f"toy.svm: the width {10 ** 17} is too large"):
+            load_multilabel_svmlight(path, n_features=10 ** 17)
 
     # numpy refuses both widths without allocating: 10^17 doubles exceed any
     # address space, and 2^64 exceeds the largest dimension
@@ -405,6 +409,8 @@ class TestLoggerTraining:
         for alpha in (math.inf, math.nan, 0.0, -0.5):
             with pytest.raises(ContractViolation, match="alpha must be positive and finite"):
                 train_logger(ds, alpha=alpha)
+        with pytest.raises(ContractViolation, match="logger subset must be non-empty"):
+            train_logger(SupervisedDataset(np.zeros((0, 3)), np.zeros((0, 2))))
 
     def test_always_on_label(self):
         X = np.array([[1.0, 1.0]])
@@ -577,6 +583,8 @@ class TestHammingAndClip:
     def test_clip_validates_range(self):
         with pytest.raises(ContractViolation):
             compute_clip_constant(np.array([0.0, 0.5]))
+        with pytest.raises(ContractViolation, match="propensities must be non-empty"):
+            compute_clip_constant([])
 
 
 class TestEvaluation:
@@ -700,6 +708,17 @@ class TestLogValidation:
                 BanditLog(**args)
         with pytest.raises(ContractViolation, match="4 records are not whole replays of 3"):
             BanditLog(np.zeros((3, 2)), Y, logp, costs, 2.0)
+        pinned = [
+            (dict(X=np.zeros(2)), "features and actions must be matrices"),
+            (dict(Y=Y.ravel()), "features and actions must be matrices"),
+            (dict(costs=costs[:3]), "bandit log arrays must agree on length"),
+            (dict(log_propensities=logp[:, None]), "bandit log arrays must agree on length"),
+        ]
+        for override, message in pinned:
+            args = dict(X=X, Y=Y, log_propensities=logp, costs=costs, clip_m=2.0)
+            args.update(override)
+            with pytest.raises(ContractViolation, match=message):
+                BanditLog(**args)
 
 
 class TestDatasetValidation:
@@ -709,6 +728,16 @@ class TestDatasetValidation:
         SupervisedDataset(X, np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(ContractViolation, match="labels must be 0/1"):
             SupervisedDataset(X, np.array([[0.0, 1.0], [label, 1.0]]))
+
+    def test_shapes_and_features_checked(self):
+        Y = np.array([[0.0, 1.0], [1.0, 1.0]])
+        for X, Y_ in ((np.zeros((3, 2)), Y), (np.zeros(2), Y[0]), (np.zeros((2, 2)), Y[0])):
+            with pytest.raises(ContractViolation,
+                               match="X and Y must be matrices with equal row counts"):
+                SupervisedDataset(X, Y_)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractViolation, match="features must be finite"):
+                SupervisedDataset(np.array([[0.0, 1.0], [bad, 1.0]]), Y)
 
 
 def _traced_peak(fn):

@@ -201,6 +201,17 @@ class TestPairedTTest:
             paired_t_test_one_tailed([1.0], [0.0])
         with pytest.raises(ContractViolation):
             paired_t_test_one_tailed([1.0, 2.0], [0.0])
+        # a non-finite sample in either vector, and finite samples whose
+        # differences, or the differences' mean, overflow
+        cases = [pair for bad in (math.nan, math.inf, -math.inf)
+                 for pair in (([1.0, bad, 3.0], [0.0, 1.0, 2.0]),
+                              ([0.0, 1.0, 2.0], [1.0, 2.0, bad]))]
+        cases += [([1e308, -1e308, 0.0], [-1e308, 1e308, 0.0]),
+                  ([1.7e308, 1.7e308, 1.6e308], [0.0, 0.0, 0.0])]
+        for a, b in cases:
+            with pytest.raises(ContractViolation, match="need a finite mean and sd"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                paired_t_test_one_tailed(a, b)
 
 
 class TestRunSingle:

@@ -119,6 +119,12 @@ class TestConfigFile:
         with pytest.raises(DataFormatError, match=r":4: key 'delta' repeats line 2"):
             read_config_file(cfg_file)
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("dataset = a.svm\n# comment\ndelta 4\n")
+        with pytest.raises(DataFormatError, match=r"exp.cfg:3: expected 'key = value'"):
+            read_config_file(cfg_file)
+
     def test_flag_overrides_file_entry(self, tmp_path, synth_path):
         cfg_file = tmp_path / "exp.cfg"
         out = tmp_path / "out"
@@ -326,6 +332,17 @@ class TestCommands:
                      "--seeds", "0", "--out-dir", str(tmp_path / "run")]) == 1
         message = f"DataFormatError: {path}: feature index {index} is too large"
         assert message in capsys.readouterr().err
+
+    def test_eval_params_too_wide_for_a_dense_test_matrix(self, tmp_path, synth_path,
+                                                          capsys):
+        # the weights hold no bytes, but numpy refuses the test matrix's
+        # 10^17 - 1 columns without allocating
+        params_path = tmp_path / "p.npz"
+        np.savez(params_path, weights=np.zeros((0, 10 ** 17)))
+        assert main(["eval", "--params", str(params_path), "--test", synth_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"synth.svm: the width {10 ** 17 - 1} is too large" in err
 
     @pytest.mark.parametrize("label", [10 ** 17, 2 ** 63])
     def test_huge_label_id(self, tmp_path, capsys, label):

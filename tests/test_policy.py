@@ -59,6 +59,13 @@ class TestLogits:
     def test_dimension_check(self):
         with pytest.raises(ContractViolation):
             row_logits(PolicyParams.zeros(2, 3), np.ones(4))
+        for weights in (np.zeros(3), np.zeros((1, 2, 3))):
+            with pytest.raises(ContractViolation,
+                               match=r"weights must be a \(labels x features\) matrix"):
+                PolicyParams(weights)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ContractViolation, match="weights must be finite"):
+                PolicyParams(np.array([[0.0, bad]]))
 
 
 class TestLogProb:
