@@ -18,7 +18,6 @@ passes the log holds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -103,14 +102,9 @@ def _label_ids(label_tok: str) -> List[int]:
     return [int(t) for t in label_tok.split(",") if t != ""]
 
 
-def _parse_line(path, lineno: int, raw: str):
-    """The grammar of one line: None for a blank or comment-only line, else
-    (label ids, feature indices - 1, values); an index given twice keeps its
-    last value."""
-    split = _split_line(raw)
-    if split is None:
-        return None
-    label_tok, feats_text = split
+def _parse_line(path, lineno: int, label_tok: str, feats_text: str):
+    """The grammar of one split line: (label ids, feature indices - 1,
+    values); an index given twice keeps its last value."""
     try:
         labels = _label_ids(label_tok)
     except ValueError as exc:
@@ -131,18 +125,17 @@ def _parse_line(path, lineno: int, raw: str):
 
 
 def _parse_lines(path, block):
-    """A block of (line number, line) pairs read by the line grammar:
-    (label ids per example, feature counts per example, feature indices - 1,
-    values).  The indices are int32 when they fit, else kept exact for the
-    loader's width error."""
+    """A block of (line number, label token, feature text) triples read by
+    the line grammar: (label ids per example, feature counts per example,
+    feature indices - 1, values).  The indices are int32 when they fit, else
+    kept exact for the loader's width error."""
     labels, counts, cols, vals = [], [], [], []
-    for lineno, raw in block:
-        parsed = _parse_line(path, lineno, raw)
-        if parsed is not None:
-            labels.append(parsed[0])
-            counts.append(len(parsed[1]))
-            cols += parsed[1]
-            vals += parsed[2]
+    for line in block:
+        line_labels, line_cols, line_vals = _parse_line(path, *line)
+        labels.append(line_labels)
+        counts.append(len(line_cols))
+        cols += line_cols
+        vals += line_vals
     try:
         cols = np.array(cols, dtype=np.int32 if max(cols, default=0) < _MAX_INDEX else np.intp)
     except OverflowError:
@@ -152,40 +145,35 @@ def _parse_lines(path, block):
 
 def _parse_block(block):
     """The same as `_parse_lines`, read with bytes operations and one
-    np.fromstring, or None when a line needs the line grammar: a label list
-    that is not integers, a feature token that is not ASCII digits, ":" and a
-    plain decimal number, whitespace other than one space between tokens, an
-    index below 1 or above _MAX_INDEX, a non-finite value, or indices that do
-    not strictly ascend within a line."""
+    np.loadtxt of the joined feature text, or None when a line needs the line
+    grammar: a label list that is not integers, a feature token that is not
+    ASCII digits, ":" and a plain decimal number, whitespace other than one
+    space between tokens, an index below 1 or above _MAX_INDEX, a non-finite
+    value, or indices that do not strictly ascend within a line."""
     labels, counts, texts = [], [], []
-    for _, raw in block:
-        split = _split_line(raw)
-        if split is None:
-            continue
+    for _, label_tok, feats_text in block:
         try:
-            labels.append(_label_ids(split[0]))
+            labels.append(_label_ids(label_tok))
         except ValueError:
             return None
-        counts.append(split[1].count(":"))
-        if split[1]:
-            texts.append(split[1])
-    body = " ".join(texts).encode()
+        counts.append(feats_text.count(":"))
+        if feats_text:
+            texts.append(feats_text)
+    text = " ".join(texts)
     n = sum(counts)
     # With the digits gone, the separators must read ": : ... :" (every
     # token holds one ":" and only digits and _VALUE_BYTES, one space apart),
     # and every ":" must follow a space or the start (every index is digits).
     # An empty index or value shows as a short count below.
-    seps = body.translate(None, b"0123456789")
+    seps = text.encode().translate(None, b"0123456789")
     if (seps.translate(None, _VALUE_BYTES) != (b": " * n)[:-1]
             or seps.count(b" :") + seps.startswith(b":") != n):
         return None
-    with warnings.catch_warnings():
-        # numpy < 2 warns and returns a short array where numpy 2 raises
-        warnings.simplefilter("error")
-        try:
-            nums = np.fromstring(body.replace(b":", b" "), sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
+    try:  # any text, since a colon-free line such as "0 5" passes with n = 0
+        nums = (np.loadtxt([text.replace(":", " ")], delimiter=" ", ndmin=1)
+                if text else np.empty(0))
+    except ValueError:
+        return None
     if nums.size != 2 * n:
         return None
     idx, vals = nums[0::2], nums[1::2]
@@ -222,6 +210,7 @@ def _read_svmlight(path):
     example, feature counts per example, feature indices - 1 and values."""
     labels, feats = [], []
     for block in _blocks(utf8_lines(path)):
+        block = [(lineno, *parts) for lineno, raw in block if (parts := _split_line(raw))]
         block_labels, *arrays = _parse_block(block) or _parse_lines(path, block)
         feats.append((len(labels), *arrays))
         labels += block_labels
@@ -250,12 +239,13 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
     `n_features` sets the width instead, and a larger index is an error.
 
     Each file is read a block of lines at a time, a block ending at the line
-    that takes its text to _BLOCK_CHARS characters, by `_parse_block`; a
-    block it does not take is read by the line grammar, `_parse_line`, which
-    gives the same arrays or the line-numbered error.  Until its matrices are
-    filled, a file is held as its label ids and, per block, the feature
-    counts per example, int32 feature indices and float64 values: 12 bytes a
-    value.
+    that takes its text to _BLOCK_CHARS characters.  Each line is split once
+    into its label token and feature text, blank and comment lines dropped,
+    and the block is read by `_parse_block`; a block it does not take is read
+    by the line grammar, `_parse_line`, which gives the same arrays or the
+    line-numbered error.  Until its matrices are filled, a file is held as
+    its label ids and, per block, the feature counts per example, int32
+    feature indices and float64 values: 12 bytes a value.
     """
     shift, arrays = None, []
     for path in paths:

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import zipfile
+import zlib
 from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
@@ -190,7 +191,9 @@ def cmd_convert(args) -> int:
 
 
 def _load_params(path) -> PolicyParams:
-    """Policy parameters from the real numeric 'weights' array of an .npz archive."""
+    """Policy parameters from the real numeric 'weights' array of an .npz
+    archive; a file that is not one, or whose 'weights' cannot be read, is a
+    DataFormatError naming the file."""
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -204,6 +207,9 @@ def _load_params(path) -> PolicyParams:
             weights = data["weights"]
         except ValueError:  # an object array, which only pickle could load
             weights = None
+        except (zipfile.BadZipFile, zlib.error, MemoryError) as exc:
+            # a bad CRC-32 or deflate stream, or a shape numpy cannot allocate
+            raise DataFormatError(f"{path}: damaged 'weights' array ({exc})") from None
     if weights is None or weights.dtype.kind not in "iuf":
         raise DataFormatError(f"{path}: 'weights' is not a real numeric array")
     return PolicyParams(weights)

@@ -115,16 +115,25 @@ class TestSvmlightFormat:
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
 
     def test_writer_bytes_on_edge_rows(self, tmp_path):
-        # an empty row, a label-only row, features without a label, and -0.0
-        # (not written: it equals 0.0), 1e-300 and 1e300
-        ds = SupervisedDataset(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                                         [0.5, 0.0, 0.0], [-0.0, 1e-300, 1e300]]),
-                               np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]]))
+        # an empty row, a label-only row, features without a label, -0.0
+        # (not written: it equals 0.0), 1e-300 and 1e300, and decimals whose
+        # conversion must round correctly: the least subnormal, the least
+        # normal, the largest finite and two last-bit neighbours
+        hard = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                0.30000000000000004, -1.0000000000000002]
+        ds = SupervisedDataset(np.array([[0.0] * 5, [0.0] * 5, [0.5] + [0.0] * 4,
+                                         [-0.0, 1e-300, 1e300, 0.0, 0.0], hard]),
+                               np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0],
+                                         [1.0, 0.0]]))
         path = tmp_path / "edge.svm"
         save_multilabel_svmlight(ds, path)
-        assert path.read_bytes() == b"1:0.0\n0,1\n 1:0.5\n1 2:1e-300 3:1e+300\n"
+        assert path.read_bytes() == (
+            b"1:0.0\n0,1\n 1:0.5\n1 2:1e-300 3:1e+300\n"
+            b"0 1:5e-324 2:2.2250738585072014e-308 3:1.7976931348623157e+308"
+            b" 4:0.30000000000000004 5:-1.0000000000000002\n")
         [back] = load_multilabel_svmlight(path)
         assert np.array_equal(back.X, ds.X) and np.array_equal(back.Y, ds.Y)
+        assert back.X[4].tobytes() == np.array(hard).tobytes()
 
     def test_splits_saved_apart_read_back_together(self, tmp_path):
         # the test split never sets label 0; ids stay 0-based in both files
@@ -261,6 +270,13 @@ def _both_paths(monkeypatch, paths, **kwargs):
     return fast, slow
 
 
+def _split_lines(path):
+    """A file's lines as the loader hands them to either grammar: (line
+    number, label token, feature text), blank and comment lines dropped."""
+    return [(lineno, *parts) for lineno, raw in utf8_lines(path)
+            if (parts := bandit._split_line(raw))]
+
+
 class TestSvmlightBlockPath:
     @pytest.mark.parametrize("crlf", [False, True])
     @pytest.mark.parametrize("line", _MALFORMED + _VALID)
@@ -279,6 +295,19 @@ class TestSvmlightBlockPath:
         [ds] = load_multilabel_svmlight(path)
         assert ds.X.tolist() == [[0.5, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 4.0, 1.0]]
         assert ds.Y.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+
+    def test_colon_free_lines(self, tmp_path, monkeypatch):
+        # "0 5" passes the block layout with no feature token at all, so only
+        # converting its text refuses it; label-only lines read as empty rows
+        path = tmp_path / "case.svm"
+        path.write_text("0 5\n1\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow == f"{path}:1: bad feature token '5'"
+        path.write_text("0\n1,2\n\n3\n")
+        fast, slow = _both_paths(monkeypatch, [path])
+        assert fast == slow
+        [(_, x_shape, _, y_shape)] = fast
+        assert x_shape == (3, 0) and y_shape == (3, 4)
 
     def test_error_in_a_later_block_keeps_its_line(self, tmp_path, monkeypatch):
         path = tmp_path / "long.svm"
@@ -319,7 +348,7 @@ class TestSvmlightBlockPath:
         ds.Y[9] = 0.0
         path = tmp_path / "scene.svm"
         save_multilabel_svmlight(ds, path)
-        block = list(utf8_lines(path))
+        block = _split_lines(path)
         fast, slow = bandit._parse_block(block), bandit._parse_lines(path, block)
         assert fast is not None and fast[0] == slow[0]
         for a, b in zip(fast[1:], slow[1:]):
@@ -361,7 +390,7 @@ class TestSvmlightBlockPath:
         ds.X[ds.X < -1.0] = 0.0
         path = tmp_path / "w.svm"
         save_multilabel_svmlight(ds, path)
-        blocks = list(utf8_lines(path))
+        blocks = _split_lines(path)
         assert bandit._parse_block(blocks[:256]) is not None
         assert bandit._parse_block(blocks[256:]) is not None
         [back] = load_multilabel_svmlight(path)

@@ -1,4 +1,6 @@
+import io
 import os
+import zipfile
 from dataclasses import replace
 from types import ModuleType
 
@@ -159,6 +161,43 @@ class TestConfigFile:
         assert len(dro_crm.__all__) == 35
 
 
+def _crc_archive(path):
+    # one flipped bit in the data of a stored member: the bytes still hold
+    # valid weights, and only the member's CRC-32 tells
+    weights = np.arange(14.0).reshape(2, 7)
+    buf = io.BytesIO()
+    np.savez(buf, weights=weights)
+    raw = bytearray(buf.getvalue())
+    raw[raw.find(weights.tobytes()) + 8] ^= 1
+    path.write_bytes(raw)
+
+
+def _deflate_archive(path):
+    # the member's deflate stream opens with a final block of the reserved type
+    np.savez_compressed(path, weights=np.arange(14.0).reshape(2, 7))
+    with zipfile.ZipFile(path) as z:
+        at = z.getinfo("weights.npy").header_offset
+    raw = bytearray(path.read_bytes())
+    names = int.from_bytes(raw[at + 26:at + 28], "little")
+    extra = int.from_bytes(raw[at + 28:at + 30], "little")
+    raw[at + 30 + names + extra] = 0xFF
+    path.write_bytes(raw)
+
+
+def _oversize_archive(path):
+    # a header alone that declares 2 PiB, more than a process can map, so
+    # numpy's allocation fails at once and commits no memory
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 48,)})
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("weights.npy", buf.getvalue())
+
+
+_DAMAGED_ARCHIVES = {"crc": _crc_archive, "deflate": _deflate_archive,
+                     "oversize": _oversize_archive}
+
+
 class TestCommands:
     def test_run_writes_outputs(self, tmp_path, synth_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -296,10 +335,12 @@ class TestCommands:
         assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
 
     @pytest.mark.parametrize("kind", ["no_weights", "text", "npy", "object", "str",
-                                      "complex"])
+                                      "complex", "crc", "deflate", "oversize"])
     def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
         path = tmp_path / "p.npz"
-        if kind == "no_weights":
+        if kind in _DAMAGED_ARCHIVES:
+            _DAMAGED_ARCHIVES[kind](path)
+        elif kind == "no_weights":
             np.savez(path, other=np.zeros((2, 7)))
         elif kind == "text":
             path.write_text("weights = 0\n")
