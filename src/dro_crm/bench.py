@@ -218,58 +218,33 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
 # Significance testing
 # ---------------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz iteration."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
 def _t_tail(t: float, dof: int) -> float:
     """P(T > t) for a Student-t variable with `dof` degrees of freedom: half
     the regularized incomplete beta I_x(a, b) at a = dof/2, b = 1/2 and
-    x = dof / (dof + t^2) for t >= 0, one less that below.  I_x is the
-    continued fraction in x where x < (a + 1) / (a + b + 2), so it converges
-    fast, else one less the fraction in 1 - x with a and b swapped."""
-    x = dof / (dof + t * t)
+    x = dof / (dof + t^2) for t >= 0, one less that below.  Where
+    x < (a + 1) / (a + b + 2), I_x is x^a (1 - x)^b / (a B(a, b)) times the
+    series sum_n (a + b)_n / (a + 1)_n x^n (DLMF 8.17.8), else one less the
+    same in 1 - x with a and b swapped.  Either way the term ratio
+    (a + b + n) / (a + 1 + n) x is below 1 from the first term, so the terms
+    are positive and fall; the sum stops at the first below 1e-17 of it."""
+    x, y = dof / (dof + t * t), t * t / (dof + t * t)  # y = 1 - x, not cancelled
     a, b = 0.5 * dof, 0.5
     ibeta = x  # I_0 = 0 and I_1 = 1
     if 0.0 < x < 1.0:
         front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                         + a * math.log(x) + b * math.log1p(-x))
-        if x < (a + 1.0) / (a + b + 2.0):
-            ibeta = front * _betacf(a, b, x) / a
-        else:
-            ibeta = 1.0 - front * _betacf(b, a, 1.0 - x) / b
+                         + a * math.log(x) + b * math.log(y))
+        swap = x >= (a + 1.0) / (a + b + 2.0)
+        if swap:
+            a, b, x = b, a, y
+        term = total = 1.0
+        n = 0
+        while term >= 1e-17 * total:
+            term *= (a + b + n) / (a + 1.0 + n) * x
+            total += term
+            n += 1
+        ibeta = front * total / a
+        if swap:
+            ibeta = 1.0 - ibeta
     tail = 0.5 * ibeta
     return tail if t >= 0.0 else 1.0 - tail
 

@@ -36,7 +36,10 @@ def _parse_int_list(text: str):
     out = []
     for part in _list(str)(text):
         lo, dots, hi = part.partition("..")
-        out.extend(range(int(lo), int(hi if dots else lo) + 1))
+        try:
+            out.extend(range(int(lo), int(hi if dots else lo) + 1))
+        except (OverflowError, MemoryError):  # a range too long to hold
+            raise ValueError(part) from None
     return tuple(out)
 
 
@@ -192,25 +195,33 @@ def cmd_convert(args) -> int:
 
 def _load_params(path) -> PolicyParams:
     """Policy parameters from the real numeric 'weights' array of an .npz
-    archive; a file that is not one, or whose 'weights' cannot be read, is a
+    archive.  A file that is not one, a 'weights' whose .npy header names
+    another dtype, or one whose header or data cannot be read, is a
     DataFormatError naming the file."""
     try:
-        data = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):  # also a plain .npy array
-        raise DataFormatError(f"{path}: not an .npz archive")
-    with data:
-        if "weights" not in data.files:
+        archive = zipfile.ZipFile(path)
+    except (ValueError, NotImplementedError, zipfile.BadZipFile):  # also a plain .npy
+        raise DataFormatError(f"{path}: not an .npz archive") from None
+    with archive:
+        names = archive.namelist()
+        member = "weights" if "weights" in names else "weights.npy"  # as np.load picks
+        if member not in names:
             raise DataFormatError(f"{path}: no 'weights' array")
+        fmt = np.lib.format
         try:
-            weights = data["weights"]
-        except ValueError:  # an object array, which only pickle could load
-            weights = None
-        except (zipfile.BadZipFile, zlib.error, MemoryError) as exc:
-            # a bad CRC-32 or deflate stream, or a shape numpy cannot allocate
+            with archive.open(member) as fh:
+                read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
+                               else fmt.read_array_header_2_0)
+                real = read_header(fh)[2].kind in "iuf"  # not object, str or complex
+                fh.seek(0)
+                weights = fmt.read_array(fh) if real else None
+        except (ValueError, EOFError, OSError, MemoryError, NotImplementedError,
+                RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+            # a cut-short member, a bad CRC-32 or deflate stream, a bad offset,
+            # an unsupported compression method or encryption, or a shape
+            # numpy cannot allocate
             raise DataFormatError(f"{path}: damaged 'weights' array ({exc})") from None
-    if weights is None or weights.dtype.kind not in "iuf":
+    if weights is None:
         raise DataFormatError(f"{path}: 'weights' is not a real numeric array")
     return PolicyParams(weights)
 

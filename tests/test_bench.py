@@ -181,14 +181,15 @@ class TestPairedTTest:
             assert res.p_value == pytest.approx(t_sf_oracle(t_target, 19), abs=1e-8)
 
     def test_tail_table_against_scipy(self):
-        # both branches of the continued fraction and both signs of t, down
-        # to p near 1e-200
+        # both branches of the incomplete beta's series, the t of the branch
+        # threshold x = (a + 1) / (a + b + 2), where the series needs the most
+        # terms, and both signs of t, down to p near 1e-200
         stats = pytest.importorskip("scipy.stats")
-        for dof in (*range(1, 41), 99):
+        for dof in (*range(1, 41), 99, 999):
             k = dof + 1
             base = np.arange(k, dtype=float)
             base = (base - base.mean()) / base.std(ddof=1)
-            for size in np.logspace(-3, 3, 49):
+            for size in (*np.logspace(-3, 3, 49), math.sqrt(3.0 * dof / (dof + 2.0))):
                 for t_target in (size, -size):
                     res = paired_t_test_one_tailed(base + t_target / math.sqrt(k),
                                                    np.zeros(k))

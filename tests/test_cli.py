@@ -194,8 +194,29 @@ def _oversize_archive(path):
         z.writestr("weights.npy", buf.getvalue())
 
 
+def _truncated_archive(path):
+    # a member whose last 8 bytes are missing: its CRC-32 and sizes hold, but
+    # the header declares one more float than the data carries
+    buf = io.BytesIO()
+    np.save(buf, np.arange(14.0).reshape(2, 7))
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("weights.npy", buf.getvalue()[:-8])
+
+
+def _patched_archive(path, offset, value):
+    # a valid archive whose one central-directory entry has the 2-byte field
+    # at `offset` set to `value`
+    np.savez(path, weights=np.arange(14.0).reshape(2, 7))
+    raw = bytearray(path.read_bytes())
+    at = raw.find(b"PK\x01\x02") + offset
+    raw[at:at + 2] = value.to_bytes(2, "little")
+    path.write_bytes(raw)
+
+
 _DAMAGED_ARCHIVES = {"crc": _crc_archive, "deflate": _deflate_archive,
-                     "oversize": _oversize_archive}
+                     "oversize": _oversize_archive, "truncated": _truncated_archive,
+                     # compression method 99, which zipfile cannot read
+                     "method": lambda path: _patched_archive(path, 10, 99)}
 
 
 class TestCommands:
@@ -320,6 +341,18 @@ class TestCommands:
                      "--mode", "greedy"]) == 0
         assert capsys.readouterr().out == f"{want[0]:.6g}\n{want[1]:.6g}\n"
 
+    def test_eval_reads_both_npy_header_versions(self, tmp_path, synth_path, capsys):
+        weights = np.arange(14.0).reshape(2, 7) / 10.0
+        for version in ((1, 0), (2, 0)):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, weights, version=version)
+            with zipfile.ZipFile(tmp_path / "p.npz", "w") as z:
+                z.writestr("weights.npy", buf.getvalue())
+            assert main(["eval", "--params", str(tmp_path / "p.npz"),
+                         "--test", synth_path]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
     @pytest.mark.parametrize("command", ["run", "eval", "convert"])
     def test_non_utf8_file_rejected(self, tmp_path, synth_path, capsys, command):
         bad = tmp_path / "bad.bin"
@@ -335,26 +368,39 @@ class TestCommands:
         assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
 
     @pytest.mark.parametrize("kind", ["no_weights", "text", "npy", "object", "str",
-                                      "complex", "crc", "deflate", "oversize"])
+                                      "complex", "crc", "deflate", "oversize",
+                                      "truncated", "method", "not_npy", "zip_version"])
     def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
         path = tmp_path / "p.npz"
         if kind in _DAMAGED_ARCHIVES:
             _DAMAGED_ARCHIVES[kind](path)
+            reason = "damaged 'weights' array"
         elif kind == "no_weights":
             np.savez(path, other=np.zeros((2, 7)))
+            reason = "no 'weights' array"
         elif kind == "text":
             path.write_text("weights = 0\n")
+            reason = "not an .npz archive"
         elif kind == "npy":
             with open(path, "wb") as fh:
                 np.save(fh, np.zeros((2, 7)))
+            reason = "not an .npz archive"
+        elif kind == "not_npy":  # np.load would hand this member back as bytes
+            with zipfile.ZipFile(path, "w") as z:
+                z.writestr("weights", b"0.5")
+            reason = "damaged 'weights' array"
+        elif kind == "zip_version":  # needs zip version 9.9 to extract
+            _patched_archive(path, 6, 99)
+            reason = "not an .npz archive"
         else:  # weights that are not real numbers
             weights = {"object": np.full((2, 7), None, dtype=object),
                        "str": np.full((2, 7), "0.5"),
                        "complex": np.full((2, 7), 0.5 + 1j)}[kind]
             np.savez(path, weights=weights)
+            reason = "'weights' is not a real numeric array"
         assert main(["eval", "--params", str(path), "--test", synth_path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err
+        assert err.startswith(f"error: {path}: {reason}")
 
     @pytest.mark.parametrize("index", [10 ** 17, 2 ** 64])
     def test_huge_feature_index(self, tmp_path, capsys, index):
@@ -488,6 +534,11 @@ class TestBadNumericInput:
         (["--deltas", "2", "--seeds", "1,1"], "seeds must be distinct"),
         (["--deltas", "1,1"], "deltas must be distinct and non-empty, got (1, 1)"),
         (["--deltas", "0"], "delta must be at least 1, got 0"),
+        # ranges too long for a list fail before anything is allocated
+        (["--deltas", "1..100000000000000000000"],
+         "--deltas needs distinct integers, got '1..100000000000000000000'"),
+        (["--deltas", "2", "--seeds", "0..100000000000000000000"],
+         "config key 'seeds': cannot parse '0..100000000000000000000'"),
     ])
     def test_bad_sweep_flag(self, tmp_path, synth_path, capsys, monkeypatch,
                             flags, message):
