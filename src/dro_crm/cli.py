@@ -13,8 +13,6 @@ import dataclasses
 import math
 import os
 import sys
-import zipfile
-import zlib
 from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
@@ -162,8 +160,8 @@ def cmd_run(args) -> int:
     paths = emit_results(rows, cfg.out_dir, config_echo(cfg))
     for r in rows:
         if r.params is not None:
-            np.savez(os.path.join(cfg.out_dir, f"params_{r.algorithm}_seed{r.seed}.npz"),
-                     weights=r.params.weights)
+            np.save(os.path.join(cfg.out_dir, f"params_{r.algorithm}_seed{r.seed}.npy"),
+                    r.params.weights)
     return _report(rows, paths["results"])
 
 
@@ -172,7 +170,7 @@ def cmd_sweep(args) -> int:
     try:
         deltas = _parse_int_list(args.deltas)
     except ValueError:
-        raise DataFormatError(f"--deltas needs distinct integers, got {args.deltas!r}") from None
+        raise DataFormatError(f"--deltas: cannot parse {args.deltas!r}") from None
     cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = replay_sweep(cfg, deltas)
@@ -194,34 +192,17 @@ def cmd_convert(args) -> int:
 
 
 def _load_params(path) -> PolicyParams:
-    """Policy parameters from the real numeric 'weights' array of an .npz
-    archive.  A file that is not one, a 'weights' whose .npy header names
-    another dtype, or one whose header or data cannot be read, is a
+    """Policy parameters from the real numeric weights array of a .npy file.
+    A file that is not a .npy (text, empty, a zip archive), one cut short,
+    an object array (which would need pickle), a header whose shape numpy
+    cannot allocate, or weights of another kind (string, complex, bool) is a
     DataFormatError naming the file."""
     try:
-        archive = zipfile.ZipFile(path)
-    except (ValueError, NotImplementedError, zipfile.BadZipFile):  # also a plain .npy
-        raise DataFormatError(f"{path}: not an .npz archive") from None
-    with archive:
-        names = archive.namelist()
-        member = "weights" if "weights" in names else "weights.npy"  # as np.load picks
-        if member not in names:
-            raise DataFormatError(f"{path}: no 'weights' array")
-        fmt = np.lib.format
-        try:
-            with archive.open(member) as fh:
-                read_header = (fmt.read_array_header_1_0 if fmt.read_magic(fh) == (1, 0)
-                               else fmt.read_array_header_2_0)
-                real = read_header(fh)[2].kind in "iuf"  # not object, str or complex
-                fh.seek(0)
-                weights = fmt.read_array(fh) if real else None
-        except (ValueError, EOFError, OSError, MemoryError, NotImplementedError,
-                RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
-            # a cut-short member, a bad CRC-32 or deflate stream, a bad offset,
-            # an unsupported compression method or encryption, or a shape
-            # numpy cannot allocate
-            raise DataFormatError(f"{path}: damaged 'weights' array ({exc})") from None
-    if weights is None:
+        with open(path, "rb") as fh:
+            weights = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, MemoryError) as exc:
+        raise DataFormatError(f"{path}: damaged 'weights' array ({exc})") from None
+    if weights.dtype.kind not in "iuf":
         raise DataFormatError(f"{path}: 'weights' is not a real numeric array")
     return PolicyParams(weights)
 
@@ -271,7 +252,7 @@ def main(argv=None) -> int:
     p_conv.set_defaults(func=cmd_convert)
 
     p_eval = sub.add_parser("eval", help="evaluate saved policy parameters")
-    p_eval.add_argument("--params", required=True, help=".npz with 'weights'")
+    p_eval.add_argument("--params", required=True, help=".npy weights")
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--mode", choices=_EVAL_MODES, default="expected")
     p_eval.set_defaults(func=cmd_eval)

@@ -1,6 +1,4 @@
-import io
 import os
-import zipfile
 from dataclasses import replace
 from types import ModuleType
 
@@ -9,11 +7,12 @@ import pytest
 
 import dro_crm
 from dro_crm import (DataFormatError, ExperimentConfig, PolicyParams,
-                     SupervisedDataset, evaluate_policy, save_bandit_log,
+                     SupervisedDataset, append_bias, evaluate_policy,
+                     load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, synthetic_multilabel)
-from dro_crm import bench
+from dro_crm import bench, cli
 from dro_crm.bench import _seed_setup
-from dro_crm.cli import (CONFIG_KEYS, build_experiment_config, main,
+from dro_crm.cli import (CONFIG_KEYS, _load_params, build_experiment_config, main,
                          read_config_file)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -161,66 +160,14 @@ class TestConfigFile:
         assert len(dro_crm.__all__) == 35
 
 
-def _crc_archive(path):
-    # one flipped bit in the data of a stored member: the bytes still hold
-    # valid weights, and only the member's CRC-32 tells
-    weights = np.arange(14.0).reshape(2, 7)
-    buf = io.BytesIO()
-    np.savez(buf, weights=weights)
-    raw = bytearray(buf.getvalue())
-    raw[raw.find(weights.tobytes()) + 8] ^= 1
-    path.write_bytes(raw)
-
-
-def _deflate_archive(path):
-    # the member's deflate stream opens with a final block of the reserved type
-    np.savez_compressed(path, weights=np.arange(14.0).reshape(2, 7))
-    with zipfile.ZipFile(path) as z:
-        at = z.getinfo("weights.npy").header_offset
-    raw = bytearray(path.read_bytes())
-    names = int.from_bytes(raw[at + 26:at + 28], "little")
-    extra = int.from_bytes(raw[at + 28:at + 30], "little")
-    raw[at + 30 + names + extra] = 0xFF
-    path.write_bytes(raw)
-
-
-def _oversize_archive(path):
-    # a header alone that declares 2 PiB, more than a process can map, so
-    # numpy's allocation fails at once and commits no memory
-    buf = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        buf, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 48,)})
-    with zipfile.ZipFile(path, "w") as z:
-        z.writestr("weights.npy", buf.getvalue())
-
-
-def _truncated_archive(path):
-    # a member whose last 8 bytes are missing: its CRC-32 and sizes hold, but
-    # the header declares one more float than the data carries
-    buf = io.BytesIO()
-    np.save(buf, np.arange(14.0).reshape(2, 7))
-    with zipfile.ZipFile(path, "w") as z:
-        z.writestr("weights.npy", buf.getvalue()[:-8])
-
-
-def _patched_archive(path, offset, value):
-    # a valid archive whose one central-directory entry has the 2-byte field
-    # at `offset` set to `value`
-    np.savez(path, weights=np.arange(14.0).reshape(2, 7))
-    raw = bytearray(path.read_bytes())
-    at = raw.find(b"PK\x01\x02") + offset
-    raw[at:at + 2] = value.to_bytes(2, "little")
-    path.write_bytes(raw)
-
-
-_DAMAGED_ARCHIVES = {"crc": _crc_archive, "deflate": _deflate_archive,
-                     "oversize": _oversize_archive, "truncated": _truncated_archive,
-                     # compression method 99, which zipfile cannot read
-                     "method": lambda path: _patched_archive(path, 10, 99)}
-
-
 class TestCommands:
-    def test_run_writes_outputs(self, tmp_path, synth_path):
+    def test_run_writes_outputs(self, tmp_path, synth_path, capsys, monkeypatch):
+        rows = []  # the cells `run` saves, as run_experiment returns them
+
+        def run_experiment(cfg):
+            rows.extend(bench.run_experiment(cfg))
+            return rows
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
         cfg_file = tmp_path / "exp.cfg"
         out = tmp_path / "out"
         cfg_file.write_text(
@@ -235,7 +182,15 @@ class TestCommands:
         assert (out / "results.csv").exists()
         assert (out / "summary.csv").exists()
         assert (out / "run_meta").exists()
-        assert (out / "params_cips_seed0.npz").exists()
+        assert not list(out.glob("*.npz"))
+        # the saved weights are the cell's, bit for bit, and eval scores them
+        params_path = out / "params_cips_seed0.npy"
+        [row] = [r for r in rows if r.seed == 0]
+        assert _load_params(params_path).weights.tobytes() == row.params.weights.tobytes()
+        test = append_bias(load_multilabel_svmlight(synth_path, n_features=6)[0])
+        capsys.readouterr()
+        assert main(["eval", "--params", str(params_path), "--test", synth_path]) == 0
+        assert capsys.readouterr().out == f"{evaluate_policy(row.params, test)[0]:.6g}\n"
 
     def test_convert_and_eval(self, tmp_path, synth_path):
         out = tmp_path / "conv"
@@ -248,8 +203,8 @@ class TestCommands:
         assert header == ("record_id,replay,example_id,action_bits,"
                           "propensity,cost_raw,cost_scaled")
 
-        params_path = tmp_path / "p.npz"
-        np.savez(params_path, weights=np.zeros((2, 7)))  # 6 features + bias
+        params_path = tmp_path / "p.npy"
+        np.save(params_path, np.zeros((2, 7)))  # 6 features + bias
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path, "--mode", "expected"]) == 0
 
@@ -320,8 +275,8 @@ class TestCommands:
     ], ids=["features", "labels", "no_bias"])
     def test_eval_dimension_mismatch_fails(self, tmp_path, synth_path, capsys,
                                            shape, message):
-        params_path = tmp_path / "bad.npz"
-        np.savez(params_path, weights=np.zeros(shape))
+        params_path = tmp_path / "bad.npy"
+        np.save(params_path, np.zeros(shape))
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path]) == 2
         err = capsys.readouterr().err
@@ -332,8 +287,8 @@ class TestCommands:
         test = tmp_path / "test.svm"
         test.write_text("0 1:0.5 2:-1.0\n1 2:2.0\n")
         weights = np.arange(8.0).reshape(2, 4) / 10.0
-        params_path = tmp_path / "p.npz"
-        np.savez(params_path, weights=weights)
+        params_path = tmp_path / "p.npy"
+        np.save(params_path, weights)
         assert main(["eval", "--params", str(params_path), "--test", str(test)]) == 0
         X = np.array([[0.5, -1.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0]])
         want = evaluate_policy(PolicyParams(weights), SupervisedDataset(X, np.eye(2)))
@@ -344,11 +299,9 @@ class TestCommands:
     def test_eval_reads_both_npy_header_versions(self, tmp_path, synth_path, capsys):
         weights = np.arange(14.0).reshape(2, 7) / 10.0
         for version in ((1, 0), (2, 0)):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, weights, version=version)
-            with zipfile.ZipFile(tmp_path / "p.npz", "w") as z:
-                z.writestr("weights.npy", buf.getvalue())
-            assert main(["eval", "--params", str(tmp_path / "p.npz"),
+            with open(tmp_path / "p.npy", "wb") as fh:
+                np.lib.format.write_array(fh, weights, version=version)
+            assert main(["eval", "--params", str(tmp_path / "p.npy"),
                          "--test", synth_path]) == 0
         first, second = capsys.readouterr().out.splitlines()
         assert first == second
@@ -357,8 +310,8 @@ class TestCommands:
     def test_non_utf8_file_rejected(self, tmp_path, synth_path, capsys, command):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe")
-        params_path = tmp_path / "p.npz"
-        np.savez(params_path, weights=np.zeros((2, 7)))
+        params_path = tmp_path / "p.npy"
+        np.save(params_path, np.zeros((2, 7)))
         argv = {"run": ["run", "--config", str(bad)],
                 "eval": ["eval", "--params", str(params_path), "--test", str(bad)],
                 "convert": ["convert", "--input", str(bad),
@@ -367,36 +320,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{bad}: not UTF-8 text" in err
 
-    @pytest.mark.parametrize("kind", ["no_weights", "text", "npy", "object", "str",
-                                      "complex", "crc", "deflate", "oversize",
-                                      "truncated", "method", "not_npy", "zip_version"])
+    @pytest.mark.parametrize("kind", ["text", "empty", "truncated", "oversize", "object",
+                                      "str", "complex", "npz"])
     def test_eval_unreadable_params(self, tmp_path, synth_path, capsys, kind):
-        path = tmp_path / "p.npz"
-        if kind in _DAMAGED_ARCHIVES:
-            _DAMAGED_ARCHIVES[kind](path)
-            reason = "damaged 'weights' array"
-        elif kind == "no_weights":
-            np.savez(path, other=np.zeros((2, 7)))
-            reason = "no 'weights' array"
-        elif kind == "text":
+        path = tmp_path / "p.npy"
+        weights = np.arange(14.0).reshape(2, 7)
+        reason = "damaged 'weights' array"
+        if kind == "text":
             path.write_text("weights = 0\n")
-            reason = "not an .npz archive"
-        elif kind == "npy":
+        elif kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "truncated":  # the header declares one more float than follows
+            np.save(path, weights)
+            path.write_bytes(path.read_bytes()[:-8])
+        elif kind == "oversize":
+            # a header alone that declares 2 PiB, more than a process can
+            # map, so numpy's allocation fails at once and commits no memory
             with open(path, "wb") as fh:
-                np.save(fh, np.zeros((2, 7)))
-            reason = "not an .npz archive"
-        elif kind == "not_npy":  # np.load would hand this member back as bytes
-            with zipfile.ZipFile(path, "w") as z:
-                z.writestr("weights", b"0.5")
-            reason = "damaged 'weights' array"
-        elif kind == "zip_version":  # needs zip version 9.9 to extract
-            _patched_archive(path, 6, 99)
-            reason = "not an .npz archive"
-        else:  # weights that are not real numbers
-            weights = {"object": np.full((2, 7), None, dtype=object),
-                       "str": np.full((2, 7), "0.5"),
-                       "complex": np.full((2, 7), 0.5 + 1j)}[kind]
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 48,)})
+        elif kind == "npz":  # the format of earlier runs
+            path = tmp_path / "p.npz"
             np.savez(path, weights=weights)
+        elif kind == "object":  # reading it would need pickle
+            np.save(path, np.full((2, 7), None, dtype=object), allow_pickle=True)
+        else:  # weights that load but are not real numbers
+            np.save(path, {"str": np.full((2, 7), "0.5"),
+                           "complex": np.full((2, 7), 0.5 + 1j)}[kind])
             reason = "'weights' is not a real numeric array"
         assert main(["eval", "--params", str(path), "--test", synth_path]) == 2
         err = capsys.readouterr().err
@@ -409,8 +359,8 @@ class TestCommands:
         assert main(["convert", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"huge.svm: feature index {index}" in err
-        params_path = tmp_path / "p.npz"
-        np.savez(params_path, weights=np.zeros((2, 3)))
+        params_path = tmp_path / "p.npy"
+        np.save(params_path, np.zeros((2, 3)))
         assert main(["eval", "--params", str(params_path), "--test", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"huge.svm: feature index {index}" in err
@@ -424,8 +374,8 @@ class TestCommands:
                                                           capsys):
         # the weights hold no bytes, but numpy refuses the test matrix's
         # 10^17 - 1 columns without allocating
-        params_path = tmp_path / "p.npz"
-        np.savez(params_path, weights=np.zeros((0, 10 ** 17)))
+        params_path = tmp_path / "p.npy"
+        np.save(params_path, np.zeros((0, 10 ** 17)))
         assert main(["eval", "--params", str(params_path), "--test", synth_path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
@@ -527,7 +477,7 @@ class TestBadNumericInput:
         assert err.startswith("error:") and "seed" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--deltas", "four"], "--deltas needs distinct integers, got 'four'"),
+        (["--deltas", "four"], "--deltas: cannot parse 'four'"),
         (["--deltas", ""], "deltas must be distinct and non-empty, got ()"),
         (["--deltas", "2,1..2"], "deltas must be distinct and non-empty, got (2, 1, 2)"),
         (["--deltas", "2", "--seeds", "0..x"], "config key 'seeds': cannot parse '0..x'"),
@@ -536,7 +486,7 @@ class TestBadNumericInput:
         (["--deltas", "0"], "delta must be at least 1, got 0"),
         # ranges too long for a list fail before anything is allocated
         (["--deltas", "1..100000000000000000000"],
-         "--deltas needs distinct integers, got '1..100000000000000000000'"),
+         "--deltas: cannot parse '1..100000000000000000000'"),
         (["--deltas", "2", "--seeds", "0..100000000000000000000"],
          "config key 'seeds': cannot parse '0..100000000000000000000'"),
     ])
