@@ -95,10 +95,12 @@ def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
 
     Terminates when the gradient's infinity norm is at most `grad_tol`, on
     relative objective decrease, or after `max_iters` iterations.  A failed
-    line search restarts once along steepest descent; if that also fails the
-    run ends with reason "line_search_failed".  NaN from the objective, in a
-    value or in a gradient it was asked for, aborts with reason
-    "nan_objective".  The returned point never has a larger objective than x0.
+    line search along a direction from curvature pairs restarts once along
+    steepest descent; if that also fails, or the failed direction was already
+    steepest descent, the run ends with reason "line_search_failed".  NaN from
+    the objective, in a value or in a gradient it was asked for, aborts with
+    reason "nan_objective".  The returned point never has a larger objective
+    than x0.
     """
     if not 0.0 < grad_tol < math.inf:
         raise ContractViolation("grad_tol must be positive and finite")
@@ -150,7 +152,7 @@ def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
             p = -q
 
             result = _line_search(evaluate, x, p, f, g)
-            if result is None:
+            if result is None and history:  # else p is -g, and would fail again
                 history.clear()
                 result = _line_search(evaluate, x, -g, f, g)
             if result is None:

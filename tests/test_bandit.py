@@ -365,8 +365,9 @@ class TestSvmlightBlockPath:
         assert fast == slow == f"{path}: feature index {index} exceeds the width 2"
 
     def test_blocks_end_at_the_text_budget(self, tmp_path, monkeypatch):
-        # Scene-shaped 6.8 KB lines: a block ends at the line that takes its
-        # text to _BLOCK_CHARS, and an error in a later block keeps its line
+        # Scene-shaped 6.8 KB lines, 294 features wide over 7 blocks: a block
+        # ends at the line that takes its text to _BLOCK_CHARS, the writer
+        # gets its bytes back, and an error in a later block keeps its line
         ds = synthetic_multilabel(250, 294, 6, seed=4)
         path = tmp_path / "scene.svm"
         save_multilabel_svmlight(ds, path)
@@ -378,6 +379,9 @@ class TestSvmlightBlockPath:
             assert sum(chars) - chars[-1] < bandit._BLOCK_CHARS <= sum(chars)
         fast, slow = _both_paths(monkeypatch, [path])
         assert fast == slow and isinstance(fast, list)
+        [back] = load_multilabel_svmlight(path)
+        save_multilabel_svmlight(back, tmp_path / "again.svm")
+        assert (tmp_path / "again.svm").read_bytes() == path.read_bytes()
         lines = path.read_text().splitlines()
         lines[-2] = lines[-2].replace(":", ":x", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -674,6 +678,7 @@ class TestLogSerialization:
         assert np.array_equal(rows[:, 6].astype(float), log.costs)
         meta = dict(line.split(" = ") for line in meta_path.read_text().splitlines())
         assert float(meta["clip_m"]) == log.clip_m
+        assert float(meta["cost_scale"]) == 1.0 / 2  # one over the label count
         assert (meta["seed"], meta["delta"], meta["n_records"]) == ("8", "2", str(log.n))
 
     def test_csv_is_unchanged(self, tmp_path):

@@ -642,14 +642,15 @@ class TestBlasThreads:
         # 1125 training examples by 104 features and 14 labels: the
         # gradient's product with the features spans five 256-example blocks;
         # unblocked, OpenBLAS gives that product other last bits at two
-        # threads than at one, and the fits carry them into results.csv
+        # threads than at one, and the fits carry them into results.csv.
+        # The second run takes every CPU, and at least two threads.
         data = tmp_path / "synth1500.svm"
         save_multilabel_svmlight(synthetic_multilabel(1500, 103, 14, seed=0), data)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("grid_poem = 1e-3\ngrid_klcrm = 1\ngrid_aklcrm = 1e-3\n"
                        "delta = 4\nseeds = 0\nthreads = 1\n")
         results = []
-        for blas in ("1", "2"):
+        for blas in ("1", str(max(2, os.cpu_count() or 1))):
             out = tmp_path / f"blas{blas}"
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                        OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)

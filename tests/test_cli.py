@@ -10,7 +10,7 @@ from dro_crm import (DataFormatError, ExperimentConfig, PolicyParams,
                      SupervisedDataset, append_bias, evaluate_policy,
                      load_multilabel_svmlight, save_bandit_log,
                      save_multilabel_svmlight, synthetic_multilabel)
-from dro_crm import bench, cli
+from dro_crm import bench, cli, divergence
 from dro_crm.bench import _seed_setup
 from dro_crm.cli import (CONFIG_KEYS, _load_params, build_experiment_config, main,
                          read_config_file)
@@ -177,6 +177,7 @@ class TestCommands:
             "delta = 2\n"
             "threads = 1\n"
             "optim_max_iters = 120\n"
+            "grid_poem = 30,100\n"
             f"out_dir = {out}\n")
         assert main(["run", "--config", str(cfg_file)]) == 0
         assert (out / "results.csv").exists()
@@ -191,6 +192,18 @@ class TestCommands:
         capsys.readouterr()
         assert main(["eval", "--params", str(params_path), "--test", synth_path]) == 0
         assert capsys.readouterr().out == f"{evaluate_policy(row.params, test)[0]:.6g}\n"
+        # poem at lam = 30 and 100 puts the chi-square radius past the
+        # interior, so its fits solve on the face of the largest losses
+        faces, face = [], divergence._face  # whether each solve drops a loss
+
+        def spy(za, pa, n, epsilon):
+            faces.append(za.size < n)
+            return face(za, pa, n, epsilon)
+        monkeypatch.setattr(divergence, "_face", spy)
+        rows.clear()
+        assert main(["run", "--config", str(cfg_file), "--algorithms", "poem",
+                     "--out-dir", str(tmp_path / "poem")]) == 0
+        assert [r.status for r in rows] == ["ok", "ok"] and any(faces)
 
     def test_convert_and_eval(self, tmp_path, synth_path):
         out = tmp_path / "conv"

@@ -131,6 +131,35 @@ class TestMinimize:
         _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]))
         assert trace.n_grads < trace.n_evals
 
+    def test_failed_steepest_descent_is_not_retried(self):
+        # x.x with the gradient's sign flipped: every trial along -g ascends.
+        # With no curvature pairs the direction already is -g, so a retry
+        # along -g would evaluate the same 40 points again.
+        points = []
+
+        def wrong_sign(x):
+            points.append(x.tobytes())
+            return float(x @ x), lambda: -2.0 * x
+
+        x0 = np.array([1.0, -2.0])
+        x, trace = minimize(wrong_sign, x0)
+        assert trace.termination == "line_search_failed"
+        assert x.tobytes() == x0.tobytes()
+        assert trace.n_evals == len(points) == len(set(points)) == 41
+
+    def test_failed_curvature_direction_retries_steepest_descent(self, monkeypatch):
+        # the second search, the first along a direction from curvature
+        # pairs, is made to fail: minimize searches again along -g
+        steepest, line_search = [], optim._line_search
+
+        def failing_second(evaluate, x, p, f0, g0):
+            steepest.append(np.array_equal(p, -g0))
+            return None if len(steepest) == 2 else line_search(evaluate, x, p, f0, g0)
+        monkeypatch.setattr(optim, "_line_search", failing_second)
+        _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=3)
+        assert steepest[:3] == [True, False, True]
+        assert trace.termination == "max_iters"
+
     def test_max_iters_termination(self, monkeypatch):
         monkeypatch.setattr(optim, "_F_TOL", 1e-30)
         x, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=2)
