@@ -356,12 +356,13 @@ def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> Poli
     X, Y = subset.X, subset.Y
     m, d = X.shape
     q = subset.n_labels
+    c = np.full(m, -1.0 / m)  # the score coefficients of the mean negative log-likelihood
 
     def fun(theta_flat):
         W = theta_flat.reshape(q, d)
-        U, e, softplus = logit_terms(X @ W.T)
-        f = -float(np.sum(log_prob(Y, U, softplus))) / m + 0.5 * _LOGGER_L2 * float(theta_flat @ theta_flat)
-        return f, lambda: (score_gradient(np.full(m, -1.0 / m), Y, U, e, X) + _LOGGER_L2 * W).ravel()
+        U, e, softplus = logit_terms(logits_matrix(PolicyParams(W), X))
+        f = -float(np.sum(log_prob(Y, U, softplus))) / m + 0.5 * _LOGGER_L2 * float(np.dot(theta_flat, theta_flat))
+        return f, lambda: (score_gradient(c, Y, U, e, X) + _LOGGER_L2 * W).ravel()
 
     theta, _ = minimize(fun, np.zeros(q * d), max_iters=_LOGGER_MAX_ITERS, grad_tol=1e-8)
     return PolicyParams(alpha * theta.reshape(q, d))
@@ -404,7 +405,12 @@ def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,
     U, e, softplus = logit_terms(logits_matrix(logger, train.X))
     probs = _sigmoid_from(U, e)
     # passes[d, i] is the action of record (replay d, example i)
-    passes = np.empty((delta, n_ex, q))
+    try:
+        passes = np.empty((delta, n_ex, q))
+    except (MemoryError, ValueError) as exc:  # a count numpy cannot hold or allocate
+        raise ContractViolation(
+            f"replay count {delta}: cannot allocate its {delta} x {n_ex} x {q} "
+            f"actions ({exc})") from None
     for d in range(delta):
         passes[d] = np.random.default_rng((seed, stream, d)).random((n_ex, q)) < probs
     log_p = log_prob(passes, U, softplus)  # the kernel's log pi at the logger

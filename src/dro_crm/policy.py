@@ -13,8 +13,10 @@ line each record up with its example's terms.  One einsum gives log pi with
 no per-record gather; another folds the gradient's passes onto one row per
 example, whose product with the features sums blocks of _GRAD_ROWS examples
 in order, so its bits do not depend on how BLAS splits it among threads.
-The objective kernel, the log generator and the logger fit all call these,
-so every importance ratio at the logger is exactly 1.
+Every product of features with policy weights is `logits_matrix` or
+`score_gradient`: the objective kernel, the log generator, the logger and
+skyline fits and `evaluate_policy` all call these, so every importance ratio
+at the logger is exactly 1.
 """
 
 from __future__ import annotations

@@ -273,7 +273,6 @@ def test_criterion_8_replay_sweep():
 
 
 def test_criterion_9_t_test_against_integration():
-    pytest.importorskip("scipy.integrate")
     k = 20
     base = np.arange(k, dtype=float)
     base = (base - base.mean()) / base.std(ddof=1)

@@ -171,7 +171,6 @@ class TestPairedTTest:
         assert res.p_value == pytest.approx(0.05, abs=2e-3)
 
     def test_against_density_integration(self):
-        pytest.importorskip("scipy.integrate")
         k = 20
         base = np.arange(k, dtype=float)
         base = (base - base.mean()) / base.std(ddof=1)
@@ -184,7 +183,7 @@ class TestPairedTTest:
         # both branches of the incomplete beta's series, the t of the branch
         # threshold x = (a + 1) / (a + b + 2), where the series needs the most
         # terms, and both signs of t, down to p near 1e-200
-        stats = pytest.importorskip("scipy.stats")
+        from scipy import stats
         for dof in (*range(1, 41), 99, 999):
             k = dof + 1
             base = np.arange(k, dtype=float)

@@ -489,6 +489,18 @@ class TestBadNumericInput:
         assert code == 2
         assert err.startswith("error:") and "seed" in err
 
+    # numpy's MemoryError, "array is too big" and "maximum allowed dimension
+    # exceeded", in turn, where `run` and `sweep` record a failed cell
+    @pytest.mark.parametrize("delta", ["100000000000", "1000000000000000000",
+                                       "100000000000000000000"])
+    def test_convert_unallocatable_replay_count(self, tmp_path, synth_path, capsys, delta):
+        code = main(["convert", "--input", synth_path, "--out", str(tmp_path / "conv"),
+                     "--delta", delta])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: replay count {delta}: cannot allocate")
+        assert not (tmp_path / "conv").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--deltas", "four"], "--deltas: cannot parse 'four'"),
         (["--deltas", ""], "deltas must be distinct and non-empty, got ()"),
