@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -418,6 +417,7 @@ def _run_cells(cells: List[Tuple[ExperimentConfig, str, int]],
             return [_cell(c) for c in cells]
         per_seed = len(cells[0][0].algorithms) or 1  # baseline cells: one per seed
         chunk = min(per_seed, math.ceil(len(cells) / workers))
+        from concurrent.futures import ProcessPoolExecutor  # serial runs load no pool
         with ProcessPoolExecutor(max_workers=workers, initializer=_share_setups) as pool:
             return list(pool.map(_cell, cells, chunksize=chunk))
     finally:

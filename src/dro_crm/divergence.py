@@ -11,7 +11,7 @@ phi(1) = 0.  This module holds the worst cases the training rules in
 
 * chi-square, phi(t) = (t - 1)^2: `robust_risk_chi2`, mean + sqrt(eps * var)
   on the face of the largest losses where the weights stay nonnegative.  poem
-  is this worst case at radius lam^2 / n, cips at radius 0.
+  is this worst case at radius lam^2 / n, cips the same face solve at radius 0.
 * Kullback-Leibler, phi(t) = t*log(t) - t + 1: the supremum equals
   inf_{gamma > 0} gamma*eps + gamma*log sum_i p_i exp(z_i / gamma), attained
   by the exponentially tilted weights `boltzmann_weights` at the minimizing
@@ -69,13 +69,14 @@ def _mean_var(z: np.ndarray, p: np.ndarray) -> Tuple[float, float]:
 def _face(za: np.ndarray, pa: np.ndarray, n: int, epsilon: float) -> Tuple[float, np.ndarray]:
     """Worst case over the weights that vanish off k of the n losses, za,
     whose base weights pa have mass k/n: p_i * (n/k + beta * (z_i - mean)),
-    the interior closed form at k = n, or uniform weights for equal losses."""
+    the interior closed form at k = n.  Equal losses, or a radius used up
+    exactly (cips: k = n at radius 0), give beta = 0: uniform weights."""
     k = za.size
     mean = float(pa @ za) / (k / n)
-    if _effectively_constant(za):
-        return mean, pa / (k / n)
     slack = epsilon - (n - k) / k  # the radius left past uniform weights on the face
-    if slack <= 0.0:
+    if slack == 0.0 or _effectively_constant(za):  # beta = 0
+        return mean, pa / (k / n)
+    if slack < 0.0:
         raise ArithmeticError("chi-square radius does not reach the face of the largest losses")
     scatter = float(pa @ (za - mean) ** 2)
     beta = math.sqrt(slack / scatter)
@@ -85,15 +86,14 @@ def _face(za: np.ndarray, pa: np.ndarray, n: int, epsilon: float) -> Tuple[float
 def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     """Worst-case mean of the losses z over the chi-square ball of radius
     epsilon, and the weights q that attain it: `_face` on the k largest losses,
-    k = n in the interior regime, else the largest k whose face has
-    nonnegative weights, equal losses or lies past the radius, from one sort
-    and shifted cumulative sums.  By the KKT conditions, tied losses split by
-    the cut carry weights within 1e-15 of zero, so either order of them does."""
+    k = n in the interior regime, which holds cips's radius 0, else the
+    largest k whose face has nonnegative weights, equal losses or lies past
+    the radius, from one sort and shifted cumulative sums.  By the KKT
+    conditions, tied losses split by the cut carry weights within 1e-15 of
+    zero, so either order of them does."""
     if not epsilon >= 0.0:
         raise ContractViolation(f"epsilon must be nonnegative, got {epsilon}")
     z, p = _losses(z)
-    if epsilon == 0.0:  # cips: the mean, with no variance to compute
-        return float(p @ z), p
     n = z.size
     risk, q = _face(z, p, n, epsilon)
     if q.min() >= -1e-15:

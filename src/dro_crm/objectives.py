@@ -13,7 +13,7 @@ hyper-parameter's domain and its default search range, as the powers of ten
 (lo, hi) that `bench.default_grids` spans (None for none).  A rule maps z to
 the risk, the weights q it puts on z and its temperature:
 
-* cips: the plain clipped mean (poem at lam = 0, uniform q);
+* cips: the plain clipped mean, poem's chi-square face solve at radius 0;
 * poem: mean(z) + lam * sqrt(var(z) / n), which is the chi-square ball's worst
   case at radius lam^2 / n (`divergence.robust_risk_chi2`), with its
   active-set solution where the interior weights would turn negative;

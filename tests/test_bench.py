@@ -628,12 +628,32 @@ class TestSharedSetup:
             def map(self, fn, cells, chunksize):
                 return map(fn, cells)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = small_config(synth_path, algorithms=("cips",), seeds=(0, 1),
                            optim_max_iters=5, threads=10**6)
         rows = run_experiment(cfg)
         assert sizes == [2]
         assert [r.status for r in rows] == ["ok", "ok"]
+
+    def test_serial_run_loads_no_process_pool(self, synth_path, tmp_path):
+        # in a fresh interpreter: neither the import nor a 1-worker run
+        # loads multiprocessing, which only the pool branch needs
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("grid_poem = 1e-3\noptim_max_iters = 5\n")
+        run = ["run", "--config", str(cfg), "--dataset", synth_path,
+               "--algorithms", "cips,poem", "--seeds", "0,1", "--threads", "1",
+               "--out-dir", str(tmp_path)]
+        script = ("import sys\n"
+                  "import dro_crm\n"
+                  "from dro_crm.cli import main\n"
+                  "assert 'multiprocessing' not in sys.modules, 'after import'\n"
+                  f"assert main({run!r}) == 0\n"
+                  "assert 'multiprocessing' not in sys.modules, 'after run'\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert read_results_csv(tmp_path / "results.csv")[-1]["status"] == "ok"
 
 
 class TestBlasThreads:

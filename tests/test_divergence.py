@@ -114,6 +114,23 @@ class TestChiSquareRisk:
         risk, _ = robust_risk_chi2(np.array([0.3, -0.7, 1.9]), 1e6)
         assert risk == pytest.approx(1.9, abs=1e-12)
 
+    def test_zero_radius_is_the_uniform_face_solve(self):
+        # cips's radius 0 runs the face solve on all n losses with beta = 0:
+        # the same bits as the plain mean under uniform weights
+        rng = np.random.default_rng(45)
+        for z in (rng.normal(size=4500), np.full(7, -0.3), np.array([2.5])):
+            p = np.full(z.size, 1.0 / z.size)
+            risk, q = robust_risk_chi2(z, 0.0)
+            assert risk == float(p @ z)
+            assert np.array_equal(q, p)
+
+    def test_face_with_the_radius_used_up_is_uniform(self):
+        # two of four losses hold half the base mass: uniform weights on
+        # them sit exactly at radius 1, the face's one feasible point
+        risk, qa = _face(np.array([3.0, 4.0]), np.full(2, 0.25), 4, 1.0)
+        assert risk == 3.5
+        assert qa.tolist() == [0.5, 0.5]
+
     def test_face_beyond_the_radius_raises(self):
         # two of four losses hold half the base mass: uniform weights on
         # them already sit at radius 1, so radius 0.5 cannot reach the face
