@@ -370,15 +370,34 @@ def train_logger(subset: SupervisedDataset, alpha: float = LOGGER_ALPHA) -> Poli
 
 def compute_clip_constant(propensities: np.ndarray) -> float:
     """Ratio of the 90th to the 10th percentile of the propensities
-    (linear interpolation between order statistics), floored at 1."""
-    p = np.asarray(propensities, dtype=np.float64)
-    if p.size < 1:
+    (linear interpolation between order statistics), floored at 1.
+
+    Both percentiles come from one partition, with the arithmetic of
+    ``np.quantile(p, q, method="linear")``, so they equal its results bit
+    for bit; unlike it, they never import numpy.ma."""
+    p = np.asarray(propensities, dtype=np.float64).ravel()
+    n = p.size
+    if n < 1:
         raise ContractViolation("propensities must be non-empty")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):  # NaN too
         raise ContractViolation("propensities must lie in (0, 1]")
-    hi = float(np.quantile(p, 0.9, method="linear"))
-    lo = float(np.quantile(p, 0.1, method="linear"))
+    picks = []  # (lower order statistic, upper one, weight of the upper)
+    for q in (0.9, 0.1):
+        index = (n - 1) * q  # numpy's virtual index
+        i = math.floor(index)
+        picks.append((i, min(i + 1, n - 1), index - i))
+    ordered = np.partition(p, sorted({k for i, j, _ in picks for k in (i, j)}))
+    hi, lo = (_lerp(float(ordered[i]), float(ordered[j]), gamma)
+              for i, j, gamma in picks)
     return max(1.0, hi / lo)
+
+
+def _lerp(a: float, b: float, gamma: float) -> float:
+    """numpy's quantile interpolation: from the nearer end, as `_lerp` in
+    numpy/lib/_function_base_impl.py."""
+    if gamma >= 0.5:
+        return b - (b - a) * (1.0 - gamma)
+    return a + (b - a) * gamma
 
 
 def generate_bandit_log(logger: PolicyParams, train: SupervisedDataset,

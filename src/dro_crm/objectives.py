@@ -206,7 +206,10 @@ def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
 
     def fun(theta_flat: np.ndarray):
         report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
-        fun.last_gamma = report.gamma_used  # read only by perfbench/spans.py
+        attrs["last_gamma"] = report.gamma_used  # read only by perfbench/spans.py
         return report.risk, lambda: report.gradient().ravel()
-    fun.last_gamma = None
+    # fun's own __dict__, not fun: a function naming itself is a reference
+    # cycle, which would keep the log alive until the cyclic GC runs
+    attrs = fun.__dict__
+    attrs["last_gamma"] = None
     return fun, (q, d)

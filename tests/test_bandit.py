@@ -614,10 +614,23 @@ class TestHammingAndClip:
         assert compute_clip_constant(np.array([0.4])) == 1.0
 
     def test_clip_validates_range(self):
-        with pytest.raises(ContractViolation):
-            compute_clip_constant(np.array([0.0, 0.5]))
+        # NaN fails both p <= 0 and p > 1, so it is refused on its own
+        for p in ([0.0, 0.5], [0.5, 1.5], [np.nan, 0.5], [0.5, np.nan]):
+            with pytest.raises(ContractViolation, match=r"propensities must lie in \(0, 1\]"):
+                compute_clip_constant(np.array(p))
         with pytest.raises(ContractViolation, match="propensities must be non-empty"):
             compute_clip_constant([])
+
+    def test_clip_equals_numpy_quantiles(self):
+        # every small size, and the record counts of the benchmark's logs;
+        # drawn in (0, 1], then rounded to two decimals for heavy ties
+        rng = np.random.default_rng(36)
+        for n in (*range(1, 301), 4500, 1500, 58112, 19392):
+            p = 1.0 - rng.random(n)
+            for x in (p, np.maximum(np.round(p, 2), 0.01)):
+                want = max(1.0, float(np.quantile(x, 0.9, method="linear"))
+                           / float(np.quantile(x, 0.1, method="linear")))
+                assert compute_clip_constant(x) == want, n
 
 
 class TestEvaluation:

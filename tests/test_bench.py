@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -635,20 +637,53 @@ class TestSharedSetup:
         assert sizes == [2]
         assert [r.status for r in rows] == ["ok", "ok"]
 
+    def test_no_train_log_outlives_its_seed(self, split_paths, monkeypatch):
+        # with the cyclic GC off only reference counts free a log, so a log
+        # held in a reference cycle (a fitted objective's, say) would outlive
+        # its seed's cells and the driver call
+        refs, alive_before = [], []
+        generate = bench.generate_bandit_log
+
+        def spy(*args, stream, **kwargs):
+            log = generate(*args, stream=stream, **kwargs)
+            if stream == 0:
+                alive_before.append([r() is not None for r in refs])
+                refs.append(weakref.ref(log))
+            return log
+
+        monkeypatch.setattr(bench, "generate_bandit_log", spy)
+        train, test = split_paths
+        cfg = small_config(train, test_dataset=test, seeds=(0, 1), optim_max_iters=5)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = run_experiment(cfg)
+            alive = [r() is not None for r in refs]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert [r.status for r in rows] == ["ok"] * 8
+        assert alive_before == [[], [False]]  # two seeds' logs never coexist
+        assert alive == [False, False]  # none outlives the driver call
+
     def test_serial_run_loads_no_process_pool(self, synth_path, tmp_path):
         # in a fresh interpreter: neither the import nor a 1-worker run
-        # loads multiprocessing, which only the pool branch needs
+        # loads multiprocessing, which only the pool branch needs; nor does
+        # it load numpy.ma, unless numpy itself does (numpy 1.x)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("grid_poem = 1e-3\noptim_max_iters = 5\n")
         run = ["run", "--config", str(cfg), "--dataset", synth_path,
                "--algorithms", "cips,poem", "--seeds", "0,1", "--threads", "1",
                "--out-dir", str(tmp_path)]
         script = ("import sys\n"
+                  "import numpy\n"
+                  "ma_with_numpy = 'numpy.ma' in sys.modules\n"
                   "import dro_crm\n"
                   "from dro_crm.cli import main\n"
                   "assert 'multiprocessing' not in sys.modules, 'after import'\n"
                   f"assert main({run!r}) == 0\n"
-                  "assert 'multiprocessing' not in sys.modules, 'after run'\n")
+                  "assert 'multiprocessing' not in sys.modules, 'after run'\n"
+                  "assert ma_with_numpy or 'numpy.ma' not in sys.modules, 'numpy.ma'\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         r = subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, env=env)
