@@ -42,7 +42,8 @@ from .errors import ContractViolation
 
 def _effectively_constant(z: np.ndarray) -> bool:
     """Spread at roundoff scale; guards every variance-driven formula."""
-    return float(z.max() - z.min()) <= 1e-14 * max(1.0, float(np.abs(z).max()))
+    hi, lo = float(z.max()), float(z.min())
+    return hi - lo <= 1e-14 * max(1.0, abs(hi), abs(lo))
 
 
 def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
@@ -51,7 +52,7 @@ def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise ContractViolation("losses must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ContractViolation("losses must be finite")
     return z, np.full(z.size, 1.0 / z.size)
 
@@ -59,7 +60,9 @@ def _losses(z) -> Tuple[np.ndarray, np.ndarray]:
 def _mean_var(z: np.ndarray, p: np.ndarray) -> Tuple[float, float]:
     """Mean and variance (divisor n) of z under the weights p."""
     mean = float(p @ z)
-    return mean, float(p @ (z - mean) ** 2)
+    d = z - mean
+    d *= d
+    return mean, float(p @ d)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +81,13 @@ def _face(za: np.ndarray, pa: np.ndarray, n: int, epsilon: float) -> Tuple[float
         return mean, pa / (k / n)
     if slack < 0.0:
         raise ArithmeticError("chi-square radius does not reach the face of the largest losses")
-    scatter = float(pa @ (za - mean) ** 2)
+    d = za - mean
+    scatter = float(pa @ np.square(d))
     beta = math.sqrt(slack / scatter)
-    return mean + math.sqrt(slack * scatter), pa * (n / k + beta * (za - mean))
+    d *= beta  # d becomes the weights p_i * (n/k + beta * (z_i - mean))
+    d += n / k
+    d *= pa
+    return mean + math.sqrt(slack * scatter), d
 
 
 def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
@@ -120,14 +127,25 @@ def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
 
 def boltzmann_weights(z, gamma: float) -> np.ndarray:
     """Exponentially tilted weights s_i = p_i exp(z_i/gamma) / sum_j p_j exp(z_j/gamma),
-    computed with a max shift so the result is finite for any finite z/gamma."""
+    computed with a max shift so the result is finite for any positive gamma.
+    Where z/gamma overflows (gamma -> 0), the shift comes before the division:
+    (z - max z)/gamma is the same tilt, and in the limit it puts all the
+    weight, uniformly, on the largest losses."""
     if not 0.0 < gamma < math.inf:
         raise ContractViolation(f"gamma must be positive and finite, got {gamma}")
     z, p = _losses(z)
-    a = z / gamma
-    a -= a.max()
-    w = p * np.exp(a)
-    return w / w.sum()
+    with np.errstate(over="ignore"):
+        a = z / gamma
+        top = a.max()
+        if math.isfinite(top):
+            a -= top
+        else:
+            a = z - z.max()
+            a /= gamma
+    np.exp(a, out=a)
+    a *= p
+    a /= a.sum()
+    return a
 
 
 def gamma_star_approx(z, epsilon: float) -> float:

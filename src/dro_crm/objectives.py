@@ -29,11 +29,12 @@ gradient of the risk (Danskin's theorem: q is the maximizer over the ball).
 For klcrm and aklcrm it treats q as constant, so it is the gradient of the
 surrogate sum_i q_i z_i(theta) that each optimizer step sees, not of the risk.
 
-`evaluate(algorithm, params, log, hyper)` is the one place the kernel and a
-rule run: the `RiskReport` it returns holds the value path's results, and its
-`gradient()` is computed only when called.  `make_objective` (for the
-minimizer) and `ips_risk` are callers of `evaluate`.  `rule_for` checks a
-hyper-parameter against its row, for them and for `bench.ExperimentConfig`.
+`RiskReport` is the one place the kernel and a rule run: it holds the value
+path's results, and its `gradient()` is computed only when called.
+`evaluate(algorithm, params, log, hyper)` builds one, as `ips_risk` does
+through it; `make_objective` (for the minimizer) resolves its rule once and
+builds one per evaluation.  `rule_for` checks a hyper-parameter against its
+row, for them and for `bench.ExperimentConfig`.
 
 The policy math is `policy.logit_terms`, `policy.log_prob` and
 `policy.score_gradient`, on the log's replay fold described there.
@@ -125,10 +126,13 @@ class RiskReport:
 
     def __init__(self, params: PolicyParams, log: BanditLog, rule, hyper: Optional[float]):
         U, e, softplus = logit_terms(logits_matrix(params, log.X))
-        log_pi = log_prob(log.Y, U, softplus)
-        self.ratio = np.exp(np.minimum(log_pi - log.log_propensities, _RATIO_LOG_CAP))
-        self.clipped = self.ratio >= log.clip_m
-        self.losses = log.costs * np.minimum(self.ratio, log.clip_m)
+        ratio = log_prob(log.Y, U, softplus)  # log pi, turned into the ratios in place
+        ratio -= log.log_propensities
+        np.minimum(ratio, _RATIO_LOG_CAP, out=ratio)
+        self.ratio = np.exp(ratio, out=ratio)
+        self.clipped = ratio >= log.clip_m
+        self.losses = np.minimum(ratio, log.clip_m)
+        self.losses *= log.costs
         self.risk, self.weights, self.gamma_used = rule(self.losses, hyper)
         self._log, self._U, self._e = log, U, e
 
@@ -136,7 +140,9 @@ class RiskReport:
         """sum_i q_i dz_i/dtheta, (q, D), by `policy.score_gradient`: dz_i/dtheta
         = cost_i ratio_i d log pi(y_i | x_i)/dtheta, zero where the clip binds."""
         log = self._log
-        c = self.weights * np.where(self.clipped, 0.0, log.costs * self.ratio)
+        c = log.costs * self.ratio
+        np.copyto(c, 0.0, where=self.clipped)
+        c *= self.weights
         return score_gradient(c, log.Y, self._U, self._e, log.X)
 
 
@@ -199,13 +205,14 @@ def ips_risk(params: PolicyParams, log: BanditLog) -> float:
 def make_objective(algorithm: str, log: BanditLog, hyper: Optional[float]):
     """Flat-vector adapter used by the minimizer: returns fun(theta_flat) ->
     (risk, grad), the `evaluate` of the named algorithm at theta_flat with
-    grad() its flat gradient, plus the matrix shape."""
-    rule_for(algorithm, hyper)  # a bad name or hyper-parameter fails here, not in minimize
+    grad() its flat gradient, plus the matrix shape.  The rule is resolved
+    once, here, so a bad name or hyper-parameter fails before `minimize`."""
+    rule = rule_for(algorithm, hyper)
     q = log.Y.shape[1]
     d = log.X.shape[1]
 
     def fun(theta_flat: np.ndarray):
-        report = evaluate(algorithm, PolicyParams(theta_flat.reshape(q, d)), log, hyper)
+        report = RiskReport(PolicyParams(theta_flat.reshape(q, d)), log, rule, hyper)
         attrs["last_gamma"] = report.gamma_used  # read only by perfbench/spans.py
         return report.risk, lambda: report.gradient().ravel()
     # fun's own __dict__, not fun: a function naming itself is a reference

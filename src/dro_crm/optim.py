@@ -107,7 +107,7 @@ def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
     if max_iters < 1:
         raise ContractViolation("max_iters must be positive")
     x = np.asarray(x0, dtype=np.float64).copy()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ContractViolation("x0 must be finite")
 
     trace = OptimTrace()
@@ -130,8 +130,8 @@ def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
     history = deque(maxlen=_MEMORY)   # curvature pairs (s, y, 1 / s'y)
     try:
         f, g = evaluate(x)
+        gnorm = float(np.abs(g).max()) if g.size else 0.0
         for _ in range(max_iters):
-            gnorm = float(np.abs(g).max()) if g.size else 0.0
             if gnorm <= grad_tol:
                 trace.termination = "grad_tol"
                 break
@@ -163,12 +163,13 @@ def minimize(fun: Objective, x0: np.ndarray, max_iters: int = 500,
             s = x_new - x
             y = g_new - g
             sy = float(s @ y)
-            if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            # np.linalg.norm's own arithmetic for a real vector
+            if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
                 history.append((s, y, 1.0 / sy))
 
             decrease = f - f_new
-            trace.iterations.append(
-                IterRecord(f_new, float(np.abs(g_new).max()), alpha))
+            gnorm = float(np.abs(g_new).max())
+            trace.iterations.append(IterRecord(f_new, gnorm, alpha))
             x, f, g = x_new, f_new, g_new
             if decrease <= _F_TOL * max(1.0, abs(f)):
                 trace.termination = "f_tol"

@@ -16,7 +16,8 @@ in order, so its bits do not depend on how BLAS splits it among threads.
 Every product of features with policy weights is `logits_matrix` or
 `score_gradient`: the objective kernel, the log generator, the logger and
 skyline fits and `evaluate_policy` all call these, so every importance ratio
-at the logger is exactly 1.
+at the logger is exactly 1.  Each function builds the arrays it returns in
+place and writes into no array it was passed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class PolicyParams:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2:
             raise ContractViolation("weights must be a (labels x features) matrix")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ContractViolation("weights must be finite")
         object.__setattr__(self, "weights", w)
 
@@ -60,23 +61,31 @@ class PolicyParams:
 
 def logit_terms(U: np.ndarray):
     """(U clamped to +-500, e = exp(-|U|), the softplus log(1 + e^U) as
-    max(U, 0) + log1p(e)), all from one exp."""
+    log1p(e) + max(U, 0)), all from one exp, each in its own new array."""
     U = np.clip(U, -_LOGIT_CLAMP, _LOGIT_CLAMP)
-    e = np.exp(-np.abs(U))
-    return U, e, np.maximum(U, 0.0) + np.log1p(e)
+    e = np.abs(U)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    softplus = np.log1p(e)
+    softplus += np.maximum(U, 0.0)
+    return U, e, softplus
 
 
 def _sigmoid_from(U: np.ndarray, e: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-u) for u >= 0 and e^u / (1 + e^u) below, with e = e^-|u|
     # <= 1: the numerator max(e, [u >= 0]) picks 1 or e without a branch.
-    return np.maximum(e, U >= 0.0) / (1.0 + e)
+    s = np.maximum(e, U >= 0.0)
+    s /= 1.0 + e
+    return s
 
 
 def log_prob(Y: np.ndarray, U: np.ndarray, softplus: np.ndarray) -> np.ndarray:
     """(n,) log pi(y_k | x_k) of the n replay-major actions Y, (n, q) or
     (delta, n_examples, q), from the (n_examples, q) terms of `logit_terms`."""
     Y = Y.reshape(-1, *U.shape)
-    return (np.einsum("dij,ij->di", Y, U) - softplus.sum(axis=1)).ravel()
+    lp = np.einsum("dij,ij->di", Y, U)
+    lp -= softplus.sum(axis=1)
+    return lp.ravel()
 
 
 def score_gradient(c: np.ndarray, Y: np.ndarray, U: np.ndarray, e: np.ndarray,
@@ -87,7 +96,9 @@ def score_gradient(c: np.ndarray, Y: np.ndarray, U: np.ndarray, e: np.ndarray,
     n_ex, q = U.shape
     c = c.reshape(-1, n_ex)
     R = np.einsum("di,dij->ij", c, Y.reshape(-1, n_ex, q))
-    R -= c.sum(axis=0)[:, None] * _sigmoid_from(U, e)
+    S = _sigmoid_from(U, e)
+    S *= c.sum(axis=0)[:, None]
+    R -= S
     G = np.zeros((q, X.shape[1]))
     for i in range(0, n_ex, _GRAD_ROWS):
         G += R[i:i + _GRAD_ROWS].T @ X[i:i + _GRAD_ROWS]

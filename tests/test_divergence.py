@@ -2,6 +2,7 @@ import ast
 import decimal
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,15 @@ class TestBoltzmann:
         for gamma in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ContractViolation, match="gamma must be positive and finite"):
                 boltzmann_weights(np.array([1.0, 0.0]), gamma)
+
+    @pytest.mark.parametrize("z", [[-0.5, -0.2, -0.9], [-0.5, 0.0, -0.9]])
+    def test_vanishing_gamma_is_the_limit(self, z):
+        # z / 1e-320 overflows: the tilt falls back to (z - max z) / gamma,
+        # which puts all the weight on the largest loss, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = boltzmann_weights(np.array(z), 1e-320)
+        assert w.tolist() == [0.0, 1.0, 0.0]
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)

@@ -6,8 +6,9 @@ import pytest
 
 from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
                      gamma_star_approx,
-                     generate_bandit_log, ips_risk, make_objective,
-                     robust_risk_chi2, synthetic_multilabel, train_logger)
+                     generate_bandit_log, ips_risk, make_objective, minimize,
+                     objectives, robust_risk_chi2, synthetic_multilabel,
+                     train_logger)
 from dro_crm.bandit import SupervisedDataset, append_bias, split_dataset
 from dro_crm.objectives import RULES, rule_for
 from gather_kernel import gather_report
@@ -359,6 +360,19 @@ class TestObjectiveProperties:
             make_objective("poem", log, None)
         with pytest.raises(ContractViolation):
             make_objective("nope", log, 0.1)
+
+    def test_fit_resolves_its_rule_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rule_for(*args)
+        monkeypatch.setattr(objectives, "rule_for", counted)
+        log, _ = sample_log(np.random.default_rng(18), n=12)
+        fun, shape = make_objective("poem", log, 0.1)
+        _, trace = minimize(fun, np.zeros(shape[0] * shape[1]), max_iters=5)
+        assert trace.n_evals > 1
+        assert calls == [("poem", 0.1)]
 
     @pytest.mark.parametrize("algorithm", [alg for alg, (name, *_) in RULES.items() if name])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

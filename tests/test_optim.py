@@ -226,6 +226,19 @@ def test_lazy_objective_follows_the_eager_path(algorithm):
     assert (t_lazy.n_evals, t_lazy.n_grads) == (t_eager.n_evals, t_eager.n_grads)
 
 
+def test_klcrm_fit_at_a_vanishing_temperature_stays_finite():
+    # at gamma = 1e-320, z / gamma overflows; the tilt is its gamma -> 0 limit,
+    # all weight on the largest losses, so the risk at theta = 0 is max z
+    log, _ = sample_log(np.random.default_rng(23), n=30, clip_m=3.0)
+    fun, shape = make_objective("klcrm", log, 1e-320)
+    x0 = np.zeros(shape[0] * shape[1])
+    zero = evaluate("klcrm", PolicyParams(x0.reshape(shape)), log, 1e-320)
+    assert zero.risk == zero.losses.max()
+    _, trace = minimize(fun, x0, max_iters=20)
+    assert trace.termination != "nan_objective"
+    assert trace.n_evals > 1
+
+
 def search(f, df):
     """Line search from x = 0 along p = 1 for f with derivative df; returns
     its result and the trials as (step, whether the gradient was given)."""
