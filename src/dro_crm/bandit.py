@@ -247,6 +247,8 @@ def load_multilabel_svmlight(*paths, n_features: Optional[int] = None
     its label ids and, per block, the feature counts per example, int32
     feature indices and float64 values: 12 bytes a value.
     """
+    if not paths:
+        raise ContractViolation("load_multilabel_svmlight needs at least one path")
     shift, arrays = None, []
     for path in paths:
         labels, feats = _read_svmlight(path)

@@ -8,7 +8,8 @@ and validation bandit logs, and evaluates the logger and the skyline on the
 test set.  Each cell then minimizes its algorithm's objective at every grid
 point, selects the grid point with the lowest unclipped importance-weighted
 validation risk, and reports exact expected and greedy Hamming loss on the
-test set, both from one `evaluate_policy` call.  A cell that raises gives a
+test set, both from one `evaluate_policy` call.  Its row keeps each fit's
+termination reason, which results.csv leaves out.  A cell that raises gives a
 row of status "failed" that keeps only the cell's keys and the error.
 
 The drivers run a seed's cells one after another and build its set-up once
@@ -106,6 +107,7 @@ class ResultRow:
     skyline_expected: float = math.nan
     skyline_greedy: float = math.nan
     grid_scores: Tuple[float, ...] = ()
+    terminations: Tuple[str, ...] = ()    # each grid point's fit; not in results.csv
     status: str = "ok"
     message: str = ""
     wall_time_s: float = 0.0
@@ -194,10 +196,12 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
     grid = cfg.grids.get(algorithm, [None])
     candidates: List[PolicyParams] = []
     scores: List[float] = []
+    terminations: List[str] = []
     for hyper in grid:
         fun, shape = make_objective(algorithm, setup.train_log, hyper)
-        theta, _ = minimize(fun, np.zeros(shape[0] * shape[1]),
-                            max_iters=cfg.optim_max_iters)
+        theta, trace = minimize(fun, np.zeros(shape[0] * shape[1]),
+                                max_iters=cfg.optim_max_iters)
+        terminations.append(trace.termination)
         params = PolicyParams(theta.reshape(shape))
         candidates.append(params)
         scores.append(ips_validation_score(params, setup.valid_log))
@@ -210,7 +214,8 @@ def _fit_cell(cfg: ExperimentConfig, algorithm: str, seed: int,
                      hyper_name=RULES[algorithm][0], hyper_value=hyper_value,
                      expected_loss=expected, greedy_loss=greedy,
                      valid_score=scores[best], **setup.baselines,
-                     grid_scores=tuple(scores), params=chosen)
+                     grid_scores=tuple(scores), terminations=tuple(terminations),
+                     params=chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import sys
+from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Tuple
 
 import numpy as np
@@ -143,12 +144,17 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _report(rows, path) -> int:
-    """One stderr line per failed cell, then `path` on stdout; the exit code,
-    1 when every cell failed."""
+    """One stderr line per failed cell, then, if any cell fitted, one that
+    counts its fits by termination reason; then `path` on stdout.  The exit
+    code, 1 when every cell failed."""
     failed = [r for r in rows if r.status == "failed"]
     for r in failed:
         print(f"[failed] {r.algorithm} delta={r.delta} seed={r.seed}: {r.message}",
               file=sys.stderr)
+    census = Counter(reason for r in rows for reason in r.terminations)
+    if census:
+        counts = ", ".join(f"{n} {reason}" for reason, n in sorted(census.items()))
+        print(f"[fits] {census.total()}: {counts}", file=sys.stderr)
     print(path)
     return 1 if failed and len(failed) == len(rows) else 0
 
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
     p_conv = sub.add_parser("convert", help="write a bandit log from a dataset")
     p_conv.add_argument("--input", required=True)
     p_conv.add_argument("--out", required=True)
-    p_conv.add_argument("--delta", type=int, default=4)
+    p_conv.add_argument("--delta", type=int, default=ExperimentConfig.delta)
     p_conv.add_argument("--seed", type=int, default=0)
     p_conv.set_defaults(func=cmd_convert)
 

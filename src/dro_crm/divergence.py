@@ -110,7 +110,9 @@ def robust_risk_chi2(z, epsilon: float) -> Tuple[float, np.ndarray]:
     d = top - top[0]  # shifted, so the cumulative sums lose no digits to the mean
     k, s1, s2 = np.arange(1.0, n + 1.0), np.cumsum(d), np.cumsum(d * d)
     slack = epsilon - (n - k) / k
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a top-k scatter of 0, or one so small that the square root overflows,
+    # has top losses within `equal`'s tolerance, which decides such a k
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         worst = (n / k + np.sqrt(slack * n / (s2 - s1 * s1 / k)) * (d - s1 / k)) / n
     equal = -d <= 1e-14 * np.maximum(max(1.0, abs(top[0])), np.abs(top))
     stop = np.flatnonzero((equal | (slack <= 0.0) | (worst >= -1e-15))[:-1])

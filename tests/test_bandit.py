@@ -51,6 +51,11 @@ class TestSvmlightFormat:
             with pytest.raises(DataFormatError, match="empty.svm: no examples"):
                 load_multilabel_svmlight(*paths)
 
+    def test_no_paths_errors(self):
+        for kwargs in ({}, {"n_features": 3}):
+            with pytest.raises(ContractViolation, match="needs at least one path$"):
+                load_multilabel_svmlight(**kwargs)
+
     def test_no_label_ids_errors(self, tmp_path):
         # no policy can be fitted on a collection without one label id; a
         # file without one is read when another file of its collection has one

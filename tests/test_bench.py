@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dro_crm import bench
 from dro_crm.bench import RESULTS_HEADER, ResultRow, write_results_csv
 from dro_crm.cli import main
 from dro_crm.objectives import RULES
+from dro_crm.optim import OptimTrace
 from numeric_oracles import t_sf_oracle
 from toy_logs import sample_log
 
@@ -609,7 +611,43 @@ class TestSharedSetup:
         assert main([command, "--dataset", synth_path, "--algorithms", "cips",
                      "--threads", "1", "--out-dir", str(tmp_path), *flags]) == 0
         assert capsys.readouterr().err == (
-            "[failed] cips delta=2 seed=1: RuntimeError: no set-up\n")
+            "[failed] cips delta=2 seed=1: RuntimeError: no set-up\n"
+            "[fits] 1: 1 f_tol\n")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--seeds", "0,1", "--delta", "2"]),
+        ("sweep", ["--deltas", "1,2", "--seeds", "0"]),
+    ], ids=["run", "sweep"])
+    def test_fit_census_counts_the_traces(self, synth_path, monkeypatch, capsys,
+                                          tmp_path, command, flags):
+        reasons = []
+
+        def traced(*args, _fit=bench.minimize, **kwargs):
+            x, trace = _fit(*args, **kwargs)
+            reasons.append(trace.termination)
+            return x, trace
+
+        monkeypatch.setattr(bench, "minimize", traced)
+        cfg_file = tmp_path / "census.cfg"
+        cfg_file.write_text("grid_poem = 1e-4,1e-2,30\ngrid_klcrm = 1,100\n"
+                            "optim_max_iters = 40\n")
+        assert main([command, "--config", str(cfg_file), "--dataset", synth_path,
+                     "--algorithms", "cips,poem,klcrm", "--threads", "1",
+                     "--out-dir", str(tmp_path / "out"), *flags]) == 0
+        census = Counter(reasons)
+        assert sum(census.values()) == 2 * (1 + 3 + 2) and len(census) > 1
+        counts = ", ".join(f"{census[reason]} {reason}" for reason in sorted(census))
+        assert capsys.readouterr().err == f"[fits] {len(reasons)}: {counts}\n"
+
+    def test_fit_census_counts_a_nan_objective(self, synth_path, monkeypatch, capsys,
+                                               tmp_path):
+        # the cell's row still reads ok; the census is where its fit shows
+        monkeypatch.setattr(bench, "minimize", lambda fun, x0, **kwargs: (
+            x0, OptimTrace(termination="nan_objective")))
+        assert main(["run", "--dataset", synth_path, "--algorithms", "cips",
+                     "--seeds", "0", "--threads", "1", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "[fits] 1: 1 nan_objective\n"
+        assert read_lines(tmp_path / "results.csv")[1].endswith(",ok")
 
     def test_pool_has_no_more_workers_than_cells(self, synth_path, monkeypatch):
         # a pool that records its size and runs the cells here, so no

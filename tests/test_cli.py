@@ -221,19 +221,22 @@ class TestCommands:
         assert main(["eval", "--params", str(params_path),
                      "--test", synth_path, "--mode", "expected"]) == 0
 
-    @pytest.mark.parametrize("seed, delta", [(0, 4), (3, 2)])
+    @pytest.mark.parametrize("seed, delta", [(0, 4), (3, 2), (0, None)])
     def test_convert_writes_the_runs_train_log(self, tmp_path, synth_path, seed, delta):
         # the log `run` fits at this seed and delta, after its 25% hold-out:
-        # of 120 examples, 30 are held out and 67 of the other 90 train
+        # of 120 examples, 30 are held out and 67 of the other 90 train;
+        # without --delta, at the replay count `run` defaults to
         out = tmp_path / "conv"
+        flags = [] if delta is None else ["--delta", str(delta)]
         assert main(["convert", "--input", synth_path, "--out", str(out),
-                     "--seed", str(seed), "--delta", str(delta)]) == 0
-        cfg = ExperimentConfig(synth_path, seeds=(seed,), delta=delta)
+                     "--seed", str(seed), *flags]) == 0
+        cfg = ExperimentConfig(synth_path, seeds=(seed,),
+                               **({} if delta is None else {"delta": delta}))
         want = tmp_path / "want.csv", tmp_path / "want.meta"
         save_bandit_log(_seed_setup(cfg, seed).train_log, *want, seed)
         assert (out / "bandit_log.csv").read_bytes() == want[0].read_bytes()
         assert (out / "bandit_log.meta").read_bytes() == want[1].read_bytes()
-        assert f"n_records = {67 * delta}\n" in want[1].read_text()
+        assert f"n_records = {67 * cfg.delta}\n" in want[1].read_text()
 
     def test_sweep_runs_the_configs_seeds(self, tmp_path, synth_path):
         # each --deltas value replaces the config's delta

@@ -138,6 +138,20 @@ class TestChiSquareRisk:
         with pytest.raises(ArithmeticError, match="does not reach the face"):
             _face(np.array([1.0, 2.0]), np.full(2, 0.25), 4, 0.5)
 
+    def test_top_losses_near_underflow(self):
+        # a policy that gives most logged actions probability ~0 leaves
+        # losses of -1e-160 and below beside -0.0: their top-k scatter
+        # underflows, and the stop test's square root overflows without a
+        # warning, to the support of the same losses rounded to 0
+        z = np.array([-1.0, -0.5, -1e-160, 0.0, -3e-161, -2e-300])
+        flat = np.where(np.abs(z) < 1e-100, 0.0, z)
+        for eps in (0.5, 3.0, 30.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                risk, q = robust_risk_chi2(z, eps)
+            want, q_flat = robust_risk_chi2(flat, eps)
+            assert np.array_equal(q, q_flat) and abs(risk - want) < 1e-16
+
     def test_boundary_solve_runs_on_the_support_in_index_order(self):
         # the sort only chooses the support; the sums run in index order,
         # so the result does not depend on how the sort orders the losses

@@ -4,15 +4,19 @@ expressions, bit for bit.
 The package builds each array it returns in place and writes into no array it
 was passed.  The references below form every intermediate as its own array,
 one expression each, so a changed operation, operand order or buffer shows
-here as a changed byte.  `TestFoldedKernelPin` cannot see such a change: its
-reference calls the package's own `logit_terms` and rules."""
+here as a changed byte.  They gather each record's per-example terms by
+example id and sum the gradient's rows with one `np.bincount` per label, where
+the package folds a replay-major log's passes onto its examples; these sums
+run in record order, so one comparison pins both the in-place arithmetic and
+the fold."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dro_crm import BanditLog, PolicyParams, boltzmann_weights, evaluate, gamma_star_approx
+from dro_crm import (BanditLog, PolicyParams, boltzmann_weights, evaluate, gamma_star_approx,
+                     generate_bandit_log, synthetic_multilabel)
 from dro_crm import divergence, policy
 from dro_crm.objectives import RULES, rule_for
 
@@ -31,16 +35,23 @@ def ref_sigmoid_from(U, e):
     return np.maximum(e, U >= 0.0) / (1.0 + e)
 
 
+def example_ids(n_records, n_ex):
+    """The example of each record of a replay-major log."""
+    return np.tile(np.arange(n_ex), n_records // n_ex)
+
+
 def ref_log_prob(Y, U, softplus):
-    Y = Y.reshape(-1, *U.shape)
-    return (np.einsum("dij,ij->di", Y, U) - softplus.sum(axis=1)).ravel()
+    ids = example_ids(len(Y), len(U))
+    return np.einsum("ij,ij->i", Y, U[ids]) - softplus.sum(axis=1)[ids]
 
 
 def ref_score_gradient(c, Y, U, e, X):
     n_ex, q = U.shape
-    c = c.reshape(-1, n_ex)
-    R = np.einsum("di,dij->ij", c, Y.reshape(-1, n_ex, q))
-    R = R - c.sum(axis=0)[:, None] * ref_sigmoid_from(U, e)
+    ids = example_ids(c.size, n_ex)
+    R = np.empty((n_ex, q))
+    for label in range(q):
+        R[:, label] = np.bincount(ids, weights=c * Y[:, label], minlength=n_ex)
+    R = R - np.bincount(ids, weights=c, minlength=n_ex)[:, None] * ref_sigmoid_from(U, e)
     G = np.zeros((q, X.shape[1]))
     for i in range(0, n_ex, 256):
         G = G + R[i:i + 256].T @ X[i:i + 256]
@@ -73,7 +84,7 @@ def ref_chi2(z, epsilon):
     d = top - top[0]
     k, s1, s2 = np.arange(1.0, n + 1.0), np.cumsum(d), np.cumsum(d * d)
     slack = epsilon - (n - k) / k
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         worst = (n / k + np.sqrt(slack * n / (s2 - s1 * s1 / k)) * (d - s1 / k)) / n
     equal = -d <= 1e-14 * np.maximum(max(1.0, abs(top[0])), np.abs(top))
     stop = np.flatnonzero((equal | (slack <= 0.0) | (worst >= -1e-15))[:-1])
@@ -192,14 +203,14 @@ class TestPolicyArithmetic:
         kept = frozen(U, e, softplus)
         assert same(policy._sigmoid_from(U, e), ref_sigmoid_from(U, e))
         assert same(policy.sigmoid(U0), ref_sigmoid_from(*ref_logit_terms(U0)[:2]))
-        for delta in (1, 4):
+        for delta in (1, 3, 4):
             Y = (rng.random((delta * shape[0], shape[1])) < 0.5).astype(np.float64)
             y_kept = frozen(Y)
             assert same(policy.log_prob(Y, U, softplus), ref_log_prob(Y, U, softplus))
             assert unchanged(y_kept, [Y])
         assert unchanged(kept, [U, e, softplus]) and unchanged(before, [U0])
 
-    @pytest.mark.parametrize("delta", [1, 4])
+    @pytest.mark.parametrize("delta", [1, 3, 4])
     @pytest.mark.parametrize("q", [3, 14])
     def test_score_gradient(self, delta, q):
         rng = np.random.default_rng(10 * delta + q)
@@ -278,14 +289,13 @@ class TestEvaluationArithmetic:
     HYPERS = {"cips": [None], "poem": [0.4, 30.0], "klcrm": [0.3, 5.0],
               "aklcrm": [0.05, 1.0]}
 
-    @pytest.mark.parametrize("delta", [1, 4])
-    @pytest.mark.parametrize("q", [3, 14])
-    def test_every_rule(self, delta, q):
-        rng = np.random.default_rng(100 + 10 * delta + q)
-        log, W0 = make_log(rng, 300, q, delta)
+    def pin(self, log, weight_sets):
+        """Every rule's report at each weight matrix against `ref_report`;
+        the counts of clipped and unclipped records, of logits beyond +-500
+        and of poem weights with a zero."""
         kept = frozen(log.X, log.Y, log.log_propensities, log.costs)
         seen = {"clipped": 0, "unclipped": 0, "beyond": 0, "support": 0}
-        for weights in (np.zeros_like(W0), W0, W0 + rng.normal(size=W0.shape)):
+        for weights in weight_sets:
             params = PolicyParams(weights)
             w_kept = frozen(params.weights)
             U = log.X @ params.weights.T
@@ -309,5 +319,30 @@ class TestEvaluationArithmetic:
                     assert unchanged(w_kept, [params.weights])
             seen["clipped"] += int(clipped.sum())
             seen["unclipped"] += int((~clipped).sum())
+        return seen
+
+    @pytest.mark.parametrize("delta", [1, 3, 4])
+    @pytest.mark.parametrize("q", [3, 14])
+    def test_every_rule(self, delta, q):
+        rng = np.random.default_rng(100 + 10 * delta + q)
+        log, W0 = make_log(rng, 300, q, delta)
+        seen = self.pin(log, (np.zeros_like(W0), W0, W0 + rng.normal(size=W0.shape)))
         assert all(seen.values()), seen
         assert rule_for("cips", None) is RULES["cips"][1]
+
+    @pytest.mark.parametrize("delta", [1, 3, 4])
+    @pytest.mark.parametrize("q", [3, 14])
+    def test_generated_log(self, delta, q):
+        ds = synthetic_multilabel(300, 6, q, seed=30 + q)
+        rng = np.random.default_rng(delta * q)
+        logger = PolicyParams(0.3 * rng.normal(size=(q, 6)))
+        log = generate_bandit_log(logger, ds, delta=delta, seed=delta)
+        assert log.n == delta * ds.n_examples
+        # near-certain of the least likely logged action at its example: that
+        # record's ratio is 1 / min propensity >= clip_m, so it clips
+        k = int(np.argmin(log.log_propensities))
+        x = ds.X[k % ds.n_examples]
+        sure = 50.0 * np.outer(2.0 * log.Y[k] - 1.0, x) / (x @ x)
+        seen = self.pin(log, (np.zeros((q, 6)), 0.3 * rng.normal(size=(q, 6)),
+                              1.5 * rng.normal(size=(q, 6)), 4.0 * logger.weights))
+        assert seen["unclipped"] and self.pin(log, (sure,))["clipped"], seen

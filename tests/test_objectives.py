@@ -11,7 +11,6 @@ from dro_crm import (BanditLog, ContractViolation, PolicyParams, evaluate,
                      train_logger)
 from dro_crm.bandit import SupervisedDataset, append_bias, split_dataset
 from dro_crm.objectives import RULES, rule_for
-from gather_kernel import gather_report
 from numeric_oracles import fd_gradient
 from oracle import enumerate_actions
 from toy_logs import one_feature_log, sample_log
@@ -393,41 +392,6 @@ class TestObjectiveProperties:
             one_feature_log([1.0], [[1]], [0.5], [math.nan], 1.0)
         with pytest.raises(ContractViolation):
             BanditLog(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), 1.0)
-
-
-class TestFoldedKernelPin:
-    """The replay-major kernel against the per-record gather and bincount
-    kernel it replaced (`gather_kernel.py`), bit for bit."""
-
-    HYPERS = {"cips": None, "poem": 0.4, "klcrm": 0.3, "aklcrm": 0.05}
-
-    @pytest.mark.parametrize("delta", [1, 3, 4])
-    @pytest.mark.parametrize("q", [3, 14])
-    def test_bit_equal_to_gather_kernel(self, delta, q):
-        ds = synthetic_multilabel(37, 6, q, seed=30 + q)
-        rng = np.random.default_rng(delta * q)
-        logger = PolicyParams(0.3 * rng.normal(size=(q, 6)))
-        log = generate_bandit_log(logger, ds, delta=delta, seed=delta)
-        assert log.n == delta * ds.n_examples
-        # near-certain of the least likely logged action at its example: that
-        # record's ratio is 1 / min propensity >= clip_m, so it clips
-        k = int(np.argmin(log.log_propensities))
-        x = ds.X[k % ds.n_examples]
-        sure = 50.0 * np.outer(2.0 * log.Y[k] - 1.0, x) / (x @ x)
-        n_clipped = 0
-        for weights in (np.zeros((q, 6)), 0.3 * rng.normal(size=(q, 6)),
-                        1.5 * rng.normal(size=(q, 6)), 4.0 * logger.weights, sure):
-            params = PolicyParams(weights)
-            for alg, hyper in self.HYPERS.items():
-                got = evaluate(alg, params, log, hyper)
-                want = gather_report(params, log, rule_for(alg, hyper), hyper)
-                for name in ("ratio", "clipped", "losses", "weights"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), (alg, name)
-                assert got.risk == want.risk, alg
-                assert got.gamma_used == want.gamma_used, alg
-                assert np.array_equal(got.gradient(), want.gradient()), alg
-            n_clipped += int(got.clipped.sum())
-        assert 0 < n_clipped < 4 * log.n  # both sides of the clip were pinned
 
 
 class TestReplayLayoutEquivalence:
